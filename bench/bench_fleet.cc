@@ -25,7 +25,6 @@
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -64,12 +63,12 @@ struct SweepPoint
 /** One fleet run: N sessions with distinct trajectories, one world. */
 SweepPoint
 runSweepPoint(int sessions, int players, double durationS, int renderW,
-              int renderH, bool serialEngine = false)
+              int renderH)
 {
     FleetCapacity cap;
     cap.maxSessions = sessions;
     cap.maxClients = sessions * players;
-    SessionManager mgr(cap, {}, 256ull << 20, serialEngine);
+    SessionManager mgr(cap);
 
     // One preprocessed base per point, wired to the manager's shared
     // cache — the multi-tenant deployment shape. Similarity
@@ -284,59 +283,6 @@ main(int argc, char **argv)
             std::snprintf(key, sizeof key, "s%d_p%d", sessions, players);
             obs::Json row = toJson(p);
 
-            // A/B the engines on the largest leg: the same fleet once
-            // more through the pre-lane serial event loop. Frame
-            // deliveries are bit-identical (the determinism contract).
-            // Shared-cache miss counts are too — unless the cache
-            // evicted: the engines order cache accesses differently
-            // (inline per delivery vs barrier-batched), so once LRU
-            // pressure kicks in their eviction histories legitimately
-            // drift, and the miss tally gets a 0.5% band instead.
-            if (sessions == sessionCounts.back() &&
-                players == playerCounts.back()) {
-                const SweepPoint serial =
-                    runSweepPoint(sessions, players, durationS, renderW,
-                                  renderH, /*serialEngine=*/true);
-                const double speedup =
-                    p.wallS > 0.0 ? serial.wallS / p.wallS : 0.0;
-                std::printf("  %8s %7s | serial-engine wall %.2fs, "
-                            "lane-engine wall %.2fs, sim speedup "
-                            "%.2fx\n",
-                            "", "", serial.wallS, p.wallS, speedup);
-                row.set("serial_engine_wall_s",
-                        obs::Json(serial.wallS));
-                row.set("engine_speedup", obs::Json(speedup));
-                const bool evicted =
-                    p.cacheEvictions != 0 || serial.cacheEvictions != 0;
-                const double renderDrift =
-                    serial.renders > 0
-                        ? std::abs(static_cast<double>(p.renders) -
-                                   static_cast<double>(serial.renders)) /
-                              static_cast<double>(serial.renders)
-                        : 0.0;
-                if (serial.deliveries != p.deliveries ||
-                    (evicted ? renderDrift > 0.005
-                             : serial.renders != p.renders)) {
-                    std::printf("  CHECK FAILED: serial and lane "
-                                "engines disagree on %s (deliveries "
-                                "%llu vs %llu, renders %llu vs %llu, "
-                                "cache evictions %llu vs %llu)\n",
-                                key,
-                                static_cast<unsigned long long>(
-                                    serial.deliveries),
-                                static_cast<unsigned long long>(
-                                    p.deliveries),
-                                static_cast<unsigned long long>(
-                                    serial.renders),
-                                static_cast<unsigned long long>(
-                                    p.renders),
-                                static_cast<unsigned long long>(
-                                    serial.cacheEvictions),
-                                static_cast<unsigned long long>(
-                                    p.cacheEvictions));
-                    ok = false;
-                }
-            }
             points.set(key, std::move(row));
 
             // Ungoverned fleets never evict or fault, deliveries flow,

@@ -9,10 +9,11 @@
  * every stage forced serial and once through the shared thread pool,
  * plus the SSIM kernel old-vs-new microcomparison, plus a sim-engine
  * thread sweep: the bench_fleet 32x4 leg through the lane engine at
- * COTERIE_THREADS=1/2/4/8 against the pre-lane serial event loop
- * (DESIGN.md §12), reporting events/sec and wall seconds per simulated
- * second. The pool is sized once at process start, so each sweep point
- * re-executes this binary with COTERIE_THREADS pinned (--sim-child).
+ * COTERIE_THREADS=1/2/4/8 (DESIGN.md §12), reporting events/sec and
+ * wall seconds per simulated second. Every thread count must match the
+ * 1-thread run exactly on events, deliveries and renders. The pool is
+ * sized once at process start, so each sweep point re-executes this
+ * binary with COTERIE_THREADS pinned (--sim-child).
  * Everything lands in results/BENCH_parallel.json.
  *
  * `--check` turns the degenerate-pool condition into a hard failure:
@@ -137,17 +138,17 @@ struct SimRun
 /**
  * The measured workload: the bench_fleet sweep leg (sessions x players
  * over one shared world + pano cache, renderOnFetch so barriers carry
- * real render batches), through either DES engine.
+ * real render batches).
  */
 SimRun
 runSimLeg(int sessions, int players, double durationS, int renderW,
-          int renderH, bool serialEngine)
+          int renderH)
 {
     using namespace coterie::core;
     FleetCapacity cap;
     cap.maxSessions = sessions;
     cap.maxClients = sessions * players;
-    SessionManager mgr(cap, {}, 256ull << 20, serialEngine);
+    SessionManager mgr(cap);
 
     SessionParams sp;
     sp.players = players;
@@ -211,9 +212,8 @@ runSimLeg(int sessions, int players, double durationS, int renderW,
 int
 simChildMain(int argc, char **argv)
 {
-    if (argc != 8) {
-        std::fprintf(stderr,
-                     "usage: --sim-child S P DUR W H serial|lane\n");
+    if (argc != 7) {
+        std::fprintf(stderr, "usage: --sim-child S P DUR W H\n");
         return 2;
     }
     const int sessions = std::atoi(argv[2]);
@@ -221,9 +221,8 @@ simChildMain(int argc, char **argv)
     const double durationS = std::atof(argv[4]);
     const int renderW = std::atoi(argv[5]);
     const int renderH = std::atoi(argv[6]);
-    const bool serial = std::strcmp(argv[7], "serial") == 0;
-    const SimRun run = runSimLeg(sessions, players, durationS, renderW,
-                                 renderH, serial);
+    const SimRun run =
+        runSimLeg(sessions, players, durationS, renderW, renderH);
     std::printf("SIMCHILD events=%llu deliveries=%llu renders=%llu "
                 "wall_s=%.9f horizon_ms=%.6f\n",
                 static_cast<unsigned long long>(run.events),
@@ -236,14 +235,13 @@ simChildMain(int argc, char **argv)
 /** Re-exec this binary with COTERIE_THREADS pinned and parse back. */
 SimRun
 runSimChild(const char *self, int threads, int sessions, int players,
-            double durationS, int renderW, int renderH, bool serial)
+            double durationS, int renderW, int renderH)
 {
     char cmd[512];
     std::snprintf(cmd, sizeof cmd,
-                  "COTERIE_THREADS=%d '%s' --sim-child %d %d %.3f %d "
-                  "%d %s",
+                  "COTERIE_THREADS=%d '%s' --sim-child %d %d %.3f %d %d",
                   threads, self, sessions, players, durationS, renderW,
-                  renderH, serial ? "serial" : "lane");
+                  renderH);
     SimRun run;
     std::FILE *pipe = popen(cmd, "r");
     if (!pipe) {
@@ -337,10 +335,10 @@ main(int argc, char **argv)
                 kSsimReps, ssimNaive, ssimFast,
                 ssimNaive / ssimFast);
 
-    // Sim-engine thread sweep: the bench_fleet leg through the serial
-    // event loop once, then through the lane engine with the pool
-    // pinned at 1/2/4/8 threads. Results are bit-identical by the
-    // determinism contract; only the wall clock moves.
+    // Sim-engine thread sweep: the bench_fleet leg through the lane
+    // engine with the pool pinned at 1/2/4/8 threads. Results are
+    // bit-identical by the determinism contract; only the wall clock
+    // moves.
     const int simSessions = smoke ? 8 : 32;
     const int simPlayers = smoke ? 2 : 4;
     const double simDurationS = smoke ? 5.0 : 8.0;
@@ -348,64 +346,45 @@ main(int argc, char **argv)
     const int simH = smoke ? 24 : 32;
     std::printf("  sim engine (fleet %dx%d, %.0fs sim):\n", simSessions,
                 simPlayers, simDurationS);
-    const SimRun serialRun =
-        runSimChild(argv[0], 1, simSessions, simPlayers, simDurationS,
-                    simW, simH, /*serial=*/true);
-    if (serialRun.ok)
-        std::printf("    serial engine      %7.3fs  %9.0f events/s  "
-                    "%.3f wall-s per sim-s\n",
-                    serialRun.wallS, serialRun.eventsPerSec(),
-                    serialRun.wallPerSimS());
-    else
-        ok = false;
     obs::Json simEngine = obs::Json::object();
     char simLeg[32];
     std::snprintf(simLeg, sizeof simLeg, "s%d_p%d", simSessions,
                   simPlayers);
     simEngine.set("leg", obs::Json(std::string(simLeg)));
-    if (serialRun.ok) {
-        obs::Json row = obs::Json::object();
-        row.set("wall_s", obs::Json(serialRun.wallS));
-        row.set("events", obs::Json(serialRun.events));
-        row.set("deliveries", obs::Json(serialRun.deliveries));
-        row.set("events_per_s", obs::Json(serialRun.eventsPerSec()));
-        row.set("wall_per_sim_s", obs::Json(serialRun.wallPerSimS()));
-        simEngine.set("serial_engine", std::move(row));
-    }
+    SimRun oneThread;
     for (const int threads : {1, 2, 4, 8}) {
-        const SimRun laneRun =
-            runSimChild(argv[0], threads, simSessions, simPlayers,
-                        simDurationS, simW, simH, /*serial=*/false);
+        const SimRun laneRun = runSimChild(argv[0], threads, simSessions,
+                                           simPlayers, simDurationS, simW,
+                                           simH);
         if (!laneRun.ok) {
             ok = false;
             continue;
         }
-        const double speedup = serialRun.ok && laneRun.wallS > 0.0
-                                   ? serialRun.wallS / laneRun.wallS
+        if (threads == 1)
+            oneThread = laneRun;
+        const double speedup = oneThread.ok && laneRun.wallS > 0.0
+                                   ? oneThread.wallS / laneRun.wallS
                                    : 0.0;
         std::printf("    lane engine t=%d    %7.3fs  %9.0f events/s  "
-                    "%.3f wall-s per sim-s  speedup %.2fx\n",
+                    "%.3f wall-s per sim-s  speedup %.2fx vs t=1\n",
                     threads, laneRun.wallS, laneRun.eventsPerSec(),
                     laneRun.wallPerSimS(), speedup);
-        if (serialRun.ok &&
-            (laneRun.events != serialRun.events ||
-             laneRun.deliveries != serialRun.deliveries ||
-             laneRun.renders != serialRun.renders)) {
+        if (!oneThread.ok || laneRun.events != oneThread.events ||
+            laneRun.deliveries != oneThread.deliveries ||
+            laneRun.renders != oneThread.renders) {
             std::printf("  CHECK FAILED: lane engine at t=%d diverged "
-                        "from the serial engine (events %llu vs %llu, "
-                        "deliveries %llu vs %llu, renders %llu vs "
-                        "%llu)\n",
+                        "from t=1 (events %llu vs %llu, deliveries %llu "
+                        "vs %llu, renders %llu vs %llu)\n",
                         threads,
                         static_cast<unsigned long long>(laneRun.events),
-                        static_cast<unsigned long long>(
-                            serialRun.events),
+                        static_cast<unsigned long long>(oneThread.events),
                         static_cast<unsigned long long>(
                             laneRun.deliveries),
                         static_cast<unsigned long long>(
-                            serialRun.deliveries),
+                            oneThread.deliveries),
                         static_cast<unsigned long long>(laneRun.renders),
                         static_cast<unsigned long long>(
-                            serialRun.renders));
+                            oneThread.renders));
             ok = false;
         }
         obs::Json row = obs::Json::object();
@@ -414,7 +393,7 @@ main(int argc, char **argv)
         row.set("deliveries", obs::Json(laneRun.deliveries));
         row.set("events_per_s", obs::Json(laneRun.eventsPerSec()));
         row.set("wall_per_sim_s", obs::Json(laneRun.wallPerSimS()));
-        row.set("speedup_vs_serial_engine", obs::Json(speedup));
+        row.set("speedup_vs_t1", obs::Json(speedup));
         simEngine.set("lane_engine_t" + std::to_string(threads),
                       std::move(row));
     }

@@ -61,7 +61,7 @@ struct SessionManager::SessionState
     double startedAtMs = -1.0;
     double finishedAtMs = -1.0;
     bool finalized = false;
-    /** DES lane this session's events run in (0 = serial engine). */
+    /** DES lane this session's events run in (0 until started). */
     std::uint32_t lane = 0;
     /** renderOnFetch grid keys deferred to the round barrier. Written
      *  only by this session's lane, drained (and cleared) at every
@@ -71,11 +71,9 @@ struct SessionManager::SessionState
 
 SessionManager::SessionManager(FleetCapacity capacity,
                                GovernorParams governor,
-                               std::size_t panoCacheBytes,
-                               bool serialEngine)
+                               std::size_t panoCacheBytes)
     : capacity_(capacity), governor_(governor),
-      panoCache_(std::make_shared<PanoramaRenderCache>(panoCacheBytes)),
-      queue_(/*laneMode=*/!serialEngine)
+      panoCache_(std::make_shared<PanoramaRenderCache>(panoCacheBytes))
 {
     queue_.setBarrierHook([this] { drainRenderBatch(); });
     COTERIE_ASSERT(governor_.recoverMissRate <= governor_.shedMissRate &&
@@ -237,7 +235,7 @@ SessionManager::startSession(SessionState &s)
     // frame staggering) and every nested scheduleAt/scheduleIn the
     // session ever makes land in the lane, so the per-session stack
     // needs no lane awareness. The lane clock starts at the control
-    // clock, exactly like admission on the old shared serial queue.
+    // clock, so the session schedules relative to its admission.
     s.lane = queue_.createLane();
     queue_.runInLane(s.lane, [&] {
         s.run = std::make_unique<SplitSystemRun>(
@@ -280,7 +278,7 @@ SessionManager::finalizeSession(SessionState &s, SessionPhase phase,
     s.result = s.run->finish();
     // For a confined fault this is the faulting lane's sim time, not
     // the barrier the confinement was deferred to — the report's
-    // timeline reads the same as the serial engine's.
+    // timeline reads the same as a solo run's.
     s.finishedAtMs = finishedAt;
     // Fault isolation invariant: a departing session leaves nothing
     // pinned in the shared cache — in-flight claims are withdrawn so
@@ -427,28 +425,14 @@ SessionManager::onFrameFetched(std::uint32_t session,
     if (!s.spec.renderOnFetch)
         return;
     ++s.fleetRenders;
-    if (queue_.currentLane() != 0) {
-        // Lane context (parallel engine): the shared cache's hit/miss
-        // accounting must not depend on how lanes interleave on the
-        // pool, so the render is deferred to the round barrier, where
-        // drainRenderBatch makes every cache decision serially in
-        // (lane, delivery) order. SessionState is lane-owned between
-        // barriers, so this buffer needs no lock.
-        s.pendingRenders.push_back(gridKey);
-        return;
-    }
-    // Serial engine: realize the delivered megaframe as an actual
-    // far-BE render through the shared world-keyed cache, charged to
-    // this session. Pure compute outside the DES — the result never
-    // feeds back into simulation state, so frame output is unchanged.
-    const world::GridMap &grid = s.spec.base->grid();
-    const auto cols = static_cast<std::uint64_t>(grid.cols());
-    const world::GridPoint g{
-        static_cast<std::int64_t>(gridKey % cols),
-        static_cast<std::int64_t>(gridKey / cols)};
-    s.spec.base->frames().farBePanorama(
-        grid.position(g), /*distThresh=*/0.0, s.spec.renderWidth,
-        s.spec.renderHeight, /*threads=*/1, nullptr, session);
+    // The shared cache's hit/miss accounting must not depend on how
+    // lanes interleave on the pool, so the render is deferred to the
+    // round barrier, where drainRenderBatch makes every cache decision
+    // serially in (lane, delivery) order. SessionState is lane-owned
+    // between barriers, so this buffer needs no lock.
+    COTERIE_ASSERT(queue_.currentLane() == s.lane,
+                   "fleet session ", session, " fetched outside its lane");
+    s.pendingRenders.push_back(gridKey);
 }
 
 void
@@ -458,8 +442,7 @@ SessionManager::drainRenderBatch()
     // the deterministic merge order. First request for an absent key
     // claims the render (the miss, charged to that session); every
     // later request of the same key in the batch is a hit, exactly as
-    // if the renders had completed synchronously in that order on the
-    // serial engine.
+    // if the renders had completed synchronously in that order.
     struct Claimed
     {
         const Session *base;
@@ -516,7 +499,7 @@ SessionManager::onSessionFault(std::uint32_t session, const char *what)
         // counters, capacity release, admission-queue drain) mutates
         // control-plane state, so it is deferred to the round barrier.
         // The faulting lane's sim time rides along so the report reads
-        // identically to the serial engine's.
+        // identically to a solo run's.
         const double faultAt = queue_.now();
         queue_.postControl([this, session, faultAt] {
             confirmSessionFault(session, faultAt);

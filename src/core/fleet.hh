@@ -214,16 +214,14 @@ struct FleetResult
  * lanes advance concurrently on the shared pool between control-plane
  * barriers (admission wakes, governor ticks, finalize horizons), so a
  * fleet simulates on every core while staying bit-identical at any
- * `COTERIE_THREADS`. Pass @p serialEngine true for the one-core
- * baseline (the pre-lane behaviour; what benches A/B against).
+ * `COTERIE_THREADS`.
  */
 class SessionManager : public FleetHooks
 {
   public:
     explicit SessionManager(FleetCapacity capacity = {},
                             GovernorParams governor = {},
-                            std::size_t panoCacheBytes = 256ull << 20,
-                            bool serialEngine = false);
+                            std::size_t panoCacheBytes = 256ull << 20);
     ~SessionManager() override;
 
     SessionManager(const SessionManager &) = delete;

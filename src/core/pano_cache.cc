@@ -143,7 +143,7 @@ PanoramaRenderCache::batchLookupOrClaim(const PanoKey &key,
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
         // Resident, or claimed earlier in this batch (image still
-        // null): a hit either way — under the serial engine the
+        // null): a hit either way — rendered synchronously, the
         // earlier request's render would already have completed.
         if (it->second.image)
             it->second.lastUse = ++useClock_;

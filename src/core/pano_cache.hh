@@ -145,9 +145,9 @@ class PanoramaRenderCache
      *  - Phase A (serial, in a deterministic request order):
      *    `batchLookupOrClaim` classifies each request. It returns no
      *    token when the key is already resident *or* was claimed
-     *    earlier in the same batch — both count as hits, matching the
-     *    serial engine where each render completes synchronously
-     *    before the next request arrives — and otherwise records the
+     *    earlier in the same batch — both count as hits, as if each
+     *    render completed synchronously before the next request
+     *    arrived — and otherwise records the
      *    miss, claims the render for @p owner, and returns the claim
      *    token.
      *  - Phase B (parallel, outside the cache): render the claimed

@@ -214,32 +214,4 @@ makeRayPacket(Vec3 origin, const double *dirX, const double *dirY,
     return pack;
 }
 
-bool
-rayHitsAabb(const Ray &ray, const Aabb &box, double tMax)
-{
-    double t_enter = ray.tMin;
-    double t_exit = std::min(ray.tMax, tMax);
-    const double o[3] = {ray.origin.x, ray.origin.y, ray.origin.z};
-    const double d[3] = {ray.dir.x, ray.dir.y, ray.dir.z};
-    const double lo[3] = {box.lo.x, box.lo.y, box.lo.z};
-    const double hi[3] = {box.hi.x, box.hi.y, box.hi.z};
-    for (int axis = 0; axis < 3; ++axis) {
-        if (std::abs(d[axis]) < 1e-12) {
-            if (o[axis] < lo[axis] || o[axis] > hi[axis])
-                return false;
-            continue;
-        }
-        const double inv = 1.0 / d[axis];
-        double t0 = (lo[axis] - o[axis]) * inv;
-        double t1 = (hi[axis] - o[axis]) * inv;
-        if (t0 > t1)
-            std::swap(t0, t1);
-        t_enter = std::max(t_enter, t0);
-        t_exit = std::min(t_exit, t1);
-        if (t_enter > t_exit)
-            return false;
-    }
-    return true;
-}
-
 } // namespace coterie::geom

@@ -37,9 +37,6 @@ std::optional<double> intersectCylinderY(const Ray &ray, Vec3 base,
                                          double radius, double height,
                                          Vec3 *normal = nullptr);
 
-/** Cheap slab overlap test (no normal); used by BVH traversal. */
-bool rayHitsAabb(const Ray &ray, const Aabb &box, double tMax);
-
 /**
  * Per-ray precomputation for repeated slab tests: the inverse direction
  * and per-axis sign, computed once per ray instead of per BVH node.

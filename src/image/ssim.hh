@@ -50,8 +50,10 @@ double ssimLuma(const std::vector<double> &a, const std::vector<double> &b,
                 int width, int height, const SsimParams &params = {});
 
 /**
- * The naive O(win^2)-per-window serial formulation, kept as the
- * regression/benchmark reference for the fast kernels.
+ * The naive O(win^2)-per-window serial formulation. It is the
+ * production kernel for disjoint windows — `ssimLuma` calls it when
+ * stride >= windowSize or the image is smaller than one window — and
+ * the regression/benchmark reference for the two fast kernels.
  */
 double ssimLumaReference(const std::vector<double> &a,
                          const std::vector<double> &b, int width,

@@ -107,12 +107,12 @@ raycastRow(const world::VirtualWorld &world, Vec3 origin,
            const RenderOptions &opts, int width, RowBuffers &rows)
 {
     // The camera rays all carry the default validity interval; clip it
-    // once for the row (same std::max/min shadeRay applies per ray).
+    // once for the row (the same std::max/min a per-ray shader applies).
     const Ray proto;
     const double tMin = std::max(proto.tMin, opts.layer.nearClip);
     const double tMax = std::min(proto.tMax, opts.layer.farClip);
     if (!(tMin < tMax)) {
-        // shadeRay leaves obj_hit default-constructed in this case.
+        // An empty clip interval has no object hit.
         std::fill(rows.objHit.begin(), rows.objHit.begin() + width, Hit{});
         return;
     }
@@ -159,7 +159,7 @@ terrainRow(const world::VirtualWorld &world, Vec3 origin,
         clipped.tMin = tMin;
         clipped.tMax = tMax;
         // Marching past the pixel's object hit cannot change the
-        // frame: shadeRay discards any terrain t >= obj.t. The abort
+        // frame: shading discards any terrain t >= obj.t. The abort
         // is result-identical (see Terrain::intersect).
         const Hit &obj = rows.objHit[i];
         const double abortBeyond = obj.valid() ? obj.t : inf;
@@ -178,8 +178,8 @@ shadeRow(const world::VirtualWorld &world, Vec3 origin,
          const RenderOptions &opts, int width, RowBuffers &rows)
 {
     // Pass A: resolve each pixel to object / terrain / clip-key / sky
-    // and record the base color and hit point. Same decision order as
-    // shadeRay.
+    // and record the base color and hit point: an object wins when it
+    // is strictly closer than the terrain.
     const bool clip_key_layer = std::isfinite(opts.layer.farClip);
     for (int x = 0; x < width; ++x) {
         const auto i = static_cast<std::size_t>(x);

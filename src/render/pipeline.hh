@@ -2,8 +2,8 @@
  * @file
  * Row-batched SoA render pipeline.
  *
- * renderPanorama/renderPerspective's batched path splits the per-pixel
- * `shadeRay` into four stages over row-sized buffers:
+ * renderPanorama/renderPerspective split per-pixel ray shading into
+ * four stages over row-sized buffers:
  *
  *   1. direction generation — per-row trig hoisted (camera row basis),
  *      unit directions written SoA;
@@ -16,8 +16,9 @@
  *      pixel loop, then compositing (clip key / sky).
  *
  * Every stage preserves the scalar expression sequence per pixel, so a
- * batched frame is byte-identical to the per-pixel `RenderPath::Scalar`
- * frame (and to the seed renderer) — asserted by tests/renderer_test.cc.
+ * frame is byte-identical to a per-pixel ray shader over the scalar
+ * `Bvh::closestHit` and the per-sample terrain march — the reference
+ * renderer tests/renderer_test.cc compares against.
  */
 
 #pragma once
@@ -85,10 +86,10 @@ void compositeRow(const world::VirtualWorld &world,
                   const RenderOptions &opts, int width,
                   const RowBuffers &rows, image::Rgb *out);
 
-/** Sun direction shared by the scalar and batched shading paths. */
+/** Sun direction of the diffuse shading pass. */
 extern const geom::Vec3 kSunDir;
 
-/** Clamped diffuse lighting scale (shared with the scalar path). */
+/** Clamped diffuse lighting scale. */
 image::Rgb applyLight(image::Rgb base, double intensity);
 
 /**

@@ -12,9 +12,6 @@
 
 namespace coterie::render {
 
-using geom::Hit;
-using geom::Ray;
-using geom::Vec2;
 using geom::Vec3;
 using image::Image;
 using image::Rgb;
@@ -22,44 +19,26 @@ using image::Rgb;
 namespace {
 
 /**
- * Run @p fn(row) over [0, rows) via the shared thread pool. Rows write
- * disjoint pixels, so any chunking is deterministic. A small fixed
- * grain keeps the BVH-heavy rows load-balanced.
+ * Run @p fn(row) over [0, rows) on the shared thread pool. Rows write
+ * disjoint pixels, so any chunking is deterministic.
  */
 template <typename Fn>
 void
-parallelRows(int rows, int threads, Fn &&fn)
+parallelRows(int rows, Fn &&fn)
 {
-    support::parallelFor(
-        0, rows, 4,
-        [&](std::int64_t b, std::int64_t e) {
-            COTERIE_SPAN("render.rows", "render");
-            COTERIE_COUNT_N("render.rows", e - b);
-            // Attribute BVH traversal work to rendering: discard any
-            // counts a previous (non-render) caller left on this
-            // thread, then drain what this chunk's rays accumulated.
-            // One registry add per chunk — nothing per ray.
-            world::Bvh::takeThreadStats();
-            for (std::int64_t y = b; y < e; ++y)
-                fn(static_cast<int>(y));
-            const world::Bvh::TraversalStats stats =
-                world::Bvh::takeThreadStats();
-            COTERIE_COUNT_N("bvh.nodes_visited", stats.nodesVisited);
-            COTERIE_COUNT_N("bvh.leaf_tests", stats.leafTests);
-        },
-        threads);
+    support::parallelFor(0, rows, 4, [&](std::int64_t b, std::int64_t e) {
+        for (std::int64_t y = b; y < e; ++y)
+            fn(static_cast<int>(y));
+    });
 }
 
 /**
- * Emit cumulative `bvh.*` counter tracks after a frame so traces carry
- * the traversal-cost trajectory (trace_report folds them into its
- * render section). Cheap no-op unless a trace is recording.
- */
-/**
- * Batched frame body shared by renderPanorama and renderPerspective:
- * chunked rows through the staged pipeline with per-chunk scratch
- * buffers, BVH stats drained exactly like `parallelRows`. @p dirFn
- * runs stage 1 (projection-specific direction generation) for a row.
+ * The frame body of renderPanorama and renderPerspective: chunked rows
+ * through the staged pipeline with per-chunk scratch buffers. Each
+ * chunk discards BVH traversal counts a previous (non-render) caller
+ * left on its thread, then drains what its rays accumulated into
+ * `bvh.*` — one registry add per chunk, nothing per ray. @p dirFn runs
+ * stage 1 (projection-specific direction generation) for a row.
  */
 template <typename DirFn>
 void
@@ -102,6 +81,11 @@ batchedFrame(const world::VirtualWorld &world, Vec3 origin,
         opts.threads);
 }
 
+/**
+ * Emit cumulative `bvh.*` counter tracks after a frame so traces carry
+ * the traversal-cost trajectory (trace_report folds them into its
+ * render section). Cheap no-op unless a trace is recording.
+ */
 void
 traceBvhCounters()
 {
@@ -119,80 +103,6 @@ traceBvhCounters()
 
 } // namespace
 
-Rgb
-Renderer::shadeRay(const Ray &ray, const RenderOptions &opts) const
-{
-    // Closest object hit within the layer's depth interval.
-    Ray clipped = ray;
-    clipped.tMin = std::max(ray.tMin, opts.layer.nearClip);
-    clipped.tMax = std::min(ray.tMax, opts.layer.farClip);
-
-    Hit obj_hit;
-    if (clipped.tMin < clipped.tMax)
-        obj_hit = world_.bvh().closestHit(clipped);
-
-    // Terrain hit within the same interval. The default path caps the
-    // march at the object hit (result-identical, see
-    // Terrain::intersect); SeedScalar runs the seed's per-sample march.
-    double terrain_t = std::numeric_limits<double>::infinity();
-    if (clipped.tMin < clipped.tMax) {
-        std::optional<double> t;
-        if (opts.path == RenderPath::SeedScalar) {
-            t = world_.terrain().intersectReference(clipped,
-                                                    opts.terrainMaxDist);
-        } else {
-            const double abort_beyond =
-                obj_hit.valid()
-                    ? obj_hit.t
-                    : std::numeric_limits<double>::infinity();
-            t = world_.terrain().intersect(clipped, opts.terrainMaxDist,
-                                           abort_beyond);
-        }
-        if (t && *t >= clipped.tMin && *t <= clipped.tMax)
-            terrain_t = *t;
-    }
-
-    const bool object_wins = obj_hit.valid() && obj_hit.t < terrain_t;
-    if (object_wins) {
-        const world::WorldObject &obj = world_.object(obj_hit.objectId);
-        double light = 1.0;
-        if (opts.shading) {
-            const double diffuse =
-                std::max(0.0, obj_hit.normal.dot(detail::kSunDir));
-            light = 0.40 + 0.60 * diffuse;
-        }
-        if (opts.texture)
-            light *=
-                detail::textureFactor(obj_hit.point, obj_hit.t, opts);
-        return detail::applyLight(obj.color, light);
-    }
-    if (std::isfinite(terrain_t)) {
-        const Vec3 p = ray.at(terrain_t);
-        const Rgb base = world_.terrain().colorAt(p.ground());
-        double light = 1.0;
-        if (opts.shading) {
-            const double diffuse = std::max(
-                0.0,
-                world_.terrain().normalAt(p.ground()).dot(detail::kSunDir));
-            light = 0.45 + 0.55 * diffuse;
-        }
-        if (opts.texture)
-            light *= detail::textureFactor(p, terrain_t, opts);
-        return detail::applyLight(base, light);
-    }
-
-    // Nothing in this depth layer. Far layers fall through to sky; a
-    // clipped near layer reports the chroma key so merging works.
-    if (std::isfinite(opts.layer.farClip)) {
-        // Check whether something exists beyond the far clip: if the
-        // layer is near-BE, everything beyond belongs to far BE and
-        // this pixel must be transparent.
-        return opts.clipKey;
-    }
-    const double pitch = std::asin(std::clamp(ray.dir.y, -1.0, 1.0));
-    return world_.skyColor(std::max(0.0, pitch));
-}
-
 Image
 Renderer::renderPerspective(const Camera &camera, int width, int height,
                             const RenderOptions &opts) const
@@ -205,24 +115,11 @@ Renderer::renderPerspective(const Camera &camera, int width, int height,
         static_cast<double>(width) / static_cast<double>(height);
     RenderOptions local = opts;
     local.pixelAngleRad = camera.fovY / static_cast<double>(height);
-    if (opts.path == RenderPath::Batched) {
-        batchedFrame(world_, camera.position, local, width, height, frame,
-                     [&](int y, detail::RowBuffers &rows) {
-                         detail::perspectiveRowDirs(camera, aspect, y,
-                                                    width, height, rows);
-                     });
-    } else {
-        parallelRows(height, opts.threads, [&](int y) {
-            const double sy = 1.0 - 2.0 * (y + 0.5) / height;
-            for (int x = 0; x < width; ++x) {
-                const double sx = 2.0 * (x + 0.5) / width - 1.0;
-                Ray ray;
-                ray.origin = camera.position;
-                ray.dir = camera.rayDirection(sx, sy, aspect);
-                frame.at(x, y) = shadeRay(ray, local);
-            }
-        });
-    }
+    batchedFrame(world_, camera.position, local, width, height, frame,
+                 [&](int y, detail::RowBuffers &rows) {
+                     detail::perspectiveRowDirs(camera, aspect, y, width,
+                                                height, rows);
+                 });
     traceBvhCounters();
     return frame;
 }
@@ -237,23 +134,10 @@ Renderer::renderPanorama(Vec3 eye, int width, int height,
     Image frame(width, height);
     RenderOptions local = opts;
     local.pixelAngleRad = M_PI / static_cast<double>(height);
-    if (opts.path == RenderPath::Batched) {
-        batchedFrame(world_, eye, local, width, height, frame,
-                     [&](int y, detail::RowBuffers &rows) {
-                         detail::panoramaRowDirs(y, width, height, rows);
-                     });
-    } else {
-        parallelRows(height, opts.threads, [&](int y) {
-            const double v = (y + 0.5) / height;
-            for (int x = 0; x < width; ++x) {
-                const double u = (x + 0.5) / width;
-                Ray ray;
-                ray.origin = eye;
-                ray.dir = panoramaDirection(u, v);
-                frame.at(x, y) = shadeRay(ray, local);
-            }
-        });
-    }
+    batchedFrame(world_, eye, local, width, height, frame,
+                 [&](int y, detail::RowBuffers &rows) {
+                     detail::panoramaRowDirs(y, width, height, rows);
+                 });
     traceBvhCounters();
     return frame;
 }
@@ -267,7 +151,7 @@ Renderer::merge(const Image &nearLayer, const Image &farLayer, Rgb clipKey)
     Image out = farLayer;
     // Rows write disjoint pixels and read immutable inputs, so pool
     // chunking keeps the result byte-identical to the serial loop.
-    parallelRows(out.height(), 0, [&](int y) {
+    parallelRows(out.height(), [&](int y) {
         for (int x = 0; x < out.width(); ++x) {
             const Rgb p = nearLayer.at(x, y);
             if (!(p == clipKey))
@@ -317,7 +201,7 @@ cropPanoramaToView(const Image &panorama, const Camera &camera, int width,
     };
     // Per-pixel work is pure resampling; rows are independent, so the
     // pool-chunked result is byte-identical to the serial loop.
-    parallelRows(height, 0, [&](int y) {
+    parallelRows(height, [&](int y) {
         const double sy = 1.0 - 2.0 * (y + 0.5) / height;
         for (int x = 0; x < width; ++x) {
             const double sx = 2.0 * (x + 0.5) / width - 1.0;

@@ -44,32 +44,6 @@ struct DepthLayer
     }
 };
 
-/**
- * Which implementation renders the frame. All three produce
- * byte-identical images (asserted by tests/renderer_test.cc); they
- * exist so bench_render can attribute the speedup and tests can pin
- * the batched pipeline against the seed renderer.
- */
-enum class RenderPath
-{
-    /**
-     * Row-batched SoA pipeline (default): per-row direction basis,
-     * 4-wide BVH ray packets, SIMD terrain march with object-hit
-     * abort, branch-hoisted shading stages.
-     */
-    Batched,
-    /**
-     * Per-pixel `shadeRay`, but with the SIMD terrain march and
-     * object-hit abort — isolates the batching win from the march win.
-     */
-    Scalar,
-    /**
-     * Per-pixel `shadeRay` with the seed's per-sample scalar terrain
-     * march and no abort — the honest pre-overhaul baseline.
-     */
-    SeedScalar,
-};
-
 /** Rendering options. */
 struct RenderOptions
 {
@@ -104,11 +78,9 @@ struct RenderOptions
      * calling thread. Frames are byte-identical either way.
      */
     int threads = 0;
-    /** Implementation selector; all paths render identical frames. */
-    RenderPath path = RenderPath::Batched;
     /**
      * Record per-stage wall-clock into the `render.stage.*_ms` metrics
-     * registry timers (batched path only; bench_render --stages).
+     * registry timers (bench_render --stages).
      */
     bool stageTimers = false;
 };
@@ -138,10 +110,6 @@ class Renderer
     static image::Image merge(const image::Image &nearLayer,
                               const image::Image &farLayer,
                               image::Rgb clipKey = {255, 0, 255});
-
-    /** Shade a single ray (exposed for tests). */
-    image::Rgb shadeRay(const geom::Ray &ray,
-                        const RenderOptions &opts) const;
 
   private:
     const world::VirtualWorld &world_;

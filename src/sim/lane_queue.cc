@@ -52,8 +52,6 @@ ParallelEventQueue::~ParallelEventQueue() = default;
 std::uint32_t
 ParallelEventQueue::createLane()
 {
-    if (!laneMode_)
-        return 0;
     COTERIE_ASSERT(currentLane() == 0,
                    "createLane must be called from the control plane");
     auto lane = std::make_unique<Lane>();
@@ -89,12 +87,8 @@ void
 ParallelEventQueue::runInLane(std::uint32_t lane,
                               const std::function<void()> &fn)
 {
-    if (lane == 0) {
-        fn();
-        return;
-    }
-    COTERIE_ASSERT(lane <= lanes_.size(), "runInLane: no such lane ",
-                   lane);
+    COTERIE_ASSERT(lane >= 1 && lane <= lanes_.size(),
+                   "runInLane: no such lane ", lane);
     LaneScope scope(this, lane);
     fn();
 }
@@ -189,8 +183,8 @@ bool
 ParallelEventQueue::step()
 {
     COTERIE_ASSERT(lanes_.empty(),
-                   "single-step is serial-mode only; lanes advance in "
-                   "rounds (runUntil/runToCompletion)");
+                   "single-step needs a queue with no lanes; lanes "
+                   "advance in rounds (runUntil/runToCompletion)");
     return EventQueue::step();
 }
 

@@ -71,27 +71,21 @@ class LaneQueue final : public EventQueue
 
 /**
  * The parallel engine. A drop-in `EventQueue`: with no lanes created
- * it degenerates to the serial queue (one control heap, global FIFO
- * sequence), which is also the serial baseline the benches A/B
- * against.
+ * it behaves exactly like the serial queue (one control heap, global
+ * FIFO sequence). tests/lane_oracle_test.cc checks random multi-lane
+ * programs against a single-queue reference model of the merge rules.
  */
 class ParallelEventQueue final : public EventQueue
 {
   public:
-    /** @p laneMode false forces the serial degenerate mode: createLane
-     *  returns 0 and everything runs on the control heap. */
-    explicit ParallelEventQueue(bool laneMode = true)
-        : laneMode_(laneMode)
-    {
-    }
-
+    ParallelEventQueue() = default;
     ~ParallelEventQueue() override;
 
     // --- Lane management -------------------------------------------
 
     /** Create a lane whose clock starts at the control clock. Returns
-     *  its id (>= 1), or 0 in serial mode (events stay on the control
-     *  heap). Call from the control plane, never from inside a lane. */
+     *  its id (>= 1). Call from the control plane, never from inside a
+     *  lane. */
     std::uint32_t createLane();
 
     /** Lanes created so far (excluding the control plane). */
@@ -116,8 +110,7 @@ class ParallelEventQueue final : public EventQueue
      * clock and `scheduleAt`/`scheduleIn` land in the lane's heap.
      * This is how a session's object graph is constructed *into* its
      * lane — ctor-time scheduling (fault-driver arming, client frame
-     * staggering) lands in-lane without any signature changes. With
-     * lane 0 (serial mode) @p fn just runs inline.
+     * staggering) lands in-lane without any signature changes.
      */
     void runInLane(std::uint32_t lane, const std::function<void()> &fn);
 
@@ -214,7 +207,6 @@ class ParallelEventQueue final : public EventQueue
     /** One round up to @p cap (cap = +inf for runToCompletion). */
     void round(TimeMs cap);
 
-    const bool laneMode_;
     bool crossLane_ = false;
     TimeMs lookahead_ = kNoLookahead;
     std::vector<std::unique_ptr<Lane>> lanes_;

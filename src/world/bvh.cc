@@ -53,8 +53,7 @@ widestAxis(const Vec3 &extent)
 
 } // namespace
 
-Bvh::Bvh(const std::vector<WorldObject> &objects, BvhBuildPolicy policy)
-    : objects_(objects), policy_(policy)
+Bvh::Bvh(const std::vector<WorldObject> &objects) : objects_(objects)
 {
     if (objects.empty())
         return;
@@ -116,9 +115,8 @@ Bvh::build(std::vector<BuildItem> &items, std::size_t begin,
     if (n <= kLeafSize || depth >= kMaxDepth)
         return emitLeaf(items, begin, end, box);
 
-    // Split selection. Both policies produce (axis, mid); fall through
-    // to a leaf only when no plane separates anything (all centers
-    // coincident).
+    // Split selection produces (axis, mid); fall through to a leaf only
+    // when no plane separates anything (all centers coincident).
     Aabb centroidBox;
     for (std::size_t i = begin; i < end; ++i)
         centroidBox.extend(items[i].center);
@@ -131,18 +129,6 @@ Bvh::build(std::vector<BuildItem> &items, std::size_t begin,
         // middle by current order so the tree stays balanced.
         axis = 0;
         mid = begin + n / 2;
-    } else if (policy_ == BvhBuildPolicy::Median) {
-        // Widest axis of the node bounds, median of object centers —
-        // the original build.
-        axis = widestAxis(box.extent());
-        mid = begin + n / 2;
-        std::nth_element(
-            items.begin() + static_cast<std::ptrdiff_t>(begin),
-            items.begin() + static_cast<std::ptrdiff_t>(mid),
-            items.begin() + static_cast<std::ptrdiff_t>(end),
-            [axis](const BuildItem &a, const BuildItem &b) {
-                return axisOf(a.center, axis) < axisOf(b.center, axis);
-            });
     } else {
         // Binned SAH over the widest *centroid* axis (width > 0 here:
         // the fully-degenerate case was handled above).
@@ -535,96 +521,6 @@ Bvh::closestHitPacket(const geom::RayPacket &pack,
         out[l].point = laneRays[l].at(t);
         out[l].normal = normal;
     }
-}
-
-Hit
-Bvh::closestHitSeedBaseline(const Ray &ray) const
-{
-    Hit best;
-    best.t = ray.tMax;
-    if (nodes_.empty())
-        return best;
-    std::array<std::int32_t, 128> stack;
-    int sp = 0;
-    stack[sp++] = 0;
-    while (sp > 0) {
-        const std::int32_t idx = stack[static_cast<std::size_t>(--sp)];
-        const Node &node = nodes_[static_cast<std::size_t>(idx)];
-        if (!geom::rayHitsAabb(ray, node.box, best.t))
-            continue;
-        if (node.count > 0) {
-            for (std::int32_t i = 0; i < node.count; ++i) {
-                const std::uint32_t obj_id = items_[
-                    static_cast<std::size_t>(node.rightOrFirst + i)];
-                double t;
-                Vec3 normal;
-                if (intersectObject(ray, objects_[obj_id], t, normal) &&
-                    t < best.t) {
-                    best.t = t;
-                    best.point = ray.at(t);
-                    best.normal = normal;
-                    best.objectId = obj_id;
-                }
-            }
-        } else {
-            COTERIE_ASSERT(sp + 2 <= static_cast<int>(stack.size()),
-                           "BVH traversal stack overflow");
-            stack[static_cast<std::size_t>(sp++)] = idx + 1;
-            stack[static_cast<std::size_t>(sp++)] = node.rightOrFirst;
-        }
-    }
-    return best;
-}
-
-bool
-Bvh::anyHit(const Ray &ray) const
-{
-    if (nodes_.empty())
-        return false;
-    const SlabRay slab = geom::makeSlabRay(ray);
-    std::uint64_t visited = 0;
-    std::uint64_t leafTests = 0;
-    std::array<std::int32_t, 128> stack;
-    int sp = 0;
-    std::int32_t idx = 0;
-    bool found = false;
-    for (;;) {
-        const Node &node = nodes_[static_cast<std::size_t>(idx)];
-        ++visited;
-        if (geom::slabRayHitsAabb(slab, node.box, ray.tMax)) {
-            if (node.count > 0) {
-                for (std::int32_t i = 0; i < node.count; ++i) {
-                    const std::uint32_t obj_id = items_[
-                        static_cast<std::size_t>(node.rightOrFirst + i)];
-                    ++leafTests;
-                    double t;
-                    if (intersectObjectT(ray, objects_[obj_id], t)) {
-                        found = true;
-                        break;
-                    }
-                }
-                if (found)
-                    break;
-            } else {
-                // Near-to-far descent: the first leaf hit terminates.
-                std::int32_t near = idx + 1;
-                std::int32_t far = node.rightOrFirst;
-                if (slab.neg[node.axis])
-                    std::swap(near, far);
-                COTERIE_ASSERT(sp < static_cast<int>(stack.size()),
-                               "BVH traversal stack overflow");
-                stack[static_cast<std::size_t>(sp++)] = far;
-                idx = near;
-                continue;
-            }
-        }
-        if (sp == 0)
-            break;
-        idx = stack[static_cast<std::size_t>(--sp)];
-    }
-    tlsStats.nodesVisited += visited;
-    tlsStats.leafTests += leafTests;
-    return found;
 }
 
 std::vector<std::uint32_t>

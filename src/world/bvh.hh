@@ -3,20 +3,16 @@
  * Bounding-volume hierarchy over world objects, used by the renderer
  * (closest-hit ray casts) and by radius queries.
  *
- * Two build policies behind one flattened node layout:
- *  - `BinnedSah` (default): binned surface-area-heuristic splits — the
- *    production build, minimizing expected traversal cost.
- *  - `Median`: the original widest-axis median split, kept for A/B
- *    benchmarking (bench_render) and equivalence testing.
- *
- * Nodes are emitted in depth-first order, so a node's left child is
- * always the next array slot and only the right-child index is stored;
+ * One build — binned surface-area-heuristic splits, minimizing expected
+ * traversal cost — behind a flattened node layout. Nodes are emitted
+ * in depth-first order, so a node's left child is always the next
+ * array slot and only the right-child index is stored;
  * traversal descends the near child first using the split axis and the
  * ray-direction sign (front-to-back), pruning with a precomputed
  * inverse-direction slab test against the best hit so far. Closest-hit
- * results are *build-policy independent*: acceptance breaks equal-t
- * ties by lower object id, so SAH and median trees return bit-identical
- * hits (verified by tests/bvh_test.cc).
+ * results are *tree-shape independent*: acceptance breaks equal-t ties
+ * by lower object id, so the hit is a property of the object set alone
+ * (tests/bvh_test.cc checks it against brute force).
  */
 
 #pragma once
@@ -32,13 +28,6 @@
 
 namespace coterie::world {
 
-/** How the BVH chooses split planes. */
-enum class BvhBuildPolicy
-{
-    Median,    ///< widest-axis median of object centers (legacy)
-    BinnedSah, ///< binned surface-area heuristic (default)
-};
-
 /**
  * Static BVH. Leaves hold small runs of object indices; inner nodes are
  * laid out in a flat depth-first array (left child implicit at +1),
@@ -48,15 +37,14 @@ class Bvh
 {
   public:
     /** Build over the given objects (indices refer into this vector). */
-    explicit Bvh(const std::vector<WorldObject> &objects,
-                 BvhBuildPolicy policy = BvhBuildPolicy::BinnedSah);
+    explicit Bvh(const std::vector<WorldObject> &objects);
 
     /**
      * Closest intersection along the ray within [ray.tMin, ray.tMax],
      * respecting per-ray interval clipping (this is how near/far BE
      * separation by cutoff radius is implemented). Equal-t ties resolve
-     * to the lower object id, making the result independent of build
-     * policy and traversal order.
+     * to the lower object id, making the result independent of tree
+     * shape and traversal order.
      */
     geom::Hit closestHit(const geom::Ray &ray) const;
 
@@ -73,19 +61,6 @@ class Bvh
     void closestHitPacket(const geom::RayPacket &pack,
                           geom::Hit out[geom::RayPacket::kLanes]) const;
 
-    /** Any-hit predicate (shadow rays); near-to-far, first hit wins. */
-    bool anyHit(const geom::Ray &ray) const;
-
-    /**
-     * The pre-overhaul traversal, preserved verbatim as the honest
-     * baseline: unordered child descent and a per-node division-based
-     * slab test (geom::rayHitsAabb), no front-to-back ordering, no id
-     * tie-break. Combined with a `Median` build this reproduces the
-     * seed renderer's hot path. Only bench_render's A/B and the
-     * equivalence tests call it — the renderer always uses closestHit.
-     */
-    geom::Hit closestHitSeedBaseline(const geom::Ray &ray) const;
-
     /**
      * Visit ids of objects whose AABB intersects the XZ disc
      * (cylinder), in deterministic depth-first traversal order. The
@@ -99,11 +74,10 @@ class Bvh
                                          double radius) const;
 
     std::size_t nodeCount() const { return nodes_.size(); }
-    BvhBuildPolicy policy() const { return policy_; }
 
     /**
      * Per-thread traversal counters (nodes visited / leaf primitive
-     * tests by closestHit + anyHit on the calling thread). Reading
+     * tests by the closest-hit traversals on the calling thread). Reading
      * resets the thread's counters; the renderer drains them per row
      * chunk into `bvh.nodes_visited` / `bvh.leaf_tests`. Plain
      * thread-local accumulation — no atomics on the traversal path, no
@@ -146,7 +120,6 @@ class Bvh
                             double &t) const;
 
     const std::vector<WorldObject> &objects_;
-    BvhBuildPolicy policy_;
     std::vector<Node> nodes_;
     std::vector<std::uint32_t> items_;
     /**

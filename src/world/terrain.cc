@@ -204,11 +204,11 @@ Terrain::intersect(const Ray &ray, double maxDist, double abortBeyond) const
         return t;
     }
     // Adaptive march (step grows with distance — angular error budget),
-    // then bisection refinement; same schedule and brackets as
-    // intersectReference, evaluated four schedule points per heightAt4
-    // batch. A ray whose clipped start is already below the surface is
-    // treated as clipped out (no hit), matching depth-interval clipping
-    // semantics in the renderer.
+    // then bisection refinement; the per-sample schedule and brackets,
+    // evaluated four schedule points per heightAt4 batch. A ray whose
+    // clipped start is already below the surface is treated as clipped
+    // out (no hit), matching depth-interval clipping semantics in the
+    // renderer.
     double t_prev = ray.tMin;
     const double h_start = ray.origin.y + t_prev * ray.dir.y -
                            heightAt(ray.at(t_prev).ground());
@@ -219,8 +219,9 @@ Terrain::intersect(const Ray &ray, double maxDist, double abortBeyond) const
     // normalized average of [-1, 1) noise, so |height| < |amplitude|
     // everywhere: above |amplitude| a non-descending ray can never
     // cross, making escape at |amplitude| result-identical to marching
-    // on. The min() with the reference loop's amplitude + 0.5 keeps the
-    // escape no later than the reference's for any params.
+    // on. The min() with amplitude + 0.5 (the per-sample march's
+    // threshold) keeps the escape no later than that march's for any
+    // params.
     const double escape =
         std::min(params_.amplitude + 0.5, std::abs(params_.amplitude));
     const bool climbing = ray.dir.y >= 0.0;
@@ -275,7 +276,7 @@ Terrain::intersect(const Ray &ray, double maxDist, double abortBeyond) const
         return std::nullopt;
     }
     while (t < limit) {
-        // Next (up to) kLanes points of the reference schedule; the
+        // Next (up to) kLanes points of the per-sample schedule; the
         // schedule is a pure function of t, so batching does not move
         // any sample.
         double ts[kLanes];
@@ -312,51 +313,6 @@ Terrain::intersect(const Ray &ray, double maxDist, double abortBeyond) const
             t_prev = ts[k];
         }
     }
-    return std::nullopt;
-}
-
-std::optional<double>
-Terrain::intersectReference(const Ray &ray, double maxDist) const
-{
-    if (params_.flat) {
-        // Plane y = 0.
-        if (std::abs(ray.dir.y) < 1e-12)
-            return std::nullopt;
-        const double t = -ray.origin.y / ray.dir.y;
-        if (t < ray.tMin || t > std::min(ray.tMax, maxDist))
-            return std::nullopt;
-        return t;
-    }
-    double t_prev = ray.tMin;
-    double h_prev = ray.origin.y + t_prev * ray.dir.y -
-                    heightAt(ray.at(t_prev).ground());
-    if (h_prev <= 0.0)
-        return std::nullopt;
-    const double limit = std::min(ray.tMax, maxDist);
-    double t = t_prev;
-    while (t < limit) {
-        t = std::min(limit, t + std::max(0.35, t * 0.025));
-        const Vec3 p = ray.at(t);
-        // Early escape: climbing above any possible terrain.
-        if (ray.dir.y >= 0.0 && p.y > params_.amplitude + 0.5)
-            return std::nullopt;
-        const double h = p.y - heightAt(p.ground());
-        if (h <= 0.0) {
-            double lo = t_prev, hi = t;
-            for (int i = 0; i < 16; ++i) {
-                const double mid = 0.5 * (lo + hi);
-                const Vec3 mp = ray.at(mid);
-                if (mp.y - heightAt(mp.ground()) <= 0.0)
-                    hi = mid;
-                else
-                    lo = mid;
-            }
-            return hi;
-        }
-        t_prev = t;
-        h_prev = h;
-    }
-    (void)h_prev;
     return std::nullopt;
 }
 

@@ -62,9 +62,10 @@ class Terrain
      * March a ray against the heightfield; returns hit distance, or
      * nullopt if the ray escapes. Step-marched with refinement; the
      * noise evaluations run four schedule points at a time through the
-     * SIMD hash kernel, bit-identical to `intersectReference` (the
-     * integer hash core is exact and the FP glue stays scalar —
-     * tests/terrain_test.cc asserts equality).
+     * SIMD hash kernel, bit-identical to a per-sample scalar march over
+     * `heightAt` (the integer hash core is exact and the FP glue stays
+     * scalar — tests/terrain_test.cc asserts equality against the
+     * reference march in tests/reference_render.hh).
      *
      * @p abortBeyond lets the renderer stop marching once the sample
      * distance exceeds a known closer object hit: the march aborts only
@@ -78,13 +79,6 @@ class Terrain
     intersect(const geom::Ray &ray, double maxDist,
               double abortBeyond =
                   std::numeric_limits<double>::infinity()) const;
-
-    /**
-     * The seed per-sample scalar march, preserved verbatim as the
-     * equivalence baseline for tests and bench_render's seed pipeline.
-     */
-    std::optional<double> intersectReference(const geom::Ray &ray,
-                                             double maxDist) const;
 
     /** Ground albedo at a point (height/moisture-tinted). */
     image::Rgb colorAt(geom::Vec2 p) const;

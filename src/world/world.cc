@@ -29,7 +29,7 @@ VirtualWorld::VirtualWorld(VirtualWorld &&other) noexcept
       eyeHeight_(other.eyeHeight_), objects_(std::move(other.objects_))
 {
     if (other.bvh_) {
-        bvh_ = std::make_unique<Bvh>(objects_, other.bvh_->policy());
+        bvh_ = std::make_unique<Bvh>(objects_);
         other.bvh_.reset();
     }
 }
@@ -46,7 +46,7 @@ VirtualWorld::operator=(VirtualWorld &&other) noexcept
         objects_ = std::move(other.objects_);
         bvh_.reset();
         if (other.bvh_) {
-            bvh_ = std::make_unique<Bvh>(objects_, other.bvh_->policy());
+            bvh_ = std::make_unique<Bvh>(objects_);
             other.bvh_.reset();
         }
     }
@@ -63,17 +63,10 @@ VirtualWorld::addObject(WorldObject obj)
 }
 
 void
-VirtualWorld::finalize(BvhBuildPolicy policy)
+VirtualWorld::finalize()
 {
     COTERIE_ASSERT(!finalized(), "double finalize");
-    bvh_ = std::make_unique<Bvh>(objects_, policy);
-}
-
-void
-VirtualWorld::rebuildIndex(BvhBuildPolicy policy)
-{
-    COTERIE_ASSERT(finalized(), "rebuildIndex before finalize");
-    bvh_ = std::make_unique<Bvh>(objects_, policy);
+    bvh_ = std::make_unique<Bvh>(objects_);
 }
 
 const WorldObject &

@@ -51,16 +51,8 @@ class VirtualWorld
     std::uint32_t addObject(WorldObject obj);
 
     /** Build the spatial index; no more objects may be added after. */
-    void finalize(BvhBuildPolicy policy = BvhBuildPolicy::BinnedSah);
+    void finalize();
     bool finalized() const { return bvh_ != nullptr; }
-
-    /**
-     * Rebuild the spatial index under a different build policy
-     * (requires a finalized world). Closest-hit results are policy
-     * independent — this exists for A/B benchmarking (bench_render)
-     * and the BVH equivalence tests.
-     */
-    void rebuildIndex(BvhBuildPolicy policy);
 
     const std::vector<WorldObject> &objects() const { return objects_; }
     const WorldObject &object(std::uint32_t id) const;

@@ -227,12 +227,15 @@ TEST(IntersectProperty, SlabTestConsistentWithBoxIntersect)
         const Aabb box{lo, lo + Vec3{rng.uniform(0.5, 5),
                                      rng.uniform(0.5, 5),
                                      rng.uniform(0.5, 5)}};
-        const bool full = intersectBox(ray, box).has_value();
-        const bool slab = rayHitsAabb(ray, box, ray.tMax);
-        // Slab test may be a superset (it has no normal/interval
-        // subtleties), but must never miss a real hit.
+        const auto full = intersectBox(ray, box);
+        const SlabRay slab = makeSlabRay(ray);
+        // The traversal's slab test may be a superset (it has no
+        // normal/interval subtleties), but must never miss a real hit —
+        // not even when the limit is exactly the hit distance, which is
+        // how closest-hit pruning calls it with the best t so far.
         if (full) {
-            EXPECT_TRUE(slab);
+            EXPECT_TRUE(slabRayHitsAabb(slab, box, ray.tMax));
+            EXPECT_TRUE(slabRayHitsAabb(slab, box, *full));
         }
     }
 }

@@ -3,11 +3,13 @@
  * Tests for the software renderer: sky/terrain/object shading, the
  * near/far depth-layer decomposition invariant (near merged over far
  * equals the whole frame), chroma-key transparency, panorama cropping,
- * and texture determinism.
+ * texture determinism, and byte equality with the per-pixel reference
+ * renderer (reference_render.hh).
  */
 
 #include <gtest/gtest.h>
 
+#include "reference_render.hh"
 #include "render/renderer.hh"
 #include "world/gen/generators.hh"
 
@@ -48,60 +50,55 @@ tinyWorld()
 TEST(Renderer, SkyAboveHorizonOutdoors)
 {
     const VirtualWorld world = tinyWorld();
-    const Renderer renderer(world);
     geom::Ray up;
     up.origin = world.eyePosition({30, 30});
     up.dir = {0.0, 1.0, 0.0};
     RenderOptions opts;
     opts.texture = false;
-    const Rgb sky = renderer.shadeRay(up, opts);
+    const Rgb sky = reference::shadeRay(world, up, opts);
     EXPECT_EQ(sky, world.skyColor(M_PI / 2));
 }
 
 TEST(Renderer, GroundBelowFeet)
 {
     const VirtualWorld world = tinyWorld();
-    const Renderer renderer(world);
     geom::Ray down;
     down.origin = world.eyePosition({10, 10});
     down.dir = {0.0, -1.0, 0.0};
     RenderOptions opts;
     opts.texture = false;
     opts.shading = false;
-    const Rgb ground = renderer.shadeRay(down, opts);
+    const Rgb ground = reference::shadeRay(world, down, opts);
     EXPECT_EQ(ground, world.terrain().colorAt({10, 10}));
 }
 
 TEST(Renderer, ObjectOccludesSkyAndGetsItsColor)
 {
     const VirtualWorld world = tinyWorld();
-    const Renderer renderer(world);
     geom::Ray toward;
     toward.origin = {30.0, 1.0, 30.0};
     toward.dir = Vec3{1.0, 0.0, 0.0}; // toward the red box at x=33
     RenderOptions opts;
     opts.texture = false;
     opts.shading = false;
-    EXPECT_EQ(renderer.shadeRay(toward, opts), (Rgb{200, 40, 40}));
+    EXPECT_EQ(reference::shadeRay(world, toward, opts), (Rgb{200, 40, 40}));
 }
 
 TEST(Renderer, NearLayerClipsFarContentToChromaKey)
 {
     const VirtualWorld world = tinyWorld();
-    const Renderer renderer(world);
     geom::Ray toward;
     toward.origin = {30.0, 2.0, 30.0};
     toward.dir = Vec3{1.0, 0.05, 0.0}.normalized(); // slightly upward
     RenderOptions near_opts;
     near_opts.layer = DepthLayer::nearBe(1.5); // red box at 2m excluded
     near_opts.texture = false;
-    EXPECT_EQ(renderer.shadeRay(toward, near_opts), near_opts.clipKey);
+    EXPECT_EQ(reference::shadeRay(world, toward, near_opts), near_opts.clipKey);
 }
 
 TEST(Renderer, FarLayerSkipsNearContent)
 {
     const VirtualWorld world = tinyWorld();
-    const Renderer renderer(world);
     geom::Ray toward;
     toward.origin = {30.0, 2.0, 30.0};
     toward.dir = Vec3{1.0, 0.0, 0.0};
@@ -110,7 +107,7 @@ TEST(Renderer, FarLayerSkipsNearContent)
     far_opts.texture = false;
     far_opts.shading = false;
     // The ray now sees the blue box at 20m instead of the red at 3m.
-    EXPECT_EQ(renderer.shadeRay(toward, far_opts), (Rgb{40, 40, 200}));
+    EXPECT_EQ(reference::shadeRay(world, toward, far_opts), (Rgb{40, 40, 200}));
 }
 
 TEST(Renderer, MergeOfNearAndFarEqualsWholeFrame)
@@ -190,33 +187,28 @@ TEST(Renderer, DeterministicAcrossThreadCounts)
 }
 
 /**
- * Render the same view through all three paths and require byte
- * equality. The pano resolution deliberately includes the poles (first
- * and last rows, where the row basis degenerates toward sp=±1) and the
- * yaw seam (first and last columns).
+ * Render the same view through the production pipeline and the
+ * per-pixel reference renderer and require byte equality. The pano
+ * resolution deliberately includes the poles (first and last rows,
+ * where the row basis degenerates toward sp=±1) and the yaw seam
+ * (first and last columns).
  */
 void
-expectPathsAgree(const Renderer &renderer, const Vec3 &eye,
-                 RenderOptions opts, const char *tag)
+expectPathsAgree(const world::VirtualWorld &world, const Vec3 &eye,
+                 const RenderOptions &opts, const char *tag)
 {
-    opts.path = RenderPath::SeedScalar;
-    const Image seed = renderer.renderPanorama(eye, 64, 32, opts);
-    opts.path = RenderPath::Scalar;
-    const Image scalar = renderer.renderPanorama(eye, 64, 32, opts);
-    opts.path = RenderPath::Batched;
-    const Image batched = renderer.renderPanorama(eye, 64, 32, opts);
-    EXPECT_EQ(scalar, seed) << tag << ": scalar pano != seed pano";
-    EXPECT_EQ(batched, seed) << tag << ": batched pano != seed pano";
+    const Renderer renderer(world);
+    EXPECT_EQ(renderer.renderPanorama(eye, 64, 32, opts),
+              reference::renderPanorama(world, eye, 64, 32, opts))
+        << tag << ": pano != reference pano";
 
     Camera cam;
     cam.position = eye;
     cam.yaw = 0.7;
     cam.pitch = -0.2;
-    opts.path = RenderPath::SeedScalar;
-    const Image pseed = renderer.renderPerspective(cam, 40, 30, opts);
-    opts.path = RenderPath::Batched;
-    const Image pbatched = renderer.renderPerspective(cam, 40, 30, opts);
-    EXPECT_EQ(pbatched, pseed) << tag << ": batched persp != seed persp";
+    EXPECT_EQ(renderer.renderPerspective(cam, 40, 30, opts),
+              reference::renderPerspective(world, cam, 40, 30, opts))
+        << tag << ": persp != reference persp";
 }
 
 TEST(Renderer, RenderPathsAgreeAcrossWorlds)
@@ -224,35 +216,32 @@ TEST(Renderer, RenderPathsAgreeAcrossWorlds)
     using world::gen::GameId;
     for (GameId id : {GameId::Racing, GameId::CTS, GameId::Viking}) {
         const world::VirtualWorld world = world::gen::makeWorld(id, 42);
-        const Renderer renderer(world);
         const Vec3 eye = world.eyePosition(world.bounds().center());
-        RenderOptions whole;
-        expectPathsAgree(renderer, eye, whole, world.name().c_str());
+        expectPathsAgree(world, eye, RenderOptions{}, world.name().c_str());
     }
 }
 
 TEST(Renderer, RenderPathsAgreeOnDepthLayers)
 {
     // The near layer exercises the clip-key path (finite farClip) and
-    // the far layer the shifted tMin window; both must agree across
-    // paths, including which pixels collapse to the chroma key.
+    // the far layer the shifted tMin window; both must agree with the
+    // reference, including which pixels collapse to the chroma key.
     const world::VirtualWorld world =
         world::gen::makeWorld(world::gen::GameId::Racing, 42);
-    const Renderer renderer(world);
     const Vec3 eye = world.eyePosition(world.bounds().center());
     RenderOptions near_opts;
     near_opts.layer = DepthLayer::nearBe(25.0);
-    expectPathsAgree(renderer, eye, near_opts, "racing/near");
+    expectPathsAgree(world, eye, near_opts, "racing/near");
     RenderOptions far_opts;
     far_opts.layer = DepthLayer::farBe(25.0);
-    expectPathsAgree(renderer, eye, far_opts, "racing/far");
+    expectPathsAgree(world, eye, far_opts, "racing/far");
 }
 
 TEST(Renderer, BatchedPathDeterministicAcrossThreadCounts)
 {
-    // Chunked row batching must not leak scheduling into pixels: the
-    // batched path at 1 and 4 threads produces identical frames (the
-    // scalar analogue is covered by DeterministicAcrossThreadCounts).
+    // Chunked row batching must not leak scheduling into pixels: a
+    // textured, object-dense world at 1 and 4 threads produces
+    // identical frames.
     const world::VirtualWorld world =
         world::gen::makeWorld(world::gen::GameId::Pool, 11);
     const Renderer renderer(world);

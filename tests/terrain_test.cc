@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 
+#include "reference_render.hh"
 #include "support/rng.hh"
 #include "world/terrain.hh"
 
@@ -128,8 +129,8 @@ TEST(Terrain, FlatFloorRayIntersection)
 TEST(Terrain, MarchMatchesReferenceOverRaySweep)
 {
     // The SIMD-batched march (scalar prologue + 4-wide sample batches)
-    // must be bit-identical to the preserved per-sample reference
-    // march: same hit/miss decision and the exact same distance.
+    // must be bit-identical to the per-sample reference march: same
+    // hit/miss decision and the exact same distance.
     TerrainParams p;
     p.seed = 9;
     p.amplitude = 4.0;
@@ -146,7 +147,8 @@ TEST(Terrain, MarchMatchesReferenceOverRaySweep)
                                    std::sin(yaw) * std::cos(pitch)}
                                   .normalized();
                     const auto fast = t.intersect(ray, 300.0);
-                    const auto ref = t.intersectReference(ray, 300.0);
+                    const auto ref =
+                        render::reference::terrainIntersect(t, ray, 300.0);
                     ASSERT_EQ(fast.has_value(), ref.has_value());
                     if (ref) {
                         EXPECT_EQ(*fast, *ref);

@@ -20,9 +20,11 @@
 // compared pairwise (files present on one side only are noted).
 //
 // Exit status: 0 = no regression beyond the threshold, 1 = at least
-// one gated metric regressed, 2 = usage/IO error. This is the CI
-// perf-smoke gate: a regression fails with a named metric instead of
-// silently drifting the tracked trajectory.
+// one gated metric regressed, 2 = usage/IO error or nothing to compare
+// (no metric present in both documents survives the --only filters).
+// This is the CI perf-smoke gate: a regression fails with a named
+// metric instead of silently drifting the tracked trajectory, and a
+// filter that matches nothing fails instead of passing vacuously.
 
 #include <algorithm>
 #include <cstdio>
@@ -289,5 +291,10 @@ main(int argc, char **argv)
                 "%.0f%%\n",
                 stats.compared, stats.regressions,
                 stats.regressions == 1 ? "" : "s", 100.0 * threshold);
+    if (stats.compared == 0) {
+        std::fprintf(stderr, "bench_history: no metric present in both "
+                             "documents matched; nothing was gated\n");
+        return 2;
+    }
     return stats.regressions > 0 ? 1 : 0;
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 #
-# Sanitizer matrix for the parallel frame pipeline: build and run the
-# pool/codec/SSIM tests under ThreadSanitizer, AddressSanitizer, and
-# UndefinedBehaviorSanitizer from one entry point.
+# Sanitizer matrix for the parallel frame pipeline and event engine:
+# build and run the pool/codec/SSIM/fleet/engine-oracle tests under
+# ThreadSanitizer, AddressSanitizer, and UndefinedBehaviorSanitizer
+# from one entry point.
 #
 # Usage: tools/check_sanitizers.sh [--only thread,address,undefined]
 #                                  [--tests "bin1 bin2 ..."] [build-dir-prefix]
@@ -24,7 +25,7 @@ SANITIZERS=(thread address undefined)
 # lock-order validator's death tests actually fire here.
 TEST_BINS=(parallel_test renderer_test ssim_test codec_test obs_test
            frame_trace_test bvh_test terrain_test pano_cache_test
-           lock_order_test fleet_test)
+           lock_order_test fleet_test lane_oracle_test)
 PREFIX=""
 
 while [ $# -gt 0 ]; do
