@@ -259,9 +259,9 @@ main(int argc, char **argv)
     const int renderW = smoke ? 48 : 64;
     const int renderH = smoke ? 24 : 32;
 
-    std::printf("\n  %8s %7s | %9s %8s %9s %8s %10s %8s %7s\n",
-                "sessions", "players", "frames", "renders", "rend/frm",
-                "hit", "p99_lat_ms", "fps", "wall_s");
+    std::printf("\n  %8s %7s | %10s %8s %9s %8s %10s %8s %7s\n",
+                "sessions", "players", "deliveries", "renders",
+                "rend/frm", "hit", "p99_lat_ms", "fps", "wall_s");
 
     bool ok = true;
     obs::Json points = obs::Json::object();
@@ -270,7 +270,7 @@ main(int argc, char **argv)
             const SweepPoint p = runSweepPoint(sessions, players,
                                                durationS, renderW,
                                                renderH);
-            std::printf("  %8d %7d | %9llu %8llu %9.3f %7.1f%% %10.2f "
+            std::printf("  %8d %7d | %10llu %8llu %9.3f %7.1f%% %10.2f "
                         "%8.2f %7.2f\n",
                         p.sessions, p.players,
                         static_cast<unsigned long long>(p.deliveries),

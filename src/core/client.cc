@@ -15,6 +15,7 @@
 #include "obs/flight.hh"
 #include "obs/frame_trace.hh"
 #include "obs/metrics.hh"
+#include "obs/slo.hh"
 #include "obs/trace.hh"
 #include "render/cost_model.hh"
 #include "support/logging.hh"
@@ -56,7 +57,6 @@ struct ClientState
     GridPoint lastGrid{-1, -1};
     geom::Vec2 lastPos;
     bool hasLastPos = false;
-    TimeMs lastDisplay = 0.0;
     bool stalled = false;
     TimeMs stallStart = 0.0;
     std::uint64_t deliveries = 0;      // total frames delivered
@@ -82,13 +82,15 @@ struct ClientState
     std::uint64_t probeFrames = 0; // displays inside the probe window
     std::uint64_t probeHits = 0;   // of those, clean (no stall/degrade)
 
+    /** One record per displayed frame, in display order; the frame
+     *  loop's only latency sink. */
+    std::vector<FrameLogEntry> frames;
+    /** Records the governor has sampled (sampleSlo's window start). */
+    std::size_t sloSampled = 0;
+
     // Accumulators.
-    RunningStats interFrame;
-    RunningStats responsiveness;
     RunningStats transferLatency;
-    RunningStats renderMs;
     RunningStats fetchedKb;
-    std::uint64_t framesDisplayed = 0;
     std::uint64_t framesFetched = 0;
     std::uint64_t gridTransitions = 0;
     std::uint64_t bytesFetched = 0;
@@ -131,6 +133,7 @@ struct SplitSystemRun::Impl
 
     void start();
     SystemResult finish();
+    void publishRecords();
     void quarantineAt(TimeMs now);
     void confineFault(const char *what);
 
@@ -220,12 +223,11 @@ struct SplitSystemRun::Impl
     bool isQuarantined = false; ///< stopped via quarantine()
     bool isFaulted = false;     ///< stopped via the error boundary
     std::string faultReason;
-    bool tracerFinished = false;
+    bool recordsPublished = false;
     bool finished = false;
     bool throttled = false;     ///< shed level 1: conservative prefetch
     bool forceDegrade = false;  ///< shed level 2: immediate stale subst.
-    LiveSlo slo;
-    std::vector<std::vector<FrameLogEntry>> frameLogs;
+    LiveSlo slo;                ///< as of the last sampleSlo()
 };
 
 SplitSystemRun::Impl::Impl(sim::EventQueue &q, const SystemConfig &cfg,
@@ -302,8 +304,6 @@ SplitSystemRun::Impl::Impl(sim::EventQueue &q, const SystemConfig &cfg,
                 queue, server, rp);
         }
     }
-    if (config.recordFrameLog)
-        frameLogs.resize(static_cast<std::size_t>(players));
 }
 
 double
@@ -347,7 +347,7 @@ SplitSystemRun::Impl::onDelivered(ClientState &c,
     ++c.deliveries;
     if (auto ft = c.fetchTraces.find(delivered_key);
         ft != c.fetchTraces.end()) {
-        tracer.complete(ft->second.ctx, at);
+        tracer.complete(ft->second.ctx, at, at - ft->second.enqueuedAt);
         c.lastFetchDone = ft->second.ctx;
         c.fetchTraces.erase(ft);
     }
@@ -465,7 +465,7 @@ SplitSystemRun::Impl::requestFrame(ClientState &c,
 }
 
 // Shared display epilogue: commit a frame after @p frame_time,
-// record its latency, fold rejoin-probe accounting (@p hit = the
+// append its one record, fold rejoin-probe accounting (@p hit = the
 // frame was served without stall or degradation), then loop.
 void
 SplitSystemRun::Impl::display(int pid, double frame_time, double latency,
@@ -482,38 +482,19 @@ SplitSystemRun::Impl::display(int pid, double frame_time, double latency,
             ClientState &cc = clients[pid];
             const TimeMs done = queue.now();
             // Stamp any vsync padding as the Display hop, then
-            // complete the causal record at content-ready time (the
-            // Equation-2 latency point) so the deadline scoreboard
-            // judges the same latency the QoE model reports below.
+            // complete the causal record at content-ready time with
+            // the frame's Equation-2 latency, so the trace and the
+            // frame record carry the same value.
             if (done > readyAt)
                 tracer.hop(fctx, obs::Hop::Display, readyAt, done);
-            tracer.complete(fctx, readyAt);
-            cc.interFrame.add(done - cc.lastDisplay);
-            cc.responsiveness.add(config.sensorMs + latency);
-            cc.renderMs.add(render);
-            cc.lastDisplay = done;
-            ++cc.framesDisplayed;
+            cc.frames.push_back(FrameLogEntry{
+                .displayMs = done,
+                .latencyMs = latency,
+                .renderMs = render,
+                .bytesFetched = cc.bytesFetched,
+                .degraded = !hit,
+                .criticalPath = tracer.complete(fctx, readyAt, latency)});
             COTERIE_COUNT("client.frames_displayed");
-            // Simulated per-frame latency, comparable against the
-            // 16.7 ms QoE budget (Equation 2 / Table 6).
-            COTERIE_OBSERVE("client.frame_latency_sim_ms", latency);
-            // Live deadline accounting for the fleet governor, and
-            // the optional frame-output log. Both observe-only.
-            ++slo.frames;
-            ++slo.windowFrames;
-            if (latency > obs::kFrameBudgetMs) {
-                ++slo.misses;
-                ++slo.windowMisses;
-            }
-            if (config.recordFrameLog) {
-                FrameLogEntry entry;
-                entry.displayMs = done;
-                entry.latencyMs = latency;
-                entry.renderMs = render;
-                entry.bytesFetched = cc.bytesFetched;
-                entry.degraded = !hit;
-                frameLogs[static_cast<std::size_t>(pid)].push_back(entry);
-            }
             if (cc.rejoinAt >= 0.0) {
                 const double lo =
                     cc.rejoinAt + config.resilience.rejoinSettleMs;
@@ -681,7 +662,7 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
             // critical path can descend into the fetch.
             fctx = tracer.mint(obs::FrameTracer::Kind::Frame,
                                static_cast<std::uint16_t>(pid),
-                               c.framesDisplayed, c.stallStart);
+                               c.frames.size(), c.stallStart);
             fctx.hop(obs::Hop::StallWait, c.stallStart, now);
             if (c.lastFetchDone.active())
                 tracer.link(fctx, c.lastFetchDone);
@@ -695,7 +676,7 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
             // render, BE decode, FI sync) then the serial merge.
             fctx = tracer.mint(obs::FrameTracer::Kind::Frame,
                                static_cast<std::uint16_t>(pid),
-                               c.framesDisplayed, now);
+                               c.frames.size(), now);
             fctx.hop(obs::Hop::Render, now, now + render);
             fctx.hop(obs::Hop::Decode, now, now + decodeMs);
             if (sync > 0.0)
@@ -756,7 +737,7 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
             // fetch is still in flight).
             obs::FrameTraceContext fctx = tracer.mint(
                 obs::FrameTracer::Kind::Frame,
-                static_cast<std::uint16_t>(pid), c.framesDisplayed,
+                static_cast<std::uint16_t>(pid), c.frames.size(),
                 c.stallStart);
             fctx.hop(obs::Hop::StallWait, c.stallStart, now);
             fctx.hop(obs::Hop::Merge, now, now + config.mergeMs);
@@ -807,10 +788,7 @@ SplitSystemRun::Impl::quarantineAt(TimeMs now)
     }
     // Freeze the SLO label: publish the summary as of the quarantine
     // instant — later events in sibling sessions can no longer move it.
-    if (!tracerFinished) {
-        tracer.finish();
-        tracerFinished = true;
-    }
+    publishRecords();
     COTERIE_COUNT("fleet.session_quarantined");
     obs::flight::recordInstant("fleet.session_quarantined", "fleet", now);
 }
@@ -826,19 +804,31 @@ SplitSystemRun::Impl::confineFault(const char *what)
         hooks->onSessionFault(fleetSession, faultReason.c_str());
 }
 
+// Export the causal records (sim-timeline trace events when
+// recording) and publish the SLO summary of the frame records under
+// the session label, once: a quarantine freezes both at its instant.
+void
+SplitSystemRun::Impl::publishRecords()
+{
+    if (recordsPublished)
+        return;
+    recordsPublished = true;
+    tracer.finish();
+    obs::DeadlineTracker summary;
+    for (const ClientState &c : clients)
+        for (const FrameLogEntry &e : c.frames)
+            summary.record(static_cast<std::uint16_t>(c.playerId),
+                           e.latencyMs,
+                           obs::criticalPathName(e.criticalPath));
+    obs::SloRegistry::global().publish(tracer.label(), summary.toJson());
+}
+
 SystemResult
 SplitSystemRun::Impl::finish()
 {
     COTERIE_ASSERT(!finished, "SplitSystemRun::finish called twice");
     finished = true;
-
-    // Export the causal frame records (sim-timeline trace events when
-    // recording) and publish the per-session SLO summary — unless a
-    // quarantine already froze the label.
-    if (!tracerFinished) {
-        tracer.finish();
-        tracerFinished = true;
-    }
+    publishRecords();
 
     SystemResult result;
     result.systemName = systemName;
@@ -853,20 +843,30 @@ SplitSystemRun::Impl::finish()
                               8.0 / 1e3 / elapsedMs
                         : 0.0;
     for (ClientState &c : clients) {
+        // QoE means fold the frame records in display order; the first
+        // inter-frame interval runs from the session's start.
+        RunningStats interFrame, responsiveness, renderMs;
+        TimeMs prevDisplayMs = startAt;
+        for (const FrameLogEntry &e : c.frames) {
+            interFrame.add(e.displayMs - prevDisplayMs);
+            responsiveness.add(config.sensorMs + e.latencyMs);
+            renderMs.add(e.renderMs);
+            prevDisplayMs = e.displayMs;
+        }
         PlayerMetrics m;
         m.playerId = c.playerId;
-        m.framesDisplayed = c.framesDisplayed;
+        m.framesDisplayed = c.frames.size();
         m.framesFetched = c.framesFetched;
         m.gridTransitions = c.gridTransitions;
         m.fps = duration > 0.0
-                    ? static_cast<double>(c.framesDisplayed) /
+                    ? static_cast<double>(m.framesDisplayed) /
                           (duration / 1000.0)
                     : 0.0;
-        m.interFrameMs = c.interFrame.mean();
-        m.responsivenessMs = c.responsiveness.mean();
+        m.interFrameMs = interFrame.mean();
+        m.responsivenessMs = responsiveness.mean();
         m.netDelayMs = c.transferLatency.mean();
         m.frameKb = c.fetchedKb.mean();
-        m.renderMsPerFrame = c.renderMs.mean();
+        m.renderMsPerFrame = renderMs.mean();
         m.beMbps = duration > 0.0
                        ? static_cast<double>(c.bytesFetched) * 8.0 /
                              (duration / 1000.0) / 1e6
@@ -910,30 +910,8 @@ SplitSystemRun::Impl::finish()
         // near-BE draw submission for Coterie (calibrated to Table 8).
         m.cpuPct += variant.farBeMode ? 13.0 : 4.0;
         result.players.push_back(m);
-    }
-    if (config.recordFrameLog)
-        result.frameLogs = std::move(frameLogs);
-
-    // Session-level QoE: per-player observations feed the mergeable
-    // timer histograms (distributions with p50/p99 across runs), and
-    // the last-run means stay exported as gauges for dashboards that
-    // predate the histograms. Both are observe-only; exporting them
-    // never alters the result computed above.
-    if (!result.players.empty()) {
-        double fps = 0.0, latency = 0.0, hit = 0.0;
-        for (const PlayerMetrics &m : result.players) {
-            fps += m.fps;
-            latency += m.responsivenessMs;
-            hit += m.cacheHitRatio;
-            COTERIE_OBSERVE("qoe.fps", m.fps);
-            COTERIE_OBSERVE("qoe.frame_latency_ms", m.responsivenessMs);
-            COTERIE_OBSERVE("qoe.cache_hit_ratio", m.cacheHitRatio);
-        }
-        const double n = static_cast<double>(result.players.size());
-        COTERIE_GAUGE_SET("qoe.fps", fps / n);
-        COTERIE_GAUGE_SET("qoe.frame_latency_ms", latency / n);
-        COTERIE_GAUGE_SET("qoe.frame_budget_ms", obs::kFrameBudgetMs);
-        COTERIE_GAUGE_SET("qoe.cache_hit_ratio", hit / n);
+        if (config.recordFrameLog)
+            result.frameLogs.push_back(std::move(c.frames));
     }
     return result;
 }
@@ -1017,22 +995,21 @@ SplitSystemRun::faultReason() const
 LiveSlo
 SplitSystemRun::sampleSlo()
 {
-    LiveSlo out = impl_->slo;
-    impl_->slo.windowFrames = 0;
-    impl_->slo.windowMisses = 0;
-    return out;
-}
-
-std::uint64_t
-SplitSystemRun::framesDisplayed() const
-{
-    return impl_->slo.frames;
-}
-
-int
-SplitSystemRun::players() const
-{
-    return impl_->players;
+    // The window is every frame record appended since the previous
+    // sample; the cumulative totals fold each window in once.
+    LiveSlo &slo = impl_->slo;
+    slo.windowFrames = 0;
+    slo.windowMisses = 0;
+    for (ClientState &c : impl_->clients) {
+        for (; c.sloSampled < c.frames.size(); ++c.sloSampled) {
+            ++slo.windowFrames;
+            if (obs::missesDeadline(c.frames[c.sloSampled].latencyMs))
+                ++slo.windowMisses;
+        }
+    }
+    slo.frames += slo.windowFrames;
+    slo.misses += slo.windowMisses;
+    return slo;
 }
 
 const std::string &

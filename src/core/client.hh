@@ -108,10 +108,11 @@ struct FleetHooks
 };
 
 /**
- * Live deadline accounting sampled by the fleet load governor:
- * cumulative totals plus a window since the previous sample. All
- * values derive from sim-time latencies, so governor decisions made
- * from them are deterministic at any `COTERIE_THREADS`.
+ * Deadline accounting sampled by the fleet load governor: cumulative
+ * totals plus a window since the previous sample, counted over the
+ * session's frame records. All values derive from sim-time latencies,
+ * so governor decisions made from them are deterministic at any
+ * `COTERIE_THREADS`.
  */
 struct LiveSlo
 {
@@ -179,10 +180,11 @@ class SplitSystemRun
     static constexpr double settleMs() { return 1000.0; }
 
     /**
-     * Assemble the per-player metrics (and frame logs when recorded),
-     * publishing the SLO summary if the label is not already frozen.
-     * Call once, after the horizon (solo) or at the session's
-     * completion instant (fleet).
+     * Derive the per-player metrics from the frame records (and hand
+     * the records out when `recordFrameLog` is set), publishing the
+     * SLO summary if the label is not already frozen. Call once,
+     * after the horizon (solo) or at the session's completion instant
+     * (fleet).
      */
     SystemResult finish();
 
@@ -201,8 +203,8 @@ class SplitSystemRun
      * Quarantine the session at the current sim time: cancel every
      * outstanding fetch (`ResilientFetcher::cancelAll`), abort live
      * causal records, stop the frame loops, and freeze the SLO label
-     * by publishing the tracer summary now. Idempotent. The caller
-     * (manager) releases the session's pano-cache claims.
+     * by publishing the summary of the frames so far. Idempotent. The
+     * caller (manager) releases the session's pano-cache claims.
      */
     void quarantine();
 
@@ -216,11 +218,9 @@ class SplitSystemRun
     const std::string &faultReason() const;
 
     /** Governor sampling: cumulative + since-last-sample deadline
-     *  accounting (resets the window). */
+     *  accounting over the frame records (starts a new window). */
     LiveSlo sampleSlo();
 
-    std::uint64_t framesDisplayed() const;
-    int players() const;
     /** The frame-trace / SLO label (`<tag>/<N>p/<system>[+chaos]`). */
     const std::string &label() const;
 

@@ -147,6 +147,10 @@ SessionManager::adopt(FleetSessionSpec spec, bool viaQueue)
     s.config = s.spec.base->systemConfig();
     if (!s.spec.label.empty())
         s.config.sessionTag = s.spec.label;
+    // The session id makes trace and SLO labels unique within the
+    // fleet (`Viking#3/4p/Coterie`). Ids restart with every manager,
+    // so re-running a fleet republishes the same labels.
+    s.config.sessionTag += "#" + std::to_string(s.id);
     // Empty plans collapse to a null pointer inside the run (strict
     // no-op contract); non-empty plans point into the spec copy above,
     // which lives exactly as long as the manager.

@@ -134,7 +134,8 @@ struct FleetSessionSpec
     std::uint64_t traceSeed = 0;
     /** Earliest start (absolute sim time on the shared clock). */
     double startMs = 0.0;
-    /** Session tag for trace/SLO labels; empty = the base game name. */
+    /** Session tag for trace/SLO labels (empty = the base game
+     *  name); the manager appends `#<session id>`. */
     std::string label;
     /** Scripted chaos for this session (absolute sim times). Empty =
      *  clean run, collapsed to the pre-chaos code path. */

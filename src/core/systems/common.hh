@@ -16,6 +16,7 @@
 #include "net/endpoints.hh"
 #include "net/fi_sync.hh"
 #include "net/resilience.hh"
+#include "obs/frame_trace.hh"
 #include "sim/faults.hh"
 #include "trace/trace.hh"
 
@@ -61,12 +62,12 @@ struct SystemConfig
     net::FrameServerParams serverNet{};
 
     /**
-     * Record a per-player `FrameLogEntry` for every committed frame
-     * into `SystemResult::frameLogs`. Observe-only: the log is
-     * assembled from values the run computes anyway, so recording
-     * never perturbs the simulation — it exists so fleet isolation
-     * tests can assert a session's frame output is byte-identical
-     * with and without siblings.
+     * Hand the per-player frame records out in
+     * `SystemResult::frameLogs`. Every run keeps them (QoE, SLO and
+     * the governor are derived from them); the flag only decides
+     * whether finish() returns them, so fleet isolation tests can
+     * assert a session's frame output is byte-identical with and
+     * without siblings.
      */
     bool recordFrameLog = false;
 
@@ -81,11 +82,13 @@ struct SystemConfig
 };
 
 /**
- * One committed frame in the optional per-frame output log: exactly
- * the values the display path derives from simulation state, so two
- * runs whose entries compare equal produced bit-identical frame
- * streams (times and latencies are compared at full double
- * precision, not rounded).
+ * The one record of a displayed frame: exactly the values the display
+ * path derives from simulation state. A split-rendering run appends
+ * one per frame and derives everything else from them — the QoE
+ * means in `PlayerMetrics`, the governor's `LiveSlo` window, the SLO
+ * summary and `SystemResult::frameLogs`. Two runs whose entries
+ * compare equal produced bit-identical frame streams (times and
+ * latencies are compared at full double precision, not rounded).
  */
 struct FrameLogEntry
 {
@@ -95,8 +98,12 @@ struct FrameLogEntry
     /** Cumulative bytes fetched by the player at commit time. */
     std::uint64_t bytesFetched = 0;
     bool degraded = false;   ///< served via stall or stale panorama
+    obs::CriticalPath criticalPath; ///< dominant hop(s) of the frame
     bool operator==(const FrameLogEntry &) const = default;
 };
+// The critical path rides in the padding after `degraded`: every run
+// keeps one record per displayed frame, so the record must not grow.
+static_assert(sizeof(FrameLogEntry) == 40);
 
 /** Per-player outcome of a run. */
 struct PlayerMetrics
@@ -142,8 +149,8 @@ struct SystemResult
     std::vector<PlayerMetrics> players;
     double durationMs = 0.0;
     double channelUtilMbps = 0.0;
-    /** Per-player frame logs, one vector per player, populated only
-     *  when `SystemConfig::recordFrameLog` was set. */
+    /** Per-player frame records, one vector per player, populated
+     *  only when `SystemConfig::recordFrameLog` was set. */
     std::vector<std::vector<FrameLogEntry>> frameLogs;
 
     /** Averages across players. */

@@ -12,6 +12,7 @@
 #include "obs/clock.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
+#include "obs/slo.hh"
 #include "support/logging.hh"
 #include "support/thread_annotations.hh"
 
@@ -130,8 +131,7 @@ recordFrameHop(const char *name, const char *label,
 void
 recordFrameDone(const char *label, std::uint32_t session,
                 std::uint16_t client, std::uint64_t frame, double simMs,
-                double latencyMs, double budgetMs,
-                const char *criticalPath)
+                double latencyMs, const char *criticalPath)
 {
     FlightEvent e;
     e.kind = EventKind::FrameDone;
@@ -143,7 +143,6 @@ recordFrameDone(const char *label, std::uint32_t session,
     e.frame = frame;
     e.simBeginMs = simMs;
     e.value = latencyMs;
-    e.value2 = budgetMs;
     e.critical = criticalPath;
     write(e);
 }
@@ -333,8 +332,8 @@ dump(const std::string &path)
                          Json(static_cast<int>(e.client)));
                 args.set("frame", Json(e.frame));
                 args.set("latency_ms", Json(e.value));
-                args.set("budget_ms", Json(e.value2));
-                args.set("miss", Json(e.value > e.value2));
+                args.set("budget_ms", Json(kFrameBudgetMs));
+                args.set("miss", Json(missesDeadline(e.value)));
                 args.set("critical_path",
                          Json(e.critical ? e.critical : ""));
                 j.set("args", std::move(args));

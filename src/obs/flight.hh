@@ -8,7 +8,7 @@
  * armed: every `COTERIE_SPAN` scope and every frame-tracer hop drops
  * one fixed-size POD event into the calling thread's ring. Each ring
  * is single-writer (its owning thread) with a release-published head,
- * so the steady-state cost is two clock reads plus one 96-byte store —
+ * so the steady-state cost is two clock reads plus one 88-byte store —
  * negligible against any pipeline stage — and recording never takes a
  * lock. Rings are leaked intentionally (trivially-destructible state,
  * no TLS-teardown hazards) and overwrite oldest-first, so the recorder
@@ -66,8 +66,7 @@ struct FlightEvent
     std::uint64_t wallDurNs = 0;
     double simBeginMs = -1.0; ///< < 0 -> no sim-time attribution
     double simDurMs = 0.0;
-    double value = 0.0;  ///< FrameDone: latency_ms
-    double value2 = 0.0; ///< FrameDone: budget_ms
+    double value = 0.0; ///< FrameDone: latency_ms
     const char *name = nullptr;
     const char *category = nullptr;
     const char *label = nullptr;    ///< session label (FrameHop/Done)
@@ -100,10 +99,11 @@ void recordFrameHop(const char *name, const char *label,
                     double simDurMs, std::uint64_t wallBeginNs,
                     std::uint64_t wallDurNs);
 
-/** Record a frame completion scored against the deadline budget. */
+/** Record a frame completion (the dump scores it against the
+ *  deadline budget). @p criticalPath must be a static string. */
 void recordFrameDone(const char *label, std::uint32_t session,
                      std::uint16_t client, std::uint64_t frame,
-                     double simMs, double latencyMs, double budgetMs,
+                     double simMs, double latencyMs,
                      const char *criticalPath);
 
 /** Record a point event (fault episode boundaries, markers). */
@@ -162,7 +162,7 @@ recordFrameHop(const char *, const char *, std::uint32_t, std::uint16_t,
 
 inline void
 recordFrameDone(const char *, std::uint32_t, std::uint16_t,
-                std::uint64_t, double, double, double, const char *)
+                std::uint64_t, double, double, const char *)
 {
 }
 

@@ -5,6 +5,7 @@
 
 #include "obs/clock.hh"
 #include "obs/flight.hh"
+#include "obs/slo.hh"
 #include "obs/trace.hh"
 #include "support/logging.hh"
 
@@ -28,6 +29,7 @@ hopName(Hop hop)
       case Hop::StallWait:   return "stall_wait";
       case Hop::Merge:       return "merge";
       case Hop::Display:     return "display";
+      case Hop::None:        return "none";
     }
     return "?";
 }
@@ -50,8 +52,28 @@ hopEventName(Hop hop)
       case Hop::StallWait:   return "frame.stall_wait";
       case Hop::Merge:       return "frame.merge";
       case Hop::Display:     return "frame.display";
+      case Hop::None:        return "frame.none";
     }
     return "frame.?";
+}
+
+const char *
+criticalPathName(CriticalPath path)
+{
+    if (path.via == Hop::None)
+        return hopName(path.hop);
+    COTERIE_ASSERT(path.hop == Hop::StallWait,
+                   "only stall_wait descends into a linked fetch");
+    // Leaked: flight-recorder events keep these pointers for the
+    // whole process, panic dumps during static destruction included.
+    static const auto *names = [] {
+        auto *out = new std::array<std::string, kHopCount>;
+        for (std::size_t i = 0; i < kHopCount; ++i)
+            (*out)[i] = std::string("stall_wait/") +
+                        hopName(static_cast<Hop>(i));
+        return out;
+    }();
+    return (*names)[static_cast<std::size_t>(path.via)].c_str();
 }
 
 void
@@ -69,9 +91,8 @@ FrameTraceContext::hopWall(Hop h, std::uint64_t wallBeginNs,
         tracer->hopWall(*this, h, wallBeginNs, wallEndNs);
 }
 
-FrameTracer::FrameTracer(std::string label, double budgetMs)
-    : label_(std::move(label)), flightLabel_(flight::intern(label_)),
-      deadlines_(budgetMs)
+FrameTracer::FrameTracer(std::string label)
+    : label_(std::move(label)), flightLabel_(flight::intern(label_))
 {
     // Distinguishes session runs in flight dumps (forensics only;
     // never exported into deterministic sim-side artifacts).
@@ -153,50 +174,41 @@ FrameTracer::link(const FrameTraceContext &frameCtx,
     records_[frameCtx.recordId].link = fetchCtx.recordId + 1;
 }
 
-std::string
+CriticalPath
 FrameTracer::criticalPathLocked(const FrameRecord &rec) const
 {
-    const auto dominant = [](const FrameRecord &r) -> int {
+    const auto dominant = [](const FrameRecord &r) {
         std::array<double, kHopCount> totals{};
         for (const HopRecord &h : r.hops)
             totals[static_cast<std::size_t>(h.hop)] += h.simDurMs;
-        int best = -1;
+        Hop best = Hop::None;
         double bestTotal = 0.0;
         for (std::size_t i = 0; i < kHopCount; ++i) {
             // Strict '>' keeps the earliest pipeline stage on ties,
             // which is stable across runs (totals are sim-derived).
             if (totals[i] > bestTotal) {
                 bestTotal = totals[i];
-                best = static_cast<int>(i);
+                best = static_cast<Hop>(i);
             }
         }
         return best;
     };
 
-    const int top = dominant(rec);
-    if (top < 0)
-        return "none";
-    const Hop topHop = static_cast<Hop>(top);
-    if (topHop == Hop::StallWait && rec.link != 0) {
-        // The frame spent its budget waiting on a fetch: descend into
-        // the linked fetch record to name the real bottleneck.
-        const FrameRecord &fetch = records_[rec.link - 1];
-        const int sub = dominant(fetch);
-        if (sub >= 0) {
-            return std::string("stall_wait/") +
-                   hopName(static_cast<Hop>(sub));
-        }
-    }
-    return hopName(topHop);
+    CriticalPath path{dominant(rec)};
+    // A frame that spent its budget waiting on a fetch descends into
+    // the linked fetch record to name the real bottleneck.
+    if (path.hop == Hop::StallWait && rec.link != 0)
+        path.via = dominant(records_[rec.link - 1]);
+    return path;
 }
 
-void
-FrameTracer::complete(FrameTraceContext &ctx, double doneMs)
+CriticalPath
+FrameTracer::complete(FrameTraceContext &ctx, double doneMs,
+                      double latencyMs)
 {
     if (ctx.tracer != this)
-        return;
-    std::string criticalPath;
-    double latencyMs = 0.0;
+        return {};
+    CriticalPath path;
     Kind kind;
     {
         support::MutexLock lock(mutex_);
@@ -204,20 +216,17 @@ FrameTracer::complete(FrameTraceContext &ctx, double doneMs)
                        "bad frame-trace record id ", ctx.recordId);
         FrameRecord &rec = records_[ctx.recordId];
         rec.doneMs = doneMs;
-        rec.latencyMs = latencyMs =
-            doneMs >= rec.mintedMs ? doneMs - rec.mintedMs : 0.0;
+        rec.latencyMs = latencyMs;
         rec.completed = true;
-        rec.criticalPath = criticalPath = criticalPathLocked(rec);
+        rec.criticalPath = path = criticalPathLocked(rec);
         kind = rec.kind;
-        if (kind == Kind::Frame)
-            deadlines_.record(ctx.client, latencyMs, criticalPath);
     }
     if (kind == Kind::Frame) {
         flight::recordFrameDone(flightLabel_, ctx.session, ctx.client,
                                 ctx.frame, doneMs, latencyMs,
-                                deadlines_.budgetMs(),
-                                flight::intern(criticalPath));
+                                criticalPathName(path));
     }
+    return path;
 }
 
 void
@@ -236,44 +245,36 @@ FrameTracer::abort(FrameTraceContext &ctx, double nowMs)
 void
 FrameTracer::finish()
 {
-    Json summary;
-    {
-        support::MutexLock lock(mutex_);
-        summary = deadlines_.toJson();
-
-        TraceRecorder &recorder = TraceRecorder::global();
-        if (recorder.enabled()) {
-            for (const FrameRecord &rec : records_) {
-                const int tid = static_cast<int>(rec.client);
-                for (const HopRecord &h : rec.hops) {
-                    if (h.simBeginMs < 0.0)
-                        continue; // wall-only hop: no sim timeline slot
-                    Json args = Json::object();
-                    args.set("label", Json(label_));
-                    args.set("client",
-                             Json(static_cast<int>(rec.client)));
-                    args.set("frame", Json(rec.frame));
-                    recorder.frameSpan(hopEventName(h.hop), tid,
-                                       h.simBeginMs, h.simDurMs,
-                                       std::move(args));
-                }
-                if (rec.kind != Kind::Frame || !rec.completed)
-                    continue;
-                Json args = Json::object();
-                args.set("label", Json(label_));
-                args.set("client", Json(static_cast<int>(rec.client)));
-                args.set("frame", Json(rec.frame));
-                args.set("latency_ms", Json(rec.latencyMs));
-                args.set("budget_ms", Json(deadlines_.budgetMs()));
-                args.set("miss",
-                         Json(rec.latencyMs > deadlines_.budgetMs()));
-                args.set("critical_path", Json(rec.criticalPath));
-                recorder.frameInstant("frame.done", tid, rec.doneMs,
-                                      std::move(args));
-            }
+    TraceRecorder &recorder = TraceRecorder::global();
+    if (!recorder.enabled())
+        return;
+    support::MutexLock lock(mutex_);
+    for (const FrameRecord &rec : records_) {
+        const int tid = static_cast<int>(rec.client);
+        for (const HopRecord &h : rec.hops) {
+            if (h.simBeginMs < 0.0)
+                continue; // wall-only hop: no sim timeline slot
+            Json args = Json::object();
+            args.set("label", Json(label_));
+            args.set("client", Json(static_cast<int>(rec.client)));
+            args.set("frame", Json(rec.frame));
+            recorder.frameSpan(hopEventName(h.hop), tid, h.simBeginMs,
+                               h.simDurMs, std::move(args));
         }
+        if (rec.kind != Kind::Frame || !rec.completed)
+            continue;
+        Json args = Json::object();
+        args.set("label", Json(label_));
+        args.set("client", Json(static_cast<int>(rec.client)));
+        args.set("frame", Json(rec.frame));
+        args.set("latency_ms", Json(rec.latencyMs));
+        args.set("budget_ms", Json(kFrameBudgetMs));
+        args.set("miss", Json(missesDeadline(rec.latencyMs)));
+        args.set("critical_path",
+                 Json(criticalPathName(rec.criticalPath)));
+        recorder.frameInstant("frame.done", tid, rec.doneMs,
+                              std::move(args));
     }
-    SloRegistry::global().publish(label_, std::move(summary));
 }
 
 const FrameTracer::FrameRecord *

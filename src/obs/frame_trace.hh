@@ -10,18 +10,17 @@
  * `PanoramaRenderCache` lookups (including single-flight joins), the
  * codec, delivery, and merge/display. Each stage stamps a `Hop` — a
  * sim-time interval plus a wall-clock timestamp — into the record via
- * `FrameTracer::hop()`. When the frame completes, the tracer computes
- * the critical path (the hop family with the largest total sim-time;
- * a frame dominated by `StallWait` descends into its linked fetch
- * record, yielding paths like `"stall_wait/transfer"`), scores the
- * frame against the deadline budget (`DeadlineTracker`), and emits
- * the flight-recorder events live.
+ * `FrameTracer::hop()`. When the frame completes with the latency its
+ * caller computed, the tracer computes the critical path (the hop
+ * family with the largest total sim-time; a frame dominated by
+ * `StallWait` descends into its linked fetch record, yielding paths
+ * like `"stall_wait/transfer"`), returns it for the caller's frame
+ * record, and emits the flight-recorder events live.
  *
  * `finish()` (end of a session run) exports the records as sim-
  * timeline events into `TraceRecorder` (pid 2, one track per client —
  * `trace_report --frames` consumes these from a live trace or a
- * flight dump interchangeably) and publishes the SLO summary to
- * `SloRegistry::global()` under the session label.
+ * flight dump interchangeably).
  *
  * Determinism: the tracer is observe-only and all exported values are
  * sim-time derived. Records are created and mutated exclusively from
@@ -36,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/slo.hh"
 #include "support/thread_annotations.hh"
 
 namespace coterie::obs {
@@ -57,9 +55,10 @@ enum class Hop : std::uint8_t {
     StallWait,   ///< client stalled waiting for a delivery
     Merge,       ///< merge near/far layers for display
     Display,     ///< display scan-out
+    None,        ///< no hop: critical path of a record without sim time
 };
 
-/** Number of Hop enumerators (array sizing). */
+/** Number of stampable Hop enumerators (array sizing; excludes None). */
 inline constexpr std::size_t kHopCount =
     static_cast<std::size_t>(Hop::Display) + 1;
 
@@ -69,6 +68,22 @@ const char *hopName(Hop hop);
 /** Trace-event name: "frame.request", "frame.stall_wait", ... (static
  *  literals, safe to store in flight-recorder events). */
 const char *hopEventName(Hop hop);
+
+/**
+ * A record's critical path in two bytes: the hop family with the
+ * largest total sim time and, when that is StallWait, the dominant
+ * family of the linked fetch the stall waited on (`via`; None when
+ * there is nothing to descend into).
+ */
+struct CriticalPath
+{
+    Hop hop = Hop::None;
+    Hop via = Hop::None;
+    bool operator==(const CriticalPath &) const = default;
+};
+
+/** "render", "stall_wait", "stall_wait/transfer", ... (static). */
+const char *criticalPathName(CriticalPath path);
 
 class FrameTracer;
 
@@ -106,8 +121,8 @@ struct FrameTraceContext
 
 /**
  * Per-session-run collector of causal frame records. One instance per
- * `runSplitSystem` invocation; `label` keys the published SLO summary
- * (`<game>/<N>p/<system>`).
+ * `runSplitSystem` invocation; `label` names the session in exported
+ * events and keys its SLO summary (`<game>/<N>p/<system>`).
  */
 class FrameTracer
 {
@@ -138,11 +153,11 @@ class FrameTracer
         bool completed = false;
         bool aborted = false;
         std::uint32_t link = 0; ///< 1 + linked fetch recordId; 0 none
-        std::string criticalPath;
+        CriticalPath criticalPath;
         std::vector<HopRecord> hops;
     };
 
-    FrameTracer(std::string label, double budgetMs = kFrameBudgetMs);
+    explicit FrameTracer(std::string label);
 
     FrameTracer(const FrameTracer &) = delete;
     FrameTracer &operator=(const FrameTracer &) = delete;
@@ -169,25 +184,23 @@ class FrameTracer
               const FrameTraceContext &fetchCtx);
 
     /**
-     * Complete the record at sim time @p doneMs: latency becomes
-     * `doneMs - mintedMs`, the critical path is computed, Frame
-     * records are scored against the deadline, and flight-recorder
-     * events are emitted.
+     * Complete the record at sim time @p doneMs with the caller's
+     * @p latencyMs (for a displayed frame, its Equation-2 latency):
+     * computes the critical path, emits the flight-recorder event for
+     * Frame records, and returns the path. An inert context returns
+     * the empty path.
      */
-    void complete(FrameTraceContext &ctx, double doneMs);
+    CriticalPath complete(FrameTraceContext &ctx, double doneMs,
+                          double latencyMs);
 
     /** Mark the record abandoned (expired fetch, disconnect). */
     void abort(FrameTraceContext &ctx, double nowMs);
 
     /**
      * End of run: export all records as sim-timeline frame events
-     * into `TraceRecorder::global()` (when recording) and publish the
-     * SLO summary to `SloRegistry::global()` under the label.
+     * into `TraceRecorder::global()` (when recording).
      */
     void finish();
-
-    /** The deadline scoreboard (valid for the tracer's lifetime). */
-    const DeadlineTracker &deadlines() const { return deadlines_; }
 
     /** Completed-record lookup for tests; nullptr when absent. */
     const FrameRecord *find(Kind kind, std::uint16_t client,
@@ -199,7 +212,7 @@ class FrameTracer
     const FrameRecord *findLocked(Kind kind, std::uint16_t client,
                                   std::uint64_t frame) const
         COTERIE_REQUIRES(mutex_);
-    std::string criticalPathLocked(const FrameRecord &rec) const
+    CriticalPath criticalPathLocked(const FrameRecord &rec) const
         COTERIE_REQUIRES(mutex_);
 
     std::string label_;
@@ -213,7 +226,6 @@ class FrameTracer
     // the tracer's job, not a leak.
     std::deque<FrameRecord> records_ // lint:allow(unbounded-queue)
         COTERIE_GUARDED_BY(mutex_);
-    DeadlineTracker deadlines_ COTERIE_GUARDED_BY(mutex_);
 };
 
 } // namespace coterie::obs

@@ -4,13 +4,10 @@ namespace coterie::obs {
 
 void
 DeadlineTracker::record(std::uint16_t client, double latencyMs,
-                        const std::string &criticalPath)
+                        const char *criticalPath)
 {
-    ++frames_;
-    latencies_.add(latencyMs);
     byClient_[client].add(latencyMs);
-    if (latencyMs > budgetMs_) {
-        ++misses_;
+    if (missesDeadline(latencyMs)) {
         ++missesByClient_[client];
         ++missesByHop_[criticalPath];
     }
@@ -19,21 +16,29 @@ DeadlineTracker::record(std::uint16_t client, double latencyMs,
 Json
 DeadlineTracker::toJson() const
 {
+    SampleSet latencies;
+    for (const auto &[client, samples] : byClient_)
+        latencies.merge(samples);
+    std::uint64_t misses = 0;
+    for (const auto &[client, count] : missesByClient_)
+        misses += count;
+    const std::uint64_t frames = latencies.count();
+
     Json out = Json::object();
-    out.set("budget_ms", Json(budgetMs_));
-    out.set("frames", Json(frames_));
-    out.set("misses", Json(misses_));
+    out.set("budget_ms", Json(kFrameBudgetMs));
+    out.set("frames", Json(frames));
+    out.set("misses", Json(misses));
     out.set("miss_rate",
-            Json(frames_ > 0 ? static_cast<double>(misses_) /
-                                   static_cast<double>(frames_)
-                             : 0.0));
-    if (frames_ > 0) {
+            Json(frames > 0 ? static_cast<double>(misses) /
+                                  static_cast<double>(frames)
+                            : 0.0));
+    if (frames > 0) {
         Json lat = Json::object();
-        lat.set("mean_ms", Json(latencies_.mean()));
-        lat.set("p50_ms", Json(latencies_.percentile(50.0)));
-        lat.set("p99_ms", Json(latencies_.percentile(99.0)));
-        lat.set("p999_ms", Json(latencies_.percentile(99.9)));
-        lat.set("max_ms", Json(latencies_.max()));
+        lat.set("mean_ms", Json(latencies.mean()));
+        lat.set("p50_ms", Json(latencies.percentile(50.0)));
+        lat.set("p99_ms", Json(latencies.percentile(99.0)));
+        lat.set("p999_ms", Json(latencies.percentile(99.9)));
+        lat.set("max_ms", Json(latencies.max()));
         out.set("latency", std::move(lat));
     }
 

@@ -1,17 +1,16 @@
 /**
  * @file
- * Deadline SLO engine: scores every completed frame against the
- * 16.7 ms QoE budget and attributes misses to the pipeline hop that
- * dominated the frame's critical path.
+ * Deadline SLO engine: the 16.7 ms QoE budget, the one predicate that
+ * decides a deadline miss, and the per-session SLO summaries.
  *
- * `DeadlineTracker` accumulates one latency sample per displayed frame
+ * A session's displayed frames each have one record
+ * (`core::FrameLogEntry`). When the session finishes or is
+ * quarantined, its records are folded through a `DeadlineTracker`
  * (exact `SampleSet` percentiles, so p50/p99/p99.9 here match any
- * other consumer of the same latency list bit-for-bit) plus per-client
- * breakdowns and a per-hop miss-attribution table. `FrameTracer`
- * (obs/frame_trace.hh) owns one per session run and feeds it from the
- * causal frame records; at the end of a run the summary is published
- * to `SloRegistry::global()` under the session label and exported in
- * the metrics JSON snapshot's top-level `"slo"` section.
+ * other consumer of the same latency list bit-for-bit, plus per-client
+ * breakdowns and a per-hop miss-attribution table) and the summary is
+ * published to `SloRegistry::global()` under the session label and
+ * exported in the metrics JSON snapshot's top-level `"slo"` section.
  *
  * Everything here is simulated-time only — no wall-clock values enter
  * the JSON — so snapshots diff bit-identical across `COTERIE_THREADS`
@@ -33,35 +32,27 @@ namespace coterie::obs {
 /** The paper's per-frame QoE deadline (60 Hz refresh), in sim ms. */
 inline constexpr double kFrameBudgetMs = 16.7;
 
+/** The one deadline predicate: a frame of @p latencyMs misses. */
+inline bool
+missesDeadline(double latencyMs)
+{
+    return latencyMs > kFrameBudgetMs;
+}
+
 /**
- * Per-session deadline scoreboard. Not internally synchronized: the
- * owner (`FrameTracer`) serializes access under its own mutex.
+ * One session's deadline summary, built from its frame records when
+ * the summary is published. Not internally synchronized.
  */
 class DeadlineTracker
 {
   public:
-    explicit DeadlineTracker(double budgetMs = kFrameBudgetMs)
-        : budgetMs_(budgetMs)
-    {
-    }
-
     /**
-     * Score one completed frame: @p latencyMs against the budget,
+     * Score one displayed frame: @p latencyMs against the budget,
      * with @p criticalPath naming the dominant hop ("render",
      * "stall_wait/transfer", ...) for miss attribution.
      */
     void record(std::uint16_t client, double latencyMs,
-                const std::string &criticalPath);
-
-    double budgetMs() const { return budgetMs_; }
-    std::uint64_t frames() const { return frames_; }
-    std::uint64_t misses() const { return misses_; }
-
-    /** Exact percentile over all recorded latencies, p in [0, 100]. */
-    double percentile(double p) const
-    {
-        return latencies_.percentile(p);
-    }
+                const char *criticalPath);
 
     /**
      * Summary as JSON (sim-time derived only): frame/miss counts,
@@ -71,10 +62,6 @@ class DeadlineTracker
     Json toJson() const;
 
   private:
-    double budgetMs_;
-    std::uint64_t frames_ = 0;
-    std::uint64_t misses_ = 0;
-    SampleSet latencies_;
     std::map<std::uint16_t, SampleSet> byClient_;
     std::map<std::uint16_t, std::uint64_t> missesByClient_;
     std::map<std::string, std::uint64_t> missesByHop_;

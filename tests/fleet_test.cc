@@ -5,7 +5,8 @@
  * bit), per-coterie fault isolation (a sibling under chaos or a
  * confined exception never perturbs another session's frame output),
  * admission control verdicts, the load-governor degradation ladder,
- * and cross-session sharing of the world-keyed panorama cache.
+ * cross-session sharing of the world-keyed panorama cache, per-session
+ * SLO labels, and QoE of a session admitted mid-simulation.
  *
  * Determinism contract: every assertion here compares sim-time-derived
  * values, and the CI fleet job re-runs this binary at
@@ -23,6 +24,7 @@
 #include "core/fleet.hh"
 #include "core/session.hh"
 #include "core/systems/systems.hh"
+#include "obs/slo.hh"
 
 namespace coterie {
 namespace {
@@ -151,6 +153,8 @@ TEST(Fleet, SingleSessionIsBitIdenticalToSolo)
 
 TEST(Fleet, SiblingsUnderChaosAndFaultLeaveSessionUntouched)
 {
+    // The dump's SLO section then holds exactly this test's sessions.
+    obs::SloRegistry::global().clear();
     const SystemResult solo = soloRun();
 
     SessionManager mgr;
@@ -213,6 +217,11 @@ TEST(Fleet, SiblingsUnderChaosAndFaultLeaveSessionUntouched)
                              snapshot(s.result).c_str());
             std::fprintf(dump, "== frame log A ==\n%s",
                          frameLogSnapshot(a.result).c_str());
+            // The SLO summaries are derived from the frame records,
+            // so they must diff bit-identical too.
+            std::fprintf(
+                dump, "== slo ==\n%s\n",
+                obs::SloRegistry::global().snapshotJson().dump(2).c_str());
             std::fclose(dump);
         }
     }
@@ -267,6 +276,63 @@ TEST(Fleet, AdmissionVerdictsFollowTheCapacityModel)
     for (const PlayerMetrics &m : fleet.sessions[1].result.players)
         queued_frames += m.framesDisplayed;
     EXPECT_GT(queued_frames, 0u);
+}
+
+TEST(Fleet, LateStartMatchesSoloQoe)
+{
+    // A session admitted at 1 s plays the same frames as the solo run;
+    // its first inter-frame interval runs from its own start, not from
+    // the shared clock's zero. Absolute sim times round differently,
+    // so the means agree to 1e-9 rather than bit for bit.
+    const SystemResult solo = soloRun();
+    SessionManager mgr;
+    FleetSessionSpec spec;
+    spec.base = &fleetBase();
+    spec.startMs = 1000.0;
+    ASSERT_EQ(mgr.submit(spec).verdict, AdmissionVerdict::Admitted);
+    const FleetResult fleet = mgr.run();
+    ASSERT_EQ(fleet.sessions.size(), 1u);
+    EXPECT_EQ(fleet.sessions[0].startedAtMs, 1000.0);
+    const SystemResult &late = fleet.sessions[0].result;
+    ASSERT_EQ(late.players.size(), solo.players.size());
+    for (std::size_t p = 0; p < solo.players.size(); ++p) {
+        EXPECT_EQ(late.players[p].framesDisplayed,
+                  solo.players[p].framesDisplayed);
+        EXPECT_NEAR(late.players[p].interFrameMs,
+                    solo.players[p].interFrameMs, 1e-9);
+        EXPECT_NEAR(late.players[p].responsivenessMs,
+                    solo.players[p].responsivenessMs, 1e-9);
+    }
+}
+
+TEST(Fleet, EachSessionPublishesItsOwnSlo)
+{
+    obs::SloRegistry::global().clear();
+    const auto runFleet = [] {
+        SessionManager mgr;
+        for (std::uint64_t seed : {201, 202, 203})
+            EXPECT_EQ(mgr.submit(shortSpec(seed)).verdict,
+                      AdmissionVerdict::Admitted);
+        return mgr.run();
+    };
+    const FleetResult fleet = runFleet();
+    const obs::Json slo = obs::SloRegistry::global().snapshotJson();
+    ASSERT_EQ(obs::SloRegistry::global().size(), 3u);
+    std::uint64_t displayed = 0;
+    double published = 0.0;
+    for (const auto &s : fleet.sessions) {
+        EXPECT_EQ(s.label,
+                  "Viking#" + std::to_string(s.id) + "/2p/Coterie");
+        ASSERT_TRUE(slo.contains(s.label));
+        published += slo.at(s.label).at("frames").asNumber();
+        for (const PlayerMetrics &m : s.result.players)
+            displayed += m.framesDisplayed;
+    }
+    EXPECT_EQ(published, static_cast<double>(displayed));
+    // Labels come from the manager's session ids, so a fresh manager
+    // republishes the same labels instead of growing the registry.
+    runFleet();
+    EXPECT_EQ(obs::SloRegistry::global().size(), 3u);
 }
 
 TEST(Fleet, RenderLoadCeilingRejects)

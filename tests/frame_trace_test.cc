@@ -4,9 +4,11 @@
  * engine, and the always-on flight recorder: hop stamping and
  * critical-path computation (including stall descent into the linked
  * fetch record), deadline scoring/attribution and its JSON summary,
- * SLO publication into the metrics snapshot, flight-ring wraparound
- * and dump parsing, and the crash-dump path (an injected
- * COTERIE_ASSERT must leave a parseable flight dump behind).
+ * SLO publication into the metrics snapshot, the one-record invariant
+ * (trace export, SLO summary and governor window all read a run's
+ * frame records), flight-ring wraparound and dump parsing, and the
+ * crash-dump path (an injected COTERIE_ASSERT must leave a parseable
+ * flight dump behind).
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +17,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
+#include "core/client.hh"
+#include "core/session.hh"
 #include "obs/flight.hh"
 #include "obs/frame_trace.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/slo.hh"
+#include "obs/trace.hh"
+#include "sim/event_queue.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
 
@@ -34,6 +41,23 @@ class FrameTraceTest : public testing::Test
     void TearDown() override { SloRegistry::global().clear(); }
 };
 
+/** The `frame.done` events @p tracer exports at finish(). */
+std::vector<Json>
+exportedFrameDones(FrameTracer &tracer)
+{
+    TraceRecorder &recorder = TraceRecorder::global();
+    recorder.start();
+    tracer.finish();
+    recorder.stop();
+    const Json trace = recorder.toJson();
+    std::vector<Json> dones;
+    for (const Json &ev : trace.at("traceEvents").items())
+        if (ev.at("name").asString() == "frame.done")
+            dones.push_back(ev);
+    recorder.clear();
+    return dones;
+}
+
 TEST_F(FrameTraceTest, HopNamesCoverEveryEnumerator)
 {
     for (std::size_t i = 0; i < kHopCount; ++i) {
@@ -46,9 +70,16 @@ TEST_F(FrameTraceTest, HopNamesCoverEveryEnumerator)
     }
     EXPECT_EQ(std::string(hopName(Hop::StallWait)), "stall_wait");
     EXPECT_EQ(std::string(hopName(Hop::CacheJoin)), "cache_join");
+    // Critical-path names: a bare hop, or a stall descending into the
+    // fetch it waited on.
+    EXPECT_STREQ(criticalPathName({}), "none");
+    EXPECT_STREQ(criticalPathName({Hop::Render}), "render");
+    EXPECT_STREQ(criticalPathName({Hop::StallWait}), "stall_wait");
+    EXPECT_STREQ(criticalPathName({Hop::StallWait, Hop::PipeWait}),
+                 "stall_wait/pipe_wait");
 }
 
-TEST_F(FrameTraceTest, CompletionComputesLatencyAndCriticalPath)
+TEST_F(FrameTraceTest, CompletionKeepsLatencyAndComputesCriticalPath)
 {
     FrameTracer tracer("t/hops");
     FrameTraceContext ctx =
@@ -56,16 +87,19 @@ TEST_F(FrameTraceTest, CompletionComputesLatencyAndCriticalPath)
     ASSERT_TRUE(ctx.active());
     ctx.hop(Hop::Render, 100.0, 110.0);
     ctx.hop(Hop::Decode, 110.0, 112.0);
-    tracer.complete(ctx, 112.0);
+    // The caller owns the latency: the tracer keeps it as given
+    // rather than recomputing done - minted (12 ms here).
+    const CriticalPath path = tracer.complete(ctx, 112.0, 12.5);
 
     const auto *rec =
         tracer.find(FrameTracer::Kind::Frame, 3, 7);
     ASSERT_NE(rec, nullptr);
     EXPECT_TRUE(rec->completed);
     EXPECT_FALSE(rec->aborted);
-    EXPECT_DOUBLE_EQ(rec->latencyMs, 12.0);
+    EXPECT_EQ(rec->latencyMs, 12.5);
     EXPECT_EQ(rec->hops.size(), 2u);
-    EXPECT_EQ(rec->criticalPath, "render");
+    EXPECT_EQ(path, (CriticalPath{Hop::Render}));
+    EXPECT_EQ(rec->criticalPath, path);
     EXPECT_EQ(ctx.hops, 2);
 }
 
@@ -79,10 +113,10 @@ TEST_F(FrameTraceTest, CriticalPathSumsHopFamilies)
     ctx.hop(Hop::Transfer, 0.0, 5.0);
     ctx.hop(Hop::Render, 5.0, 11.0);
     ctx.hop(Hop::Transfer, 11.0, 15.0);
-    tracer.complete(ctx, 15.0);
+    tracer.complete(ctx, 15.0, 15.0);
     const auto *rec = tracer.find(FrameTracer::Kind::Fetch, 0, 1);
     ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->criticalPath, "transfer");
+    EXPECT_STREQ(criticalPathName(rec->criticalPath), "transfer");
 }
 
 TEST_F(FrameTraceTest, StallDescendsIntoLinkedFetch)
@@ -94,7 +128,7 @@ TEST_F(FrameTraceTest, StallDescendsIntoLinkedFetch)
     fetch.hop(Hop::Request, 0.0, 0.0);
     fetch.hop(Hop::Backlog, 0.0, 2.0);
     fetch.hop(Hop::Transfer, 2.0, 30.0);
-    tracer.complete(fetch, 30.0);
+    tracer.complete(fetch, 30.0, 30.0);
 
     // The displayed frame spent almost all its time stalled on it.
     FrameTraceContext frame =
@@ -102,21 +136,23 @@ TEST_F(FrameTraceTest, StallDescendsIntoLinkedFetch)
     frame.hop(Hop::StallWait, 0.0, 30.0);
     tracer.link(frame, fetch);
     frame.hop(Hop::Merge, 30.0, 31.0);
-    tracer.complete(frame, 31.0);
+    EXPECT_EQ(tracer.complete(frame, 31.0, 31.0),
+              (CriticalPath{Hop::StallWait, Hop::Transfer}));
 
     const auto *rec = tracer.find(FrameTracer::Kind::Frame, 1, 5);
     ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->criticalPath, "stall_wait/transfer");
+    EXPECT_STREQ(criticalPathName(rec->criticalPath),
+                 "stall_wait/transfer");
 
     // Without a link the path stays flat.
     FrameTraceContext orphan =
         tracer.mint(FrameTracer::Kind::Frame, 1, 6, 0.0);
     orphan.hop(Hop::StallWait, 0.0, 20.0);
     orphan.hop(Hop::Merge, 20.0, 21.0);
-    tracer.complete(orphan, 21.0);
+    tracer.complete(orphan, 21.0, 21.0);
     const auto *orec = tracer.find(FrameTracer::Kind::Frame, 1, 6);
     ASSERT_NE(orec, nullptr);
-    EXPECT_EQ(orec->criticalPath, "stall_wait");
+    EXPECT_STREQ(criticalPathName(orec->criticalPath), "stall_wait");
 }
 
 TEST_F(FrameTraceTest, WallOnlyHopsStayOffTheSimCriticalPath)
@@ -128,10 +164,10 @@ TEST_F(FrameTraceTest, WallOnlyHopsStayOffTheSimCriticalPath)
     // sim-time transfer: wall hops carry no sim attribution.
     ctx.hopWall(Hop::CacheLookup, 0, 50'000'000);
     ctx.hop(Hop::Transfer, 0.0, 1.0);
-    tracer.complete(ctx, 1.0);
+    tracer.complete(ctx, 1.0, 1.0);
     const auto *rec = tracer.find(FrameTracer::Kind::Fetch, 0, 9);
     ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->criticalPath, "transfer");
+    EXPECT_STREQ(criticalPathName(rec->criticalPath), "transfer");
     ASSERT_EQ(rec->hops.size(), 2u);
     EXPECT_LT(rec->hops[0].simBeginMs, 0.0);
     EXPECT_EQ(rec->hops[0].wallDurNs, 50'000'000u);
@@ -144,10 +180,10 @@ TEST_F(FrameTraceTest, InertContextIsANoOpEverywhere)
     inert.hop(Hop::Render, 0.0, 1.0);          // must not crash
     inert.hopWall(Hop::CacheLookup, 0, 1);
     FrameTracer tracer("t/inert");
-    tracer.complete(inert, 1.0);
+    EXPECT_EQ(tracer.complete(inert, 1.0, 1.0), CriticalPath{});
     tracer.abort(inert, 1.0);
     EXPECT_EQ(tracer.recordCount(), 0u);
-    EXPECT_EQ(tracer.deadlines().frames(), 0u);
+    EXPECT_TRUE(exportedFrameDones(tracer).empty());
 }
 
 TEST_F(FrameTraceTest, AbortedRecordsAreNotScored)
@@ -161,37 +197,42 @@ TEST_F(FrameTraceTest, AbortedRecordsAreNotScored)
     ASSERT_NE(rec, nullptr);
     EXPECT_TRUE(rec->aborted);
     EXPECT_FALSE(rec->completed);
-    EXPECT_EQ(tracer.deadlines().frames(), 0u);
+    EXPECT_TRUE(exportedFrameDones(tracer).empty());
 }
 
-TEST_F(FrameTraceTest, OnlyFrameRecordsFeedTheDeadlineTracker)
+TEST_F(FrameTraceTest, OnlyFrameRecordsExportFrameDone)
 {
     FrameTracer tracer("t/kinds");
     FrameTraceContext fetch =
         tracer.mint(FrameTracer::Kind::Fetch, 0, 1, 0.0);
     fetch.hop(Hop::Transfer, 0.0, 40.0);
-    tracer.complete(fetch, 40.0); // slow, but fetches are not frames
+    tracer.complete(fetch, 40.0, 40.0); // slow, but not a frame
     FrameTraceContext frame =
         tracer.mint(FrameTracer::Kind::Frame, 0, 1, 0.0);
     frame.hop(Hop::Render, 0.0, 10.0);
-    tracer.complete(frame, 10.0);
-    EXPECT_EQ(tracer.deadlines().frames(), 1u);
-    EXPECT_EQ(tracer.deadlines().misses(), 0u);
+    tracer.complete(frame, 10.0, 10.0);
+    const std::vector<Json> dones = exportedFrameDones(tracer);
+    ASSERT_EQ(dones.size(), 1u);
+    const Json &args = dones[0].at("args");
+    EXPECT_EQ(args.at("latency_ms").asNumber(), 10.0);
+    EXPECT_EQ(args.at("budget_ms").asNumber(), kFrameBudgetMs);
+    EXPECT_FALSE(args.at("miss").asBool());
+    EXPECT_EQ(args.at("critical_path").asString(), "render");
 }
 
 // --- DeadlineTracker ---------------------------------------------------
 
 TEST(DeadlineTracker, ScoresMissesAndAttributesHops)
 {
+    EXPECT_FALSE(missesDeadline(kFrameBudgetMs)); // the budget itself
+    EXPECT_TRUE(missesDeadline(16.70001));
     DeadlineTracker tracker; // 16.7 ms budget
     tracker.record(0, 10.0, "render");
     tracker.record(0, 20.0, "render");
     tracker.record(1, 30.0, "stall_wait/transfer");
-    EXPECT_EQ(tracker.frames(), 3u);
-    EXPECT_EQ(tracker.misses(), 2u);
-    EXPECT_DOUBLE_EQ(tracker.budgetMs(), kFrameBudgetMs);
 
     const Json summary = tracker.toJson();
+    EXPECT_EQ(summary.at("budget_ms").asNumber(), kFrameBudgetMs);
     EXPECT_EQ(summary.at("frames").asNumber(), 3.0);
     EXPECT_EQ(summary.at("misses").asNumber(), 2.0);
     EXPECT_NEAR(summary.at("miss_rate").asNumber(), 2.0 / 3.0, 1e-12);
@@ -218,41 +259,31 @@ TEST(DeadlineTracker, PercentilesAreExactOverTheSampleList)
         reference.add(latency);
     }
     // Exact SampleSet percentiles on both sides: bit-identical, the
-    // property the "metrics p99 matches trace-derived p99" acceptance
-    // criterion leans on.
-    EXPECT_EQ(tracker.percentile(50.0), reference.percentile(50.0));
-    EXPECT_EQ(tracker.percentile(99.0), reference.percentile(99.0));
-    EXPECT_EQ(tracker.percentile(99.9), reference.percentile(99.9));
+    // property the "published p99 matches the frame log's p99"
+    // invariant leans on.
+    const Json latency = tracker.toJson().at("latency");
+    EXPECT_EQ(latency.at("p50_ms").asNumber(), reference.percentile(50.0));
+    EXPECT_EQ(latency.at("p99_ms").asNumber(), reference.percentile(99.0));
+    EXPECT_EQ(latency.at("p999_ms").asNumber(),
+              reference.percentile(99.9));
 }
 
 // --- SLO publication ---------------------------------------------------
 
-TEST_F(FrameTraceTest, FinishPublishesSloUnderTheSessionLabel)
+TEST_F(FrameTraceTest, SloRegistryKeepsTheLastSummaryPerLabel)
 {
-    FrameTracer tracer("pool/2p/coterie");
-    SampleSet reference;
-    for (int i = 0; i < 100; ++i) {
-        FrameTraceContext ctx = tracer.mint(
-            FrameTracer::Kind::Frame, static_cast<std::uint16_t>(i % 2),
-            static_cast<std::uint64_t>(i), 0.0);
-        const double latency = 5.0 + 0.2 * i; // 5 .. 24.8 ms
-        ctx.hop(Hop::Render, 0.0, latency);
-        tracer.complete(ctx, latency);
-        reference.add(latency);
-    }
-    tracer.finish();
-
+    DeadlineTracker tracker;
+    for (int i = 0; i < 100; ++i)
+        tracker.record(static_cast<std::uint16_t>(i % 2), 5.0 + 0.2 * i,
+                       "render"); // 5 .. 24.8 ms
+    SloRegistry::global().publish("pool/2p/coterie", tracker.toJson());
     ASSERT_EQ(SloRegistry::global().size(), 1u);
-    const Json slo = SloRegistry::global().snapshotJson();
-    ASSERT_TRUE(slo.contains("pool/2p/coterie"));
-    const Json &summary = slo.at("pool/2p/coterie");
-    EXPECT_EQ(summary.at("frames").asNumber(), 100.0);
-    // The published p99 is the tracer's own exact percentile — and
-    // both equal the reference sample list bit for bit.
-    EXPECT_EQ(summary.at("latency").at("p99_ms").asNumber(),
-              tracer.deadlines().percentile(99.0));
-    EXPECT_EQ(summary.at("latency").at("p99_ms").asNumber(),
-              reference.percentile(99.0));
+    EXPECT_EQ(SloRegistry::global()
+                  .snapshotJson()
+                  .at("pool/2p/coterie")
+                  .at("frames")
+                  .asNumber(),
+              100.0);
 
     // Any metrics snapshot re-exports the global SLO registry.
     MetricsRegistry registry;
@@ -261,12 +292,9 @@ TEST_F(FrameTraceTest, FinishPublishesSloUnderTheSessionLabel)
     EXPECT_TRUE(snap.at("slo").contains("pool/2p/coterie"));
 
     // Re-publishing under the same label replaces (last write wins).
-    FrameTracer again("pool/2p/coterie");
-    FrameTraceContext ctx =
-        again.mint(FrameTracer::Kind::Frame, 0, 0, 0.0);
-    ctx.hop(Hop::Render, 0.0, 1.0);
-    again.complete(ctx, 1.0);
-    again.finish();
+    DeadlineTracker again;
+    again.record(0, 1.0, "render");
+    SloRegistry::global().publish("pool/2p/coterie", again.toJson());
     EXPECT_EQ(SloRegistry::global().size(), 1u);
     EXPECT_EQ(SloRegistry::global()
                   .snapshotJson()
@@ -274,6 +302,102 @@ TEST_F(FrameTraceTest, FinishPublishesSloUnderTheSessionLabel)
                   .at("frames")
                   .asNumber(),
               1.0);
+}
+
+// --- One frame record ---------------------------------------------------
+
+TEST_F(FrameTraceTest, OneRecordFeedsTraceSloAndGovernor)
+{
+    // A short 4-player session: enough players sharing one channel to
+    // stall now and then, so the miss checks below are not vacuous.
+    core::SessionParams params;
+    params.players = 4;
+    params.durationS = 6.0;
+    params.seed = 42;
+    params.calibrateSimilarity = false;
+    const auto session =
+        core::Session::create(world::gen::GameId::Viking, params);
+    core::SystemConfig config = session->systemConfig();
+    config.recordFrameLog = true;
+
+    TraceRecorder &recorder = TraceRecorder::global();
+    recorder.start();
+    sim::EventQueue queue;
+    core::SplitSystemRun run(queue, config, core::SplitVariant::coterie(),
+                             session->distThresholds(), "Coterie");
+    run.start();
+    const double half = run.durationMs() / 2.0;
+    queue.runUntil(half);
+    const core::LiveSlo mid = run.sampleSlo();
+    queue.runUntil(run.durationMs() + core::SplitSystemRun::settleMs());
+    const core::LiveSlo end = run.sampleSlo();
+    const core::SystemResult result = run.finish();
+    recorder.stop();
+    const Json trace = recorder.toJson();
+    recorder.clear();
+
+    std::uint64_t frames = 0, misses = 0, midFrames = 0, midMisses = 0;
+    SampleSet latencies;
+    ASSERT_EQ(result.frameLogs.size(), 4u);
+    for (std::size_t p = 0; p < result.frameLogs.size(); ++p) {
+        const auto &log = result.frameLogs[p];
+        EXPECT_EQ(log.size(), result.players[p].framesDisplayed);
+        for (const core::FrameLogEntry &e : log) {
+            const bool miss = missesDeadline(e.latencyMs);
+            ++frames;
+            misses += miss;
+            latencies.add(e.latencyMs);
+            if (e.displayMs <= half) {
+                ++midFrames;
+                midMisses += miss;
+            }
+            // DESIGN §13: a miss is always a stalled frame, waiting on
+            // a transfer or on the client pipe.
+            if (miss) {
+                EXPECT_TRUE(e.degraded);
+                EXPECT_EQ(e.criticalPath.hop, Hop::StallWait);
+            }
+        }
+    }
+    ASSERT_GT(misses, 0u) << "the run must miss for the checks to bite";
+
+    // 1. Every exported frame.done is its frame record, bit for bit.
+    std::uint64_t dones = 0;
+    for (const Json &ev : trace.at("traceEvents").items()) {
+        if (ev.at("name").asString() != "frame.done")
+            continue;
+        const Json &args = ev.at("args");
+        ASSERT_EQ(args.at("label").asString(), run.label());
+        const auto client =
+            static_cast<std::size_t>(args.at("client").asNumber());
+        const auto frame =
+            static_cast<std::size_t>(args.at("frame").asNumber());
+        ASSERT_LT(client, result.frameLogs.size());
+        ASSERT_LT(frame, result.frameLogs[client].size());
+        const core::FrameLogEntry &e = result.frameLogs[client][frame];
+        EXPECT_EQ(args.at("latency_ms").asNumber(), e.latencyMs);
+        EXPECT_EQ(args.at("miss").asBool(), missesDeadline(e.latencyMs));
+        EXPECT_EQ(args.at("critical_path").asString(),
+                  criticalPathName(e.criticalPath));
+        ++dones;
+    }
+    EXPECT_EQ(dones, frames);
+
+    // 2. The published SLO summary is the frame log's.
+    const Json slo = SloRegistry::global().snapshotJson().at(run.label());
+    EXPECT_EQ(slo.at("frames").asNumber(), static_cast<double>(frames));
+    EXPECT_EQ(slo.at("misses").asNumber(), static_cast<double>(misses));
+    EXPECT_EQ(slo.at("latency").at("p99_ms").asNumber(),
+              latencies.percentile(99.0));
+
+    // 3. The governor's samples count the same records.
+    EXPECT_EQ(mid.frames, midFrames);
+    EXPECT_EQ(mid.misses, midMisses);
+    EXPECT_EQ(mid.windowFrames, midFrames);
+    EXPECT_EQ(end.frames, frames);
+    EXPECT_EQ(end.misses, misses);
+    EXPECT_EQ(end.windowFrames, frames - midFrames);
+    EXPECT_EQ(end.windowMisses, misses - midMisses);
 }
 
 TEST_F(FrameTraceTest, SloSnapshotDumpIsDeterministic)
@@ -312,7 +436,7 @@ TEST(FlightRecorder, RingWrapsAndDumpParses)
         flight::recordFrameHop("frame.render", "flight/test", 1,
                                2, i, static_cast<double>(i), 1.0, 0, 0);
     flight::recordFrameDone("flight/test", 1, 2, 999, 1000.0, 21.5,
-                            16.7, "render");
+                            "render");
     ASSERT_TRUE(flight::dump(path));
 
     bool ok = true;
@@ -348,6 +472,8 @@ TEST(FlightRecorder, RingWrapsAndDumpParses)
                 ev.at("args").at("latency_ms").asNumber(), 21.5);
             EXPECT_EQ(ev.at("args").at("critical_path").asString(),
                       "render");
+            EXPECT_EQ(ev.at("args").at("budget_ms").asNumber(),
+                      kFrameBudgetMs);
             EXPECT_TRUE(ev.at("args").at("miss").asBool());
         }
     }
@@ -376,7 +502,7 @@ TEST(FlightRecorder, TracerHopsLandInTheRing)
     FrameTraceContext ctx =
         tracer.mint(FrameTracer::Kind::Frame, 0, 1, 0.0);
     ctx.hop(Hop::Render, 0.0, 10.0);
-    tracer.complete(ctx, 10.0);
+    tracer.complete(ctx, 10.0, 10.0);
     // One event per hop plus the completion marker — but a full ring
     // (earlier tests may have saturated it) overwrites in place, so
     // cap the expectation at the ring capacity.
