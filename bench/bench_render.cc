@@ -3,7 +3,9 @@
  * Render hot-path benchmark: whole-frame panorama and perspective time
  * per world, the BVH raycast alone, a per-stage panorama breakdown
  * (direction gen / raycast / terrain / shade / composite) from the
- * pipeline's stage timers, and the coterie-wide far-BE render de-dup
+ * pipeline's stage timers, the terrain march's `heightAt` calls per ray
+ * on one fixed 160x80 far-BE panorama (a deterministic count, identical
+ * with and without --smoke), and the coterie-wide far-BE render de-dup
  * scenario (8 clients, pano-cache hit ratio and renders per frame).
  *
  * Byte equality with the per-pixel reference renderer is pinned by
@@ -25,6 +27,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -134,6 +137,30 @@ stageBreakdown(const world::VirtualWorld &world, int panoW, int panoH,
         out[i] = (registry.timer(kStageNames[i]).snapshot().stats.sum() -
                   before[i]) /
                  reps;
+}
+
+/**
+ * Terrain `heightAt` calls per ray on one fixed 160x80 far-BE panorama
+ * (20 m cutoff, the server's prerender shape) from the world's center,
+ * read from the renderer's `terrain.height_evals` counter. The ray set
+ * does not depend on the bench mode, so the count is deterministic and
+ * comparable between smoke and full runs.
+ */
+double
+heightEvalsPerRay(const world::VirtualWorld &world)
+{
+    constexpr int kW = 160;
+    constexpr int kH = 80;
+    const render::Renderer renderer(world);
+    const geom::Vec3 eye = world.eyePosition(world.bounds().center());
+    render::RenderOptions opts;
+    opts.layer = render::DepthLayer::farBe(20.0);
+    obs::Counter &evals =
+        obs::MetricsRegistry::global().counter("terrain.height_evals");
+    const std::uint64_t before = evals.value();
+    if (renderer.renderPanorama(eye, kW, kH, opts).empty())
+        std::abort();
+    return static_cast<double>(evals.value() - before) / (kW * kH);
 }
 
 /**
@@ -279,6 +306,7 @@ main(int argc, char **argv)
         double stage_ms[kStageCount];
         stageBreakdown(world, pano_w, pano_h, stages_mode ? reps : 1,
                        stage_ms);
+        const double evals_per_ray = heightEvalsPerRay(world);
 
         std::printf("    pano   %7.2f ms  persp %7.2f ms  rays/s %.2fM\n",
                     frame.panoMs, frame.perspMs,
@@ -288,6 +316,7 @@ main(int argc, char **argv)
         for (int i = 0; i < kStageCount; ++i)
             std::printf(" %s %.1f ms%s", kStageLabels[i], stage_ms[i],
                         i + 1 < kStageCount ? "," : "\n");
+        std::printf("    terrain heightAt calls/ray %.4f\n", evals_per_ray);
 
         // Key names continue the tracked record's columns for the same
         // measurements (the packet pipeline on the SAH tree).
@@ -302,6 +331,9 @@ main(int argc, char **argv)
         for (int i = 0; i < kStageCount; ++i)
             stages.set(kStageLabels[i], obs::Json(stage_ms[i]));
         w.set("pano_stage_ms", std::move(stages));
+#if COTERIE_TELEMETRY_ENABLED // the count is drained through telemetry
+        w.set("terrain_height_evals_per_ray", obs::Json(evals_per_ray));
+#endif
         worlds.set(game.name, std::move(w));
         total_pano_ms += frame.panoMs;
     }
@@ -315,6 +347,9 @@ main(int argc, char **argv)
 
     obs::Json doc = obs::Json::object();
     doc.set("smoke", obs::Json(smoke));
+    doc.set("hardware_concurrency",
+            obs::Json(static_cast<std::uint64_t>(
+                std::thread::hardware_concurrency())));
     doc.set("pano_w", obs::Json(static_cast<std::uint64_t>(pano_w)));
     doc.set("pano_h", obs::Json(static_cast<std::uint64_t>(pano_h)));
     doc.set("reps", obs::Json(static_cast<std::uint64_t>(reps)));

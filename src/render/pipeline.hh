@@ -9,8 +9,9 @@
  *      unit directions written SoA;
  *   2. object raycast — 4-wide ray packets through the BVH
  *      (`Bvh::closestHitPacket`);
- *   3. terrain resolution — the SIMD march, aborted past the pixel's
- *      object hit (provably result-identical, see Terrain::intersect);
+ *   3. terrain resolution — the march over the min/max height grid,
+ *      aborted past the pixel's object hit (provably result-identical,
+ *      see Terrain::intersect);
  *   4. shading — hit resolution, then the `opts.shading` /
  *      `opts.texture` passes with those branches hoisted out of the
  *      pixel loop, then compositing (clip key / sky).

@@ -9,6 +9,7 @@
 #include "support/logging.hh"
 #include "support/parallel.hh"
 #include "world/bvh.hh"
+#include "world/terrain.hh"
 
 namespace coterie::render {
 
@@ -35,10 +36,11 @@ parallelRows(int rows, Fn &&fn)
 /**
  * The frame body of renderPanorama and renderPerspective: chunked rows
  * through the staged pipeline with per-chunk scratch buffers. Each
- * chunk discards BVH traversal counts a previous (non-render) caller
- * left on its thread, then drains what its rays accumulated into
- * `bvh.*` — one registry add per chunk, nothing per ray. @p dirFn runs
- * stage 1 (projection-specific direction generation) for a row.
+ * chunk discards BVH and terrain-march counts a previous (non-render)
+ * caller left on its thread, then drains what its rays accumulated
+ * into `bvh.*` and `terrain.*` — one registry add per chunk, nothing
+ * per ray. @p dirFn runs stage 1 (projection-specific direction
+ * generation) for a row.
  */
 template <typename DirFn>
 void
@@ -52,6 +54,7 @@ batchedFrame(const world::VirtualWorld &world, Vec3 origin,
             COTERIE_SPAN("render.rows", "render");
             COTERIE_COUNT_N("render.rows", e - b);
             world::Bvh::takeThreadStats();
+            world::Terrain::takeThreadStats();
             detail::RowBuffers rows;
             rows.resize(width);
             const detail::StageTimers timers{opts.stageTimers};
@@ -77,28 +80,32 @@ batchedFrame(const world::VirtualWorld &world, Vec3 origin,
                 world::Bvh::takeThreadStats();
             COTERIE_COUNT_N("bvh.nodes_visited", stats.nodesVisited);
             COTERIE_COUNT_N("bvh.leaf_tests", stats.leafTests);
+            const world::Terrain::MarchStats march =
+                world::Terrain::takeThreadStats();
+            COTERIE_COUNT_N("terrain.march_samples", march.marchSamples);
+            COTERIE_COUNT_N("terrain.height_evals", march.heightEvals);
         },
         opts.threads);
 }
 
 /**
- * Emit cumulative `bvh.*` counter tracks after a frame so traces carry
- * the traversal-cost trajectory (trace_report folds them into its
- * render section). Cheap no-op unless a trace is recording.
+ * Emit cumulative `bvh.*` and `terrain.*` counter tracks after a frame
+ * so traces carry the traversal-cost trajectory (trace_report folds
+ * them into its render section). Cheap no-op unless a trace is
+ * recording.
  */
 void
-traceBvhCounters()
+traceRenderCounters()
 {
     obs::TraceRecorder &recorder = obs::TraceRecorder::global();
     if (!recorder.enabled())
         return;
     obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
-    recorder.counter("bvh.nodes_visited",
-                     static_cast<double>(
-                         registry.counter("bvh.nodes_visited").value()));
-    recorder.counter("bvh.leaf_tests",
-                     static_cast<double>(
-                         registry.counter("bvh.leaf_tests").value()));
+    for (const char *name : {"bvh.nodes_visited", "bvh.leaf_tests",
+                             "terrain.march_samples",
+                             "terrain.height_evals"})
+        recorder.counter(name,
+                         static_cast<double>(registry.counter(name).value()));
 }
 
 } // namespace
@@ -120,7 +127,7 @@ Renderer::renderPerspective(const Camera &camera, int width, int height,
                      detail::perspectiveRowDirs(camera, aspect, y, width,
                                                 height, rows);
                  });
-    traceBvhCounters();
+    traceRenderCounters();
     return frame;
 }
 
@@ -138,7 +145,7 @@ Renderer::renderPanorama(Vec3 eye, int width, int height,
                  [&](int y, detail::RowBuffers &rows) {
                      detail::panoramaRowDirs(y, width, height, rows);
                  });
-    traceBvhCounters();
+    traceRenderCounters();
     return frame;
 }
 

@@ -12,18 +12,15 @@
  *    compilers): the same operations as plain per-lane loops.
  *
  * Determinism contract: every operation here is lane-wise and maps to
- * exactly one IEEE double (or exact integer) operation per lane, so a
+ * exactly one IEEE double operation per lane, so a
  * kernel written against these types produces bit-identical results in
  * both implementations and under every dispatch clone. Kernels that
  * must match scalar reference code additionally avoid FP expressions
- * that a fused-multiply-add contraction could alter (see
- * world/terrain.cc: the cloned region is integer hashing plus
- * power-of-two scales only).
+ * that a fused-multiply-add contraction could alter.
  */
 
 #pragma once
 
-#include <cstdint>
 #include <cstring>
 
 #ifndef COTERIE_SIMD_ENABLED
@@ -82,8 +79,6 @@ inline constexpr int kLanes = 4;
 typedef double V2dRaw __attribute__((vector_size(16)));
 /** Raw 4-lane double vector. */
 typedef double V4dRaw __attribute__((vector_size(32)));
-/** Raw 4-lane unsigned 64-bit vector. */
-typedef std::uint64_t V4uRaw __attribute__((vector_size(32)));
 
 /** Four double lanes. */
 struct F64x4
@@ -106,32 +101,6 @@ struct F64x4
     friend F64x4 operator*(F64x4 a, F64x4 b) { return {a.v * b.v}; }
 };
 
-/** Four unsigned 64-bit lanes (exact integer arithmetic). */
-struct U64x4
-{
-    V4uRaw v;
-
-    static U64x4
-    splat(std::uint64_t x)
-    {
-        return {V4uRaw{x, x, x, x}};
-    }
-    static U64x4
-    load(const std::uint64_t *p)
-    {
-        U64x4 r;
-        __builtin_memcpy(&r.v, p, sizeof(r.v));
-        return r;
-    }
-    std::uint64_t operator[](int i) const { return v[i]; }
-
-    friend U64x4 operator+(U64x4 a, U64x4 b) { return {a.v + b.v}; }
-    friend U64x4 operator*(U64x4 a, U64x4 b) { return {a.v * b.v}; }
-    friend U64x4 operator^(U64x4 a, U64x4 b) { return {a.v ^ b.v}; }
-    friend U64x4 operator>>(U64x4 a, int s) { return {a.v >> s}; }
-    friend U64x4 operator<<(U64x4 a, int s) { return {a.v << s}; }
-};
-
 /** Per-lane minimum with std::min semantics (b < a ? b : a). */
 inline F64x4
 vmin(F64x4 a, F64x4 b)
@@ -144,16 +113,6 @@ inline F64x4
 vmax(F64x4 a, F64x4 b)
 {
     return {a.v < b.v ? b.v : a.v};
-}
-
-/**
- * Per-lane unsigned-to-double conversion. Exact (no rounding) for
- * values below 2^53, which is all the hash kernels feed it.
- */
-inline F64x4
-toDouble(U64x4 a)
-{
-    return {__builtin_convertvector(a.v, V4dRaw)};
 }
 
 /** Per-lane a <= b mask as lane bits (bit i set when lane i passes). */
@@ -216,66 +175,6 @@ struct F64x4
     }
 };
 
-struct U64x4
-{
-    std::uint64_t v[kLanes];
-
-    static U64x4
-    splat(std::uint64_t x)
-    {
-        return {{x, x, x, x}};
-    }
-    static U64x4
-    load(const std::uint64_t *p)
-    {
-        U64x4 r;
-        std::memcpy(r.v, p, sizeof(r.v));
-        return r;
-    }
-    std::uint64_t operator[](int i) const { return v[i]; }
-
-    friend U64x4
-    operator+(U64x4 a, U64x4 b)
-    {
-        U64x4 r;
-        for (int i = 0; i < kLanes; ++i)
-            r.v[i] = a.v[i] + b.v[i];
-        return r;
-    }
-    friend U64x4
-    operator*(U64x4 a, U64x4 b)
-    {
-        U64x4 r;
-        for (int i = 0; i < kLanes; ++i)
-            r.v[i] = a.v[i] * b.v[i];
-        return r;
-    }
-    friend U64x4
-    operator^(U64x4 a, U64x4 b)
-    {
-        U64x4 r;
-        for (int i = 0; i < kLanes; ++i)
-            r.v[i] = a.v[i] ^ b.v[i];
-        return r;
-    }
-    friend U64x4
-    operator>>(U64x4 a, int s)
-    {
-        U64x4 r;
-        for (int i = 0; i < kLanes; ++i)
-            r.v[i] = a.v[i] >> s;
-        return r;
-    }
-    friend U64x4
-    operator<<(U64x4 a, int s)
-    {
-        U64x4 r;
-        for (int i = 0; i < kLanes; ++i)
-            r.v[i] = a.v[i] << s;
-        return r;
-    }
-};
-
 inline F64x4
 vmin(F64x4 a, F64x4 b)
 {
@@ -294,15 +193,6 @@ vmax(F64x4 a, F64x4 b)
     return r;
 }
 
-inline F64x4
-toDouble(U64x4 a)
-{
-    F64x4 r;
-    for (int i = 0; i < kLanes; ++i)
-        r.v[i] = static_cast<double>(a.v[i]);
-    return r;
-}
-
 inline int
 lanesLessEqual(F64x4 a, F64x4 b)
 {
@@ -313,23 +203,5 @@ lanesLessEqual(F64x4 a, F64x4 b)
 }
 
 #endif // COTERIE_SIMD_VECTOR_EXT
-
-/** splitmix64 across four lanes — lane-exact mirror of support/rng.cc. */
-inline U64x4
-hashMix4(U64x4 value)
-{
-    U64x4 z = value + U64x4::splat(0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * U64x4::splat(0xbf58476d1ce4e5b9ULL);
-    z = (z ^ (z >> 27)) * U64x4::splat(0x94d049bb133111ebULL);
-    return z ^ (z >> 31);
-}
-
-/** Boost-style 64-bit combine across four lanes (mirror of rng.cc). */
-inline U64x4
-hashCombine4(U64x4 a, U64x4 b)
-{
-    return a ^ (b + U64x4::splat(0x9e3779b97f4a7c15ULL) + (a << 12) +
-                (a >> 4));
-}
 
 } // namespace coterie::support::simd

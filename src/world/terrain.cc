@@ -4,18 +4,30 @@
 #include <cmath>
 
 #include "support/rng.hh"
-#include "support/simd.hh"
 
 namespace coterie::world {
 
 using geom::Ray;
+using geom::Rect;
 using geom::Vec2;
 using geom::Vec3;
-using support::simd::U64x4;
-
-Terrain::Terrain(const TerrainParams &params) : params_(params) {}
 
 namespace {
+
+/** Thread-local march counters; drained by Terrain::takeThreadStats. */
+thread_local Terrain::MarchStats tlsStats;
+
+/**
+ * Bound slack per metre of |amplitude| (+1 m). `heightAt` and the
+ * grid's corner evaluations each round a few dozen times on values of
+ * magnitude <= |amplitude|, an error near 1e-14 * |amplitude|.
+ */
+constexpr double kSlack = 1e-9;
+
+/** Cell count above which no grid is built (2 MiB of bounds). */
+constexpr double kMaxCells = 1 << 18;
+
+constexpr float kInfF = std::numeric_limits<float>::infinity();
 
 /** Quintic fade for value-noise interpolation. */
 double
@@ -34,106 +46,163 @@ latticeValue(std::int64_t ix, std::int64_t iy, std::uint64_t seed,
     return (h >> 11) * 0x1.0p-53 * 2.0 - 1.0; // [-1, 1)
 }
 
-constexpr int kLanes = support::simd::kLanes;
+/** Bilinear blend of a lattice square's corners at faded weights. */
+double
+blend(double v00, double v10, double v01, double v11, double u, double v)
+{
+    const double a = v00 + (v10 - v00) * u;
+    const double b = v01 + (v11 - v01) * u;
+    return a + (b - a) * v;
+}
 
 /**
- * The four lattice corner values for four sample cells at once — the
- * integer-hash core of `latticeValue`, lane-vectorized. Bit-exactness
- * vs the scalar path holds under every dispatch clone: the hashing is
- * exact integer arithmetic, the u64→double conversion is exact below
- * 2^53, and the final scale multiplies by powers of two (exact), so
- * even an FMA contraction of `x * 2.0 - 1.0` rounds once to the same
- * double. No other FP runs inside the cloned region.
+ * Range of one noise octave over the scaled rectangle [x0, x1] x
+ * [y0, y1]. Within a lattice square the noise is bilinear in
+ * (fade(tx), fade(ty)) and fade is monotone on [0, 1], so its extremes
+ * over the square's clamped sub-rectangle sit at the sub-rectangle's
+ * four faded corners.
  */
-COTERIE_SIMD_CLONES void
-latticeCorners4(const std::int64_t ix[kLanes], const std::int64_t iy[kLanes],
-                std::uint64_t seedSalt, double v00[kLanes],
-                double v10[kLanes], double v01[kLanes], double v11[kLanes])
+Terrain::HeightBounds
+noiseRange(double x0, double x1, double y0, double y1, std::uint64_t seed,
+           std::uint64_t salt)
 {
-    std::uint64_t ux[kLanes], ux1[kLanes], uy[kLanes], uy1[kLanes];
-    for (int l = 0; l < kLanes; ++l) {
-        ux[l] = static_cast<std::uint64_t>(ix[l]);
-        ux1[l] = static_cast<std::uint64_t>(ix[l] + 1);
-        uy[l] = static_cast<std::uint64_t>(iy[l]);
-        uy1[l] = static_cast<std::uint64_t>(iy[l] + 1);
-    }
-    using support::simd::hashCombine4;
-    using support::simd::hashMix4;
-    using support::simd::toDouble;
-    const U64x4 hx = hashMix4(U64x4::load(ux));
-    const U64x4 hx1 = hashMix4(U64x4::load(ux1));
-    const U64x4 hy = hashMix4(U64x4::load(uy));
-    const U64x4 hy1 = hashMix4(U64x4::load(uy1));
-    const U64x4 ss = U64x4::splat(seedSalt);
-    const auto corner = [&](U64x4 cx, U64x4 cy, double out[kLanes]) {
-        const U64x4 h = hashMix4(hashCombine4(ss, hashCombine4(cx, cy)));
-        const support::simd::F64x4 val = toDouble(h >> 11);
-        for (int l = 0; l < kLanes; ++l)
-            out[l] = val[l] * 0x1.0p-53 * 2.0 - 1.0; // [-1, 1)
+    Terrain::HeightBounds r{std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+    const auto lattice = [](double v) {
+        return static_cast<std::int64_t>(std::floor(v));
     };
-    corner(hx, hy, v00);
-    corner(hx1, hy, v10);
-    corner(hx, hy1, v01);
-    corner(hx1, hy1, v11);
+    for (std::int64_t iy = lattice(y0); iy <= lattice(y1); ++iy) {
+        const auto fy = static_cast<double>(iy);
+        const double v[2] = {fade(std::max(y0, fy) - fy),
+                             fade(std::min(y1, fy + 1.0) - fy)};
+        for (std::int64_t ix = lattice(x0); ix <= lattice(x1); ++ix) {
+            const auto fx = static_cast<double>(ix);
+            const double u[2] = {fade(std::max(x0, fx) - fx),
+                                 fade(std::min(x1, fx + 1.0) - fx)};
+            const double c00 = latticeValue(ix, iy, seed, salt);
+            const double c10 = latticeValue(ix + 1, iy, seed, salt);
+            const double c01 = latticeValue(ix, iy + 1, seed, salt);
+            const double c11 = latticeValue(ix + 1, iy + 1, seed, salt);
+            for (double uu : u)
+                for (double vv : v) {
+                    const double n = blend(c00, c10, c01, c11, uu, vv);
+                    r.lo = std::min(r.lo, n);
+                    r.hi = std::max(r.hi, n);
+                }
+        }
+    }
+    return r;
 }
 
 /**
- * `noise2` over four sample points sharing one salt. The scalar FP
- * glue (floor, fade, lerp) is the exact expression sequence of the
- * scalar `noise2`, per lane; only the corner hashing is lane-wide.
+ * Walk `fractal`'s octaves, calling @p fn(weight, frequency, salt) for
+ * each; returns the weight sum that normalizes them.
  */
-void
-noise2x4(const TerrainParams &params, const double x[kLanes],
-         const double y[kLanes], std::uint64_t salt, double out[kLanes])
-{
-    double fx[kLanes], fy[kLanes];
-    std::int64_t ix[kLanes], iy[kLanes];
-    for (int l = 0; l < kLanes; ++l) {
-        fx[l] = std::floor(x[l]);
-        fy[l] = std::floor(y[l]);
-        ix[l] = static_cast<std::int64_t>(fx[l]);
-        iy[l] = static_cast<std::int64_t>(fy[l]);
-    }
-    double v00[kLanes], v10[kLanes], v01[kLanes], v11[kLanes];
-    latticeCorners4(ix, iy, params.seed ^ salt, v00, v10, v01, v11);
-    for (int l = 0; l < kLanes; ++l) {
-        const double tx = fade(x[l] - fx[l]);
-        const double ty = fade(y[l] - fy[l]);
-        const double a = v00[l] + (v10[l] - v00[l]) * tx;
-        const double b = v01[l] + (v11[l] - v01[l]) * tx;
-        out[l] = a + (b - a) * ty;
-    }
-}
-
-/** `fractal` (and the amplitude scale of `heightAt`) over four ground
- *  points — per-lane op-for-op identical to the scalar octave loop. */
-void
-heightAt4(const TerrainParams &params, const double px[kLanes],
-          const double pz[kLanes], double out[kLanes])
+template <typename Fn>
+double
+forEachOctave(const TerrainParams &params, Fn &&fn)
 {
     double amp = 1.0;
     double freq = 1.0 / params.featureScale;
-    double sum[kLanes] = {};
     double norm = 0.0;
     for (int o = 0; o < params.octaves; ++o) {
-        double xs[kLanes], ys[kLanes], n[kLanes];
-        for (int l = 0; l < kLanes; ++l) {
-            xs[l] = px[l] * freq;
-            ys[l] = pz[l] * freq;
-        }
-        noise2x4(params, xs, ys, 0x5eedULL + static_cast<std::uint64_t>(o),
-                 n);
-        for (int l = 0; l < kLanes; ++l)
-            sum[l] += amp * n[l];
+        fn(amp, freq, 0x5eedULL + static_cast<std::uint64_t>(o));
         norm += amp;
         amp *= 0.5;
         freq *= 2.0;
     }
-    for (int l = 0; l < kLanes; ++l)
-        out[l] = params.amplitude * (norm > 0.0 ? sum[l] / norm : 0.0);
+    return norm;
 }
 
 } // namespace
+
+Terrain::Terrain(const TerrainParams &params, Rect extent) : params_(params)
+{
+    if (params_.flat) {
+        global_ = {0.0, 0.0};
+        return;
+    }
+    const double amp = std::abs(params_.amplitude);
+    const double slack = kSlack * (amp + 1.0);
+    global_ = {-(amp + slack), amp + slack};
+
+    // Cells are half the finest lattice spacing, on an origin snapped
+    // to the coarse lattice, so each cell sits inside one lattice
+    // square per octave up to the edge epsilon below.
+    const double fs = params_.featureScale;
+    const double cell = std::ldexp(fs, -std::max(params_.octaves, 0));
+    const Vec2 origin{std::floor((extent.lo.x - fs) / fs) * fs,
+                      std::floor((extent.lo.y - fs) / fs) * fs};
+    const double cols = std::ceil((extent.hi.x + fs - origin.x) / cell);
+    const double rows = std::ceil((extent.hi.y + fs - origin.y) / cell);
+    if (!(cell > 0.0 && cols >= 1.0 && rows >= 1.0 &&
+          cols * rows <= kMaxCells))
+        return; // degenerate or oversized: every lookup is global
+    grid_ = {origin, cell, static_cast<int>(cols), static_cast<int>(rows)};
+    invCell_ = 1.0 / cell;
+    cellBounds_.resize(2 * static_cast<std::size_t>(cols * rows));
+
+    // The lookup's index rounding can file a point up to ~1e-13 m
+    // outside its nominal cell; bound each cell grown by far more.
+    const double edge = cell * 0x1.0p-20;
+    std::size_t k = 0;
+    for (int j = 0; j < grid_.rows; ++j) {
+        const double y0 = origin.y + j * cell - edge;
+        const double y1 = origin.y + (j + 1) * cell + edge;
+        for (int i = 0; i < grid_.cols; ++i) {
+            const double x0 = origin.x + i * cell - edge;
+            const double x1 = origin.x + (i + 1) * cell + edge;
+            // `fractal`'s octave sum, per bound. Rounding is monotone,
+            // so fl(x0 * f) <= fl(p.x * f) for every p.x >= x0: the
+            // scaled ranges hold every noise argument in the cell.
+            double lo = 0.0;
+            double hi = 0.0;
+            const double norm = forEachOctave(
+                params_, [&](double w, double f, std::uint64_t salt) {
+                    const HeightBounds n = noiseRange(
+                        x0 * f, x1 * f, y0 * f, y1 * f, params_.seed, salt);
+                    lo += w * n.lo;
+                    hi += w * n.hi;
+                });
+            const double scale = norm > 0.0 ? params_.amplitude / norm : 0.0;
+            lo *= scale;
+            hi *= scale;
+            if (lo > hi)
+                std::swap(lo, hi); // negative amplitude
+            // One float step outward from the nearest float is on the
+            // safe side of the double bound.
+            cellBounds_[k++] = std::nextafter(static_cast<float>(lo - slack),
+                                              -kInfF);
+            cellBounds_[k++] = std::nextafter(static_cast<float>(hi + slack),
+                                              kInfF);
+        }
+    }
+}
+
+Terrain::HeightBounds
+Terrain::heightBounds(Vec2 p) const
+{
+    const double cx = (p.x - grid_.origin.x) * invCell_;
+    const double cy = (p.y - grid_.origin.y) * invCell_;
+    // Negated so NaN coordinates fall through to the global bound, as
+    // does every point of a terrain with no grid or a moved-from one.
+    if (!(cx >= 0.0 && cx < grid_.cols && cy >= 0.0 && cy < grid_.rows) ||
+        cellBounds_.empty())
+        return global_;
+    const std::size_t k =
+        2 * (static_cast<std::size_t>(cy) *
+                 static_cast<std::size_t>(grid_.cols) +
+             static_cast<std::size_t>(cx));
+    return {cellBounds_[k], cellBounds_[k + 1]};
+}
+
+Terrain::MarchStats
+Terrain::takeThreadStats()
+{
+    const MarchStats stats = tlsStats;
+    tlsStats = {};
+    return stats;
+}
 
 double
 Terrain::noise2(double x, double y, std::uint64_t salt) const
@@ -144,29 +213,20 @@ Terrain::noise2(double x, double y, std::uint64_t salt) const
     const auto iy = static_cast<std::int64_t>(fy);
     const double tx = fade(x - fx);
     const double ty = fade(y - fy);
-    const double v00 = latticeValue(ix, iy, params_.seed, salt);
-    const double v10 = latticeValue(ix + 1, iy, params_.seed, salt);
-    const double v01 = latticeValue(ix, iy + 1, params_.seed, salt);
-    const double v11 = latticeValue(ix + 1, iy + 1, params_.seed, salt);
-    const double a = v00 + (v10 - v00) * tx;
-    const double b = v01 + (v11 - v01) * tx;
-    return a + (b - a) * ty;
+    return blend(latticeValue(ix, iy, params_.seed, salt),
+                 latticeValue(ix + 1, iy, params_.seed, salt),
+                 latticeValue(ix, iy + 1, params_.seed, salt),
+                 latticeValue(ix + 1, iy + 1, params_.seed, salt), tx, ty);
 }
 
 double
 Terrain::fractal(Vec2 p) const
 {
-    double amp = 1.0;
-    double freq = 1.0 / params_.featureScale;
     double sum = 0.0;
-    double norm = 0.0;
-    for (int o = 0; o < params_.octaves; ++o) {
-        sum += amp * noise2(p.x * freq, p.y * freq,
-                            0x5eedULL + static_cast<std::uint64_t>(o));
-        norm += amp;
-        amp *= 0.5;
-        freq *= 2.0;
-    }
+    const double norm = forEachOctave(
+        params_, [&](double w, double f, std::uint64_t salt) {
+            sum += w * noise2(p.x * f, p.y * f, salt);
+        });
     return norm > 0.0 ? sum / norm : 0.0;
 }
 
@@ -203,117 +263,73 @@ Terrain::intersect(const Ray &ray, double maxDist, double abortBeyond) const
             return std::nullopt;
         return t;
     }
-    // Adaptive march (step grows with distance — angular error budget),
-    // then bisection refinement; the per-sample schedule and brackets,
-    // evaluated four schedule points per heightAt4 batch. A ray whose
-    // clipped start is already below the surface is treated as clipped
-    // out (no hit), matching depth-interval clipping semantics in the
-    // renderer.
-    double t_prev = ray.tMin;
-    const double h_start = ray.origin.y + t_prev * ray.dir.y -
-                           heightAt(ray.at(t_prev).ground());
-    if (h_start <= 0.0)
-        return std::nullopt;
-    const double limit = std::min(ray.tMax, maxDist);
-    // Early-escape threshold for climbing rays. The fractal is a
-    // normalized average of [-1, 1) noise, so |height| < |amplitude|
-    // everywhere: above |amplitude| a non-descending ray can never
-    // cross, making escape at |amplitude| result-identical to marching
-    // on. The min() with amplitude + 0.5 (the per-sample march's
-    // threshold) keeps the escape no later than that march's for any
-    // params.
-    const double escape =
-        std::min(params_.amplitude + 0.5, std::abs(params_.amplitude));
-    const bool climbing = ray.dir.y >= 0.0;
-    const auto bisect = [&](double lo, double hi) {
-        for (int i = 0; i < 16; ++i) {
-            const double mid = 0.5 * (lo + hi);
-            const Vec3 mp = ray.at(mid);
-            if (mp.y - heightAt(mp.ground()) <= 0.0)
-                hi = mid;
-            else
-                lo = mid;
-        }
-        return hi;
+    MarchStats stats;
+    // The crossing test `y - heightAt(g) <= 0.0`. For finite doubles
+    // fl(y - h) <= 0 exactly when y <= h, so y above the cell's max
+    // proves it false and y at or below the cell's min proves it true;
+    // only the band between pays for heightAt.
+    const auto below = [&](double y, Vec2 g) {
+        const HeightBounds b = heightBounds(g);
+        if (y > b.hi)
+            return false;
+        if (y <= b.lo)
+            return true;
+        ++stats.heightEvals;
+        return y - heightAt(g) <= 0.0;
     };
-    double t = t_prev;
-    // Scalar prologue: rays from a low eye looking down cross within
-    // the first few samples, and a 4-wide batch would pay for four
-    // height evaluations where one suffices. The schedule is a pure
-    // function of t, so peeling samples off the front changes nothing
-    // but the batching.
-    for (int k = 0; k < kLanes && t < limit; ++k) {
-        t = std::min(limit, t + std::max(0.35, t * 0.025));
-        const Vec3 p = ray.at(t);
-        if (climbing && p.y > escape)
+    const std::optional<double> hit = [&]() -> std::optional<double> {
+        // Adaptive march (step grows with distance — angular error
+        // budget), then bisection refinement. A ray whose clipped start
+        // is already below the surface is treated as clipped out (no
+        // hit), matching depth-interval clipping semantics in the
+        // renderer.
+        double t_prev = ray.tMin;
+        if (below(ray.origin.y + t_prev * ray.dir.y,
+                  ray.at(t_prev).ground()))
             return std::nullopt;
-        if (p.y - heightAt(p.ground()) <= 0.0)
-            return bisect(t_prev, t);
-        if (t > abortBeyond)
-            return std::nullopt;
-        t_prev = t;
-    }
-#ifdef COTERIE_SIMD_VECTOR_EXT
-    constexpr bool batched_march = true;
-#else
-    // Scalar-lane fallback build: heightAt4 has no SIMD payoff, and a
-    // batch always evaluates its full width — overshoot work the
-    // per-sample march below avoids. Same schedule, same results.
-    constexpr bool batched_march = false;
-#endif
-    if (!batched_march) {
+        const double limit = std::min(ray.tMax, maxDist);
+        // Early-escape threshold for climbing rays. The fractal is a
+        // normalized average of [-1, 1) noise, so |height| < |amplitude|
+        // everywhere: above |amplitude| a non-descending ray can never
+        // cross, making escape at |amplitude| result-identical to
+        // marching on. The min() with amplitude + 0.5 (the per-sample
+        // march's threshold) keeps the escape no later than that
+        // march's for any params.
+        const double escape =
+            std::min(params_.amplitude + 0.5, std::abs(params_.amplitude));
+        const bool climbing = ray.dir.y >= 0.0;
+        double t = t_prev;
         while (t < limit) {
             t = std::min(limit, t + std::max(0.35, t * 0.025));
+            ++stats.marchSamples;
             const Vec3 p = ray.at(t);
             if (climbing && p.y > escape)
                 return std::nullopt;
-            if (p.y - heightAt(p.ground()) <= 0.0)
-                return bisect(t_prev, t);
+            if (below(p.y, p.ground())) {
+                double lo = t_prev;
+                double hi = t;
+                for (int i = 0; i < 16; ++i) {
+                    const double mid = 0.5 * (lo + hi);
+                    const Vec3 mp = ray.at(mid);
+                    if (below(mp.y, mp.ground()))
+                        hi = mid;
+                    else
+                        lo = mid;
+                }
+                return hi;
+            }
+            // No crossing up to this sample: a later root would bisect
+            // to hi > t > abortBeyond, which the caller has declared
+            // irrelevant (occluded by a closer hit).
             if (t > abortBeyond)
                 return std::nullopt;
             t_prev = t;
         }
         return std::nullopt;
-    }
-    while (t < limit) {
-        // Next (up to) kLanes points of the per-sample schedule; the
-        // schedule is a pure function of t, so batching does not move
-        // any sample.
-        double ts[kLanes];
-        int n = 0;
-        while (n < kLanes && t < limit) {
-            t = std::min(limit, t + std::max(0.35, t * 0.025));
-            ts[n++] = t;
-        }
-        double px[kLanes], py[kLanes], pz[kLanes];
-        for (int k = 0; k < n; ++k) {
-            const Vec3 p = ray.at(ts[k]);
-            px[k] = p.x;
-            py[k] = p.y;
-            pz[k] = p.z;
-        }
-        for (int k = n; k < kLanes; ++k) { // pad idle lanes
-            px[k] = px[n - 1];
-            py[k] = py[n - 1];
-            pz[k] = pz[n - 1];
-        }
-        double height[kLanes];
-        heightAt4(params_, px, pz, height);
-        for (int k = 0; k < n; ++k) {
-            // Early escape: climbing above any possible terrain.
-            if (climbing && py[k] > escape)
-                return std::nullopt;
-            if (py[k] - height[k] <= 0.0)
-                return bisect(t_prev, ts[k]);
-            // No crossing up to this sample: a later root would
-            // bisect to hi > ts[k] > abortBeyond, which the caller
-            // has declared irrelevant (occluded by a closer hit).
-            if (ts[k] > abortBeyond)
-                return std::nullopt;
-            t_prev = ts[k];
-        }
-    }
-    return std::nullopt;
+    }();
+    tlsStats.marchSamples += stats.marchSamples;
+    tlsStats.heightEvals += stats.heightEvals;
+    return hit;
 }
 
 image::Rgb

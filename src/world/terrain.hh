@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <vector>
 
 #include "geom/ray.hh"
 #include "geom/region.hh"
@@ -38,11 +39,16 @@ struct TerrainParams
 /**
  * Continuous heightfield over the ground plane, built from fractal
  * value noise. Deterministic in its seed.
+ *
+ * Construction also builds a conservative min/max height grid over
+ * @p extent grown by one `featureScale` (DESIGN §10): the ray march
+ * consults it first and evaluates `heightAt` only where the bounds
+ * cannot decide whether a sample is above or below the surface.
  */
 class Terrain
 {
   public:
-    explicit Terrain(const TerrainParams &params = {});
+    Terrain(const TerrainParams &params, geom::Rect extent);
 
     const TerrainParams &params() const { return params_; }
 
@@ -58,14 +64,45 @@ class Terrain
      */
     double foothold(geom::Vec2 p) const { return heightAt(p); }
 
+    /** Bounds with `lo <= heightAt(p) <= hi`. */
+    struct HeightBounds
+    {
+        double lo = 0.0;
+        double hi = 0.0;
+    };
+
+    /**
+     * Bounds on `heightAt` over the grid cell containing @p p; outside
+     * the grid (or with no grid) the global bound ±|amplitude|, widened
+     * by the same rounding slack.
+     */
+    HeightBounds heightBounds(geom::Vec2 p) const;
+
+    /** Placement of the min/max grid; `cols == 0` when there is none
+     *  (flat terrain, degenerate params or extent). Cell (i, j) spans
+     *  `origin + [i, i+1) * cell` on x and `[j, j+1) * cell` on the
+     *  ground-plane y. */
+    struct GridShape
+    {
+        geom::Vec2 origin;
+        double cell = 0.0;
+        int cols = 0;
+        int rows = 0;
+    };
+    const GridShape &gridShape() const { return grid_; }
+
     /**
      * March a ray against the heightfield; returns hit distance, or
-     * nullopt if the ray escapes. Step-marched with refinement; the
-     * noise evaluations run four schedule points at a time through the
-     * SIMD hash kernel, bit-identical to a per-sample scalar march over
-     * `heightAt` (the integer hash core is exact and the FP glue stays
-     * scalar — tests/terrain_test.cc asserts equality against the
-     * reference march in tests/reference_render.hh).
+     * nullopt if the ray escapes. Step-marched with refinement: the
+     * adaptive sample schedule, then 16 bisection steps on the first
+     * crossing. Every crossing test first asks `heightBounds`; a sample
+     * above the cell's max or at/below its min is decided without
+     * calling `heightAt`, and the rest evaluate it exactly. For finite
+     * doubles `fl(y - h) <= 0` exactly when `y <= h`, so the decisions
+     * — and every hit — are bit-identical to the per-sample march in
+     * tests/reference_render.hh, which tests/terrain_test.cc asserts.
+     * A ray whose clipped start is already below the surface counts
+     * as clipped out (no hit).
      *
      * @p abortBeyond lets the renderer stop marching once the sample
      * distance exceeds a known closer object hit: the march aborts only
@@ -80,6 +117,20 @@ class Terrain
               double abortBeyond =
                   std::numeric_limits<double>::infinity()) const;
 
+    /**
+     * Per-thread march counters: schedule samples taken and `heightAt`
+     * calls made by `intersect` on the calling thread. Reading resets
+     * them; the renderer drains them per row chunk into
+     * `terrain.march_samples` / `terrain.height_evals`, like
+     * `Bvh::takeThreadStats`.
+     */
+    struct MarchStats
+    {
+        std::uint64_t marchSamples = 0;
+        std::uint64_t heightEvals = 0;
+    };
+    static MarchStats takeThreadStats();
+
     /** Ground albedo at a point (height/moisture-tinted). */
     image::Rgb colorAt(geom::Vec2 p) const;
 
@@ -91,6 +142,11 @@ class Terrain
     double fractal(geom::Vec2 p) const;
 
     TerrainParams params_;
+    GridShape grid_;
+    double invCell_ = 0.0;
+    HeightBounds global_;
+    /** Per cell, row-major: lo then hi, rounded outward to float. */
+    std::vector<float> cellBounds_;
 };
 
 } // namespace coterie::world

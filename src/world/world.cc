@@ -15,7 +15,8 @@ using geom::Vec3;
 
 VirtualWorld::VirtualWorld(std::string name, Rect bounds,
                            TerrainParams terrain, SceneType type)
-    : name_(std::move(name)), bounds_(bounds), terrain_(terrain), type_(type)
+    : name_(std::move(name)), bounds_(bounds), terrain_(terrain, bounds),
+      type_(type)
 {
     COTERIE_ASSERT(bounds.width() > 0 && bounds.height() > 0,
                    "degenerate world bounds");
@@ -25,7 +26,7 @@ VirtualWorld::~VirtualWorld() = default;
 
 VirtualWorld::VirtualWorld(VirtualWorld &&other) noexcept
     : name_(std::move(other.name_)), bounds_(other.bounds_),
-      terrain_(other.terrain_), type_(other.type_),
+      terrain_(std::move(other.terrain_)), type_(other.type_),
       eyeHeight_(other.eyeHeight_), objects_(std::move(other.objects_))
 {
     if (other.bvh_) {
@@ -40,7 +41,7 @@ VirtualWorld::operator=(VirtualWorld &&other) noexcept
     if (this != &other) {
         name_ = std::move(other.name_);
         bounds_ = other.bounds_;
-        terrain_ = other.terrain_;
+        terrain_ = std::move(other.terrain_);
         type_ = other.type_;
         eyeHeight_ = other.eyeHeight_;
         objects_ = std::move(other.objects_);

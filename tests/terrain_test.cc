@@ -1,35 +1,43 @@
 /**
  * @file
  * Tests for the procedural terrain: determinism, continuity, flat
- * floors, ray-march/heightfield consistency, and the foothold query
- * used to place the player camera.
+ * floors, ray-march/heightfield consistency, the soundness of the
+ * min/max height grid, and the foothold query used to place the
+ * player camera.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "reference_render.hh"
 #include "support/rng.hh"
+#include "world/gen/generators.hh"
 #include "world/terrain.hh"
+#include "world/world.hh"
 
 namespace coterie::world {
 namespace {
 
 using geom::Ray;
+using geom::Rect;
 using geom::Vec2;
 using geom::Vec3;
+
+/** Extent for the standalone terrains: covers every test ray. */
+const Rect kExtent{{-100.0, -100.0}, {100.0, 100.0}};
 
 TEST(Terrain, DeterministicInSeed)
 {
     TerrainParams p;
     p.seed = 77;
-    Terrain a(p), b(p);
+    Terrain a(p, kExtent), b(p, kExtent);
     for (double x = 0; x < 50; x += 7.3)
         EXPECT_DOUBLE_EQ(a.heightAt({x, x * 2}), b.heightAt({x, x * 2}));
     p.seed = 78;
-    Terrain c(p);
+    Terrain c(p, kExtent);
     bool differs = false;
     for (double x = 0; x < 50; x += 7.3)
         differs |= a.heightAt({x, x}) != c.heightAt({x, x});
@@ -40,7 +48,7 @@ TEST(Terrain, HeightBoundedByAmplitude)
 {
     TerrainParams p;
     p.amplitude = 3.0;
-    Terrain t(p);
+    Terrain t(p, kExtent);
     for (double x = -100; x < 100; x += 3.7)
         for (double y = -100; y < 100; y += 11.1)
             EXPECT_LE(std::abs(t.heightAt({x, y})), p.amplitude + 1e-9);
@@ -48,7 +56,7 @@ TEST(Terrain, HeightBoundedByAmplitude)
 
 TEST(Terrain, Continuity)
 {
-    Terrain t{TerrainParams{}};
+    const Terrain t(TerrainParams{}, kExtent);
     const double h0 = t.heightAt({10.0, 10.0});
     const double h1 = t.heightAt({10.001, 10.0});
     EXPECT_NEAR(h0, h1, 0.01);
@@ -58,21 +66,21 @@ TEST(Terrain, FlatFloorIsZero)
 {
     TerrainParams p;
     p.flat = true;
-    Terrain t(p);
+    Terrain t(p, kExtent);
     EXPECT_DOUBLE_EQ(t.heightAt({12.3, -4.5}), 0.0);
     EXPECT_EQ(t.normalAt({1, 1}), Vec3(0.0, 1.0, 0.0));
 }
 
 TEST(Terrain, FootholdEqualsHeight)
 {
-    Terrain t{TerrainParams{}};
+    const Terrain t(TerrainParams{}, kExtent);
     const Vec2 p{31.0, 8.0};
     EXPECT_DOUBLE_EQ(t.foothold(p), t.heightAt(p));
 }
 
 TEST(Terrain, NormalIsUnitAndUpish)
 {
-    Terrain t{TerrainParams{}};
+    const Terrain t(TerrainParams{}, kExtent);
     for (double x = 0; x < 60; x += 13.7) {
         const Vec3 n = t.normalAt({x, 2 * x});
         EXPECT_NEAR(n.length(), 1.0, 1e-9);
@@ -82,7 +90,7 @@ TEST(Terrain, NormalIsUnitAndUpish)
 
 TEST(Terrain, DownwardRayHitsSurfaceAtHeight)
 {
-    Terrain t{TerrainParams{}};
+    const Terrain t(TerrainParams{}, kExtent);
     const Vec2 ground{25.0, 40.0};
     Ray ray;
     ray.origin = geom::lift(ground, 50.0);
@@ -95,7 +103,7 @@ TEST(Terrain, DownwardRayHitsSurfaceAtHeight)
 
 TEST(Terrain, UpwardRayEscapes)
 {
-    Terrain t{TerrainParams{}};
+    const Terrain t(TerrainParams{}, kExtent);
     Ray ray;
     ray.origin = {10.0, 10.0, 10.0};
     ray.dir = Vec3{0.1, 1.0, 0.1}.normalized();
@@ -104,7 +112,7 @@ TEST(Terrain, UpwardRayEscapes)
 
 TEST(Terrain, RayStartingBelowSurfaceIsClippedOut)
 {
-    Terrain t{TerrainParams{}};
+    const Terrain t(TerrainParams{}, kExtent);
     Ray ray;
     // Start well below any terrain and look horizontally: the clipped
     // start is below ground, which the renderer treats as "clipped".
@@ -117,7 +125,7 @@ TEST(Terrain, FlatFloorRayIntersection)
 {
     TerrainParams p;
     p.flat = true;
-    Terrain t(p);
+    Terrain t(p, kExtent);
     Ray ray;
     ray.origin = {0.0, 2.0, 0.0};
     ray.dir = Vec3{1.0, -1.0, 0.0}.normalized();
@@ -126,36 +134,69 @@ TEST(Terrain, FlatFloorRayIntersection)
     EXPECT_NEAR(ray.at(*hit).y, 0.0, 1e-9);
 }
 
+/** How the min/max grid settles one crossing test of the march. */
+enum GridOutcome { Above, AtOrBelow, Undecided, OutOfGrid, kOutcomes };
+
+/**
+ * Classify the test `y - heightAt(g) <= 0` the way `intersect` meets
+ * it, and check that every decision the bounds make agrees with the
+ * exact test.
+ */
+GridOutcome
+gridOutcome(const Terrain &t, double y, Vec2 g)
+{
+    const Terrain::GridShape &s = t.gridShape();
+    if (!(g.x >= s.origin.x && g.x < s.origin.x + s.cols * s.cell &&
+          g.y >= s.origin.y && g.y < s.origin.y + s.rows * s.cell))
+        return OutOfGrid;
+    const Terrain::HeightBounds b = t.heightBounds(g);
+    const bool below = y - t.heightAt(g) <= 0.0;
+    if (y > b.hi) {
+        EXPECT_FALSE(below);
+        return Above;
+    }
+    if (y <= b.lo) {
+        EXPECT_TRUE(below);
+        return AtOrBelow;
+    }
+    return Undecided;
+}
+
 TEST(Terrain, MarchMatchesReferenceOverRaySweep)
 {
-    // The SIMD-batched march (scalar prologue + 4-wide sample batches)
-    // must be bit-identical to the per-sample reference march: same
-    // hit/miss decision and the exact same distance.
+    // The grid-assisted march must be bit-identical to the per-sample
+    // reference march: same hit/miss decision and the exact same
+    // distance.
     TerrainParams p;
     p.seed = 9;
     p.amplitude = 4.0;
-    Terrain t(p);
+    const double maxDist = 300.0;
+    const Terrain t(p, Rect{{-340.0, -340.0}, {340.0, 340.0}});
     int hits = 0, misses = 0;
+    const auto expectMatch = [&](const Ray &ray) {
+        const auto fast = t.intersect(ray, maxDist);
+        const auto ref = render::reference::terrainIntersect(t, ray, maxDist);
+        ASSERT_EQ(fast.has_value(), ref.has_value());
+        if (ref) {
+            EXPECT_EQ(*fast, *ref);
+            ++hits;
+        } else {
+            ++misses;
+        }
+    };
+    const auto direction = [](double yaw, double pitch) {
+        return Vec3{std::cos(yaw) * std::cos(pitch), std::sin(pitch),
+                    std::sin(yaw) * std::cos(pitch)}
+            .normalized();
+    };
     for (double ox = -40; ox <= 40; ox += 16.0) {
         for (double oy : {1.5, 6.0, 30.0}) {
             for (double pitch : {-0.8, -0.2, -0.02, 0.0, 0.15}) {
                 for (double yaw = 0.0; yaw < 6.0; yaw += 0.9) {
                     Ray ray;
                     ray.origin = {ox, oy, -ox * 0.5};
-                    ray.dir = Vec3{std::cos(yaw) * std::cos(pitch),
-                                   std::sin(pitch),
-                                   std::sin(yaw) * std::cos(pitch)}
-                                  .normalized();
-                    const auto fast = t.intersect(ray, 300.0);
-                    const auto ref =
-                        render::reference::terrainIntersect(t, ray, 300.0);
-                    ASSERT_EQ(fast.has_value(), ref.has_value());
-                    if (ref) {
-                        EXPECT_EQ(*fast, *ref);
-                        ++hits;
-                    } else {
-                        ++misses;
-                    }
+                    ray.dir = direction(yaw, pitch);
+                    expectMatch(ray);
                 }
             }
         }
@@ -163,6 +204,48 @@ TEST(Terrain, MarchMatchesReferenceOverRaySweep)
     // The sweep must exercise both outcomes to mean anything.
     EXPECT_GT(hits, 100);
     EXPECT_GT(misses, 100);
+
+    // Far-BE-shaped rays: the eye 1.7 m above the foothold and the
+    // march starting at a cutoff, from feet inside the grid, on its
+    // edges and outside it. The schedule walk below mirrors the
+    // reference march to classify each sample it tests.
+    const Terrain::GridShape &s = t.gridShape();
+    const double gridEnd = s.origin.x + s.cols * s.cell;
+    int start[kOutcomes] = {};
+    int sample[kOutcomes] = {};
+    for (double fx : {0.0, s.origin.x, gridEnd, gridEnd + 40.0}) {
+        const Vec2 foot{fx, 0.3 * fx};
+        for (double cutoff : {5.0, 15.0, 30.0, 60.0}) {
+            for (double pitch : {-0.5, -0.15, -0.05, 0.0, 0.1}) {
+                for (double yaw = 0.0; yaw < 6.0; yaw += 0.7) {
+                    Ray ray;
+                    ray.origin = geom::lift(foot, t.heightAt(foot) + 1.7);
+                    ray.dir = direction(yaw, pitch);
+                    ray.tMin = cutoff;
+                    expectMatch(ray);
+                    const Vec3 s0 = ray.at(cutoff);
+                    const double y0 = ray.origin.y + cutoff * ray.dir.y;
+                    ++start[gridOutcome(t, y0, s0.ground())];
+                    if (y0 - t.heightAt(s0.ground()) <= 0.0)
+                        continue; // clipped out at the start
+                    for (double tt = cutoff; tt < maxDist;) {
+                        tt = std::min(maxDist, tt + std::max(0.35, tt * 0.025));
+                        const Vec3 q = ray.at(tt);
+                        if (ray.dir.y >= 0.0 && q.y > p.amplitude + 0.5)
+                            break;
+                        ++sample[gridOutcome(t, q.y, q.ground())];
+                        if (q.y - t.heightAt(q.ground()) <= 0.0)
+                            break;
+                    }
+                }
+            }
+        }
+    }
+    // No grid branch is tested vacuously.
+    for (int o = 0; o < kOutcomes; ++o) {
+        EXPECT_GT(start[o], 0) << "start outcome " << o;
+        EXPECT_GT(sample[o], 0) << "sample outcome " << o;
+    }
 }
 
 TEST(Terrain, AbortBeyondPreservesAcceptedHits)
@@ -173,7 +256,8 @@ TEST(Terrain, AbortBeyondPreservesAcceptedHits)
     // uncapped hit at or before the cap survives capping.
     TerrainParams p;
     p.seed = 5;
-    Terrain t(p);
+    // Origins within ±50 m, rays up to 200 m.
+    Terrain t(p, Rect{{-250.0, -250.0}, {250.0, 250.0}});
     Rng rng(31);
     for (int i = 0; i < 400; ++i) {
         Ray ray;
@@ -205,11 +289,119 @@ TEST(Terrain, AbortBeyondPreservesAcceptedHits)
         EXPECT_EQ(*inf_cap, *plain);
 }
 
+/**
+ * Assert `lo <= heightAt(p) <= hi` over @p t's grid: @p dense interior
+ * points per cell and axis, every cell edge and corner, and the
+ * nextafter neighbours on both sides of each; then at points outside
+ * the grid, where the global ±|amplitude| bound applies. Returns the
+ * mean bound width inside the grid.
+ */
+double
+expectBoundsHold(const Terrain &t, int dense)
+{
+    const Terrain::GridShape &s = t.gridShape();
+    EXPECT_GT(s.cols, 0);
+    EXPECT_GT(s.rows, 0);
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto axis = [&](double origin, int cells) {
+        std::vector<double> v;
+        for (int i = 0; i <= cells; ++i) {
+            const double edge = origin + i * s.cell;
+            v.push_back(std::nextafter(edge, -inf));
+            v.push_back(edge);
+            v.push_back(std::nextafter(edge, inf));
+            for (int k = 0; k < dense && i < cells; ++k)
+                v.push_back(edge + (k + 0.5) / dense * s.cell);
+        }
+        return v;
+    };
+    int failures = 0;
+    const auto check = [&](Vec2 at) {
+        const Terrain::HeightBounds b = t.heightBounds(at);
+        const double h = t.heightAt(at);
+        if (!(b.lo <= h && h <= b.hi) && ++failures <= 5) {
+            ADD_FAILURE() << "height " << h << " outside [" << b.lo << ", "
+                          << b.hi << "] at (" << at.x << ", " << at.y
+                          << ")";
+        }
+        return b;
+    };
+    double width = 0.0;
+    int points = 0;
+    for (double y : axis(s.origin.y, s.rows))
+        for (double x : axis(s.origin.x, s.cols)) {
+            const Terrain::HeightBounds b = check({x, y});
+            width += b.hi - b.lo;
+            ++points;
+        }
+    const double amp = std::abs(t.params().amplitude);
+    const Vec2 end{s.origin.x + s.cols * s.cell,
+                   s.origin.y + s.rows * s.cell};
+    for (const Vec2 out :
+         {Vec2{s.origin.x - 0.5 * s.cell, s.origin.y + 0.5 * s.cell},
+          Vec2{end.x, s.origin.y}, Vec2{s.origin.x, end.y},
+          Vec2{end.x + 3.0 * s.cell, end.y + 1.0}, Vec2{-1.0e5, 2.5e5}}) {
+        const Terrain::HeightBounds b = check(out);
+        EXPECT_LE(b.lo, -amp);
+        EXPECT_GE(b.hi, amp);
+    }
+    EXPECT_EQ(failures, 0);
+    return width / points;
+}
+
+TEST(Terrain, HeightBoundsHoldOverGameTerrains)
+{
+    for (const gen::GameId id :
+         {gen::GameId::Racing, gen::GameId::CTS, gen::GameId::Viking}) {
+        const VirtualWorld world = gen::makeWorld(id, 42);
+        SCOPED_TRACE(world.name());
+        const double width = expectBoundsHold(world.terrain(), 3);
+        // Tight enough to decide most samples: well under the global
+        // bound's 2|amplitude|.
+        EXPECT_LT(width, 0.5 * world.terrain().params().amplitude);
+    }
+}
+
+TEST(Terrain, HeightBoundsHoldForEdgeParams)
+{
+    const Rect extent{{-13.3, 7.1}, {41.0, 52.5}};
+    std::vector<TerrainParams> sets;
+    for (int octaves : {0, 1, 5}) {
+        TerrainParams p;
+        p.seed = 11;
+        p.octaves = octaves;
+        sets.push_back(p);
+    }
+    TerrainParams negative;
+    negative.amplitude = -3.0;
+    sets.push_back(negative);
+    TerrainParams fine;
+    fine.featureScale = 7.0;
+    sets.push_back(fine);
+    for (const TerrainParams &p : sets) {
+        SCOPED_TRACE(::testing::Message()
+                     << "octaves " << p.octaves << " amplitude "
+                     << p.amplitude << " featureScale " << p.featureScale);
+        expectBoundsHold(Terrain(p, extent), 3);
+    }
+}
+
+TEST(Terrain, FlatTerrainHasNoGrid)
+{
+    TerrainParams p;
+    p.flat = true;
+    const Terrain t(p, kExtent);
+    EXPECT_EQ(t.gridShape().cols, 0);
+    const Terrain::HeightBounds b = t.heightBounds({3.0, -7.0});
+    EXPECT_EQ(b.lo, 0.0);
+    EXPECT_EQ(b.hi, 0.0);
+}
+
 TEST(Terrain, TrianglesWithinScalesWithArea)
 {
     TerrainParams p;
     p.trianglesPerM2 = 10.0;
-    Terrain t(p);
+    Terrain t(p, kExtent);
     const double t1 = t.trianglesWithin({0, 0}, 10.0);
     const double t2 = t.trianglesWithin({0, 0}, 20.0);
     EXPECT_NEAR(t2 / t1, 4.0, 1e-9);
@@ -218,7 +410,7 @@ TEST(Terrain, TrianglesWithinScalesWithArea)
 
 TEST(Terrain, ColorVariesAcrossTerrain)
 {
-    Terrain t{TerrainParams{}};
+    const Terrain t(TerrainParams{}, kExtent);
     const auto c1 = t.colorAt({0, 0});
     bool varies = false;
     for (double x = 5; x < 200 && !varies; x += 17)

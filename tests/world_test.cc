@@ -2,10 +2,14 @@
  * @file
  * Tests for WorldObject geometry and the VirtualWorld spatial queries:
  * objectsWithin, near-set signatures (stability and angular-size
- * filtering), triangle counts, and eye placement.
+ * filtering), triangle counts, eye placement, and moves.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "world/world.hh"
 
@@ -166,6 +170,50 @@ TEST(World, MoveSemantics)
     EXPECT_EQ(moved.objects().size(), n);
     EXPECT_TRUE(moved.finalized());
     EXPECT_EQ(moved.objectsWithin({50, 50}, 5.0).size(), 2u);
+}
+
+TEST(World, MoveKeepsTerrainQueries)
+{
+    // The terrain (and its min/max grid) moves with the world: heights
+    // and ray hits answer exactly as before the move, by move
+    // construction and by move assignment.
+    TerrainParams terrain;
+    terrain.seed = 3;
+    terrain.amplitude = 5.0;
+    VirtualWorld world("hills", Rect{{0, 0}, {120, 80}}, terrain);
+    world.finalize();
+    std::vector<double> heights;
+    std::vector<std::optional<double>> hits;
+    const auto probe = [&](const VirtualWorld &w) {
+        heights.clear();
+        hits.clear();
+        for (double x = -10; x < 130; x += 6.7) {
+            const Vec2 at{x, 0.6 * x};
+            heights.push_back(w.terrain().heightAt(at));
+            geom::Ray ray;
+            ray.origin = w.eyePosition(at);
+            ray.dir = Vec3{0.8, -0.15, 0.3}.normalized();
+            ray.tMin = 5.0;
+            hits.push_back(w.terrain().intersect(ray, 300.0));
+        }
+    };
+    probe(world);
+    const std::vector<double> heights0 = heights;
+    const std::vector<std::optional<double>> hits0 = hits;
+    ASSERT_GT(std::count_if(hits0.begin(), hits0.end(),
+                            [](const auto &h) { return h.has_value(); }),
+              0);
+
+    VirtualWorld moved = std::move(world);
+    probe(moved);
+    EXPECT_EQ(heights, heights0);
+    EXPECT_EQ(hits, hits0);
+
+    VirtualWorld assigned("other", Rect{{0, 0}, {10, 10}}, TerrainParams{});
+    assigned = std::move(moved);
+    probe(assigned);
+    EXPECT_EQ(heights, heights0);
+    EXPECT_EQ(hits, hits0);
 }
 
 } // namespace

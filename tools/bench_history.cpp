@@ -13,11 +13,12 @@
 //
 // Every numeric leaf is flattened to a '/'-joined path and compared.
 // Direction is inferred from the metric name: timings (`*_ms`, `*_s`,
-// `*_ns`) regress when they grow, rates and ratios (`*speedup*`,
-// `*_per_s`, `*hit_ratio*`, `*fps*`) regress when they shrink; metrics
-// with no recognizable direction are reported but never gate. In
-// directory mode, `BENCH_*.json` files present in both directories are
-// compared pairwise (files present on one side only are noted).
+// `*_ns`) and work counts (`*_per_ray`) regress when they grow, rates
+// and ratios (`*speedup*`, `*_per_s`, `*hit_ratio*`, `*fps*`) regress
+// when they shrink; metrics with no recognizable direction are
+// reported but never gate. In directory mode, `BENCH_*.json` files
+// present in both directories are compared pairwise (files present on
+// one side only are noted).
 //
 // Exit status: 0 = no regression beyond the threshold, 1 = at least
 // one gated metric regressed, 2 = usage/IO error or nothing to compare
@@ -106,7 +107,8 @@ directionOf(const std::string &path)
     if (endsWith(leaf, "_ms") || endsWith(leaf, "_s") ||
         endsWith(leaf, "_ns") || endsWith(leaf, "_us") ||
         leaf.find("_ms_") != std::string::npos ||
-        endsWith(leaf, "_bytes") || endsWith(leaf, "_kb"))
+        endsWith(leaf, "_bytes") || endsWith(leaf, "_kb") ||
+        endsWith(leaf, "_per_ray"))
         return Direction::LowerBetter;
     return Direction::Unknown;
 }

@@ -442,7 +442,7 @@ main(int argc, char **argv)
     for (auto &[name, series] : counters)
         std::sort(series.begin(), series.end());
 
-    // ---- Render hot path (bvh.* + pano-cache counter tracks) ------
+    // ---- Render hot path (bvh.*, terrain.* + pano-cache tracks) ---
     const auto lastCounter = [&](const char *name) -> double {
         const auto it = counters.find(name);
         if (it == counters.end() || it->second.empty())
@@ -451,9 +451,12 @@ main(int argc, char **argv)
     };
     const double bvhNodes = lastCounter("bvh.nodes_visited");
     const double bvhLeafTests = lastCounter("bvh.leaf_tests");
+    const double marchSamples = lastCounter("terrain.march_samples");
+    const double heightEvals = lastCounter("terrain.height_evals");
     const double panoHits = lastCounter("server.pano_cache.hits");
     const double panoMisses = lastCounter("server.pano_cache.misses");
-    if (bvhNodes >= 0.0 || panoHits >= 0.0 || panoMisses >= 0.0) {
+    if (bvhNodes >= 0.0 || marchSamples >= 0.0 || panoHits >= 0.0 ||
+        panoMisses >= 0.0) {
         std::size_t frames = 0;
         for (const char *span : {"render.panorama",
                                  "render.perspective"}) {
@@ -462,22 +465,23 @@ main(int argc, char **argv)
                 frames += it->second.durationsMs.count();
         }
         std::printf("\nRender hot path\n");
-        if (bvhNodes >= 0.0) {
-            std::printf("  %-28s %14.0f total", "bvh.nodes_visited",
-                        bvhNodes);
+        const auto perFrame = [&](const char *name, double total) {
+            if (total < 0.0)
+                return;
+            std::printf("  %-28s %14.0f total", name, total);
             if (frames > 0)
                 std::printf("  %12.1f / frame",
-                            bvhNodes / static_cast<double>(frames));
+                            total / static_cast<double>(frames));
             std::printf("\n");
-        }
-        if (bvhLeafTests >= 0.0) {
-            std::printf("  %-28s %14.0f total", "bvh.leaf_tests",
-                        bvhLeafTests);
-            if (frames > 0)
-                std::printf("  %12.1f / frame",
-                            bvhLeafTests / static_cast<double>(frames));
-            std::printf("\n");
-        }
+        };
+        perFrame("bvh.nodes_visited", bvhNodes);
+        perFrame("bvh.leaf_tests", bvhLeafTests);
+        perFrame("terrain.march_samples", marchSamples);
+        perFrame("terrain.height_evals", heightEvals);
+        if (marchSamples > 0.0 && heightEvals >= 0.0)
+            std::printf("  %-28s %14.3f heightAt calls / march sample\n",
+                        "terrain.evals_per_sample",
+                        heightEvals / marchSamples);
         if (panoHits >= 0.0 || panoMisses >= 0.0) {
             const double hits = std::max(panoHits, 0.0);
             const double misses = std::max(panoMisses, 0.0);
