@@ -28,10 +28,12 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
 #include "core/fleet.hh"
+#include "support/parallel.hh"
 
 using namespace coterie;
 using namespace coterie::bench;
@@ -70,16 +72,15 @@ runSweepPoint(int sessions, int players, double durationS, int renderW,
     cap.maxClients = sessions * players;
     SessionManager mgr(cap);
 
-    // One preprocessed base per point, wired to the manager's shared
-    // cache — the multi-tenant deployment shape. Similarity
-    // calibration is skipped: the fleet path under test never reads
-    // the thresholds it would tune.
+    // One preprocessed base per point; every session renders through
+    // the manager's shared cache — the multi-tenant deployment shape.
+    // Similarity calibration is skipped: the fleet path under test
+    // never reads the thresholds it would tune.
     SessionParams sp;
     sp.players = players;
     sp.durationS = durationS;
     sp.seed = 42;
     sp.calibrateSimilarity = false;
-    sp.frameStore.sharedPanoCache = mgr.panoCache();
     const auto base = Session::create(world::gen::GameId::Viking, sp);
 
     // Popular-route model: each trajectory seed is played by (up to)
@@ -130,9 +131,8 @@ runSweepPoint(int sessions, int players, double durationS, int renderW,
     point.avgFps = fps / static_cast<double>(fleet.sessions.size());
     point.p99LatencyMs = latencies.empty() ? 0.0 : latencies.percentile(99);
     point.renders = fleet.panoCache.misses;
-    const double served = static_cast<double>(
-        fleet.panoCache.hits + fleet.panoCache.misses +
-        fleet.panoCache.inflightJoins);
+    const double served =
+        static_cast<double>(fleet.panoCache.hits + fleet.panoCache.misses);
     point.hitRatio =
         served > 0.0 ? (served - static_cast<double>(fleet.panoCache.misses)) /
                            served
@@ -197,7 +197,6 @@ runOverload(double durationS)
     sp.durationS = durationS;
     sp.seed = 42;
     sp.calibrateSimilarity = false;
-    sp.frameStore.sharedPanoCache = mgr.panoCache();
     const auto base = Session::create(world::gen::GameId::Viking, sp);
 
     OverloadOutcome out;
@@ -361,6 +360,11 @@ main(int argc, char **argv)
     doc.set("game", obs::Json(std::string("viking")));
     doc.set("duration_s", obs::Json(durationS));
     doc.set("smoke", obs::Json(smoke));
+    doc.set("pool_lanes",
+            obs::Json(support::ThreadPool::instance().concurrency()));
+    doc.set("hardware_concurrency",
+            obs::Json(static_cast<std::uint64_t>(
+                std::thread::hardware_concurrency())));
     doc.set("points", std::move(points));
     doc.set("overload", std::move(overload));
     writeBenchJson("fleet", doc);

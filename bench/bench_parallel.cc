@@ -155,7 +155,6 @@ runSimLeg(int sessions, int players, double durationS, int renderW,
     sp.durationS = durationS;
     sp.seed = 42;
     sp.calibrateSimilarity = false;
-    sp.frameStore.sharedPanoCache = mgr.panoCache();
     const auto base = Session::create(world::gen::GameId::Viking, sp);
 
     const int routes = (sessions + 1) / 2;

@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,7 +36,6 @@
 #include "core/server.hh"
 #include "obs/metrics.hh"
 #include "render/renderer.hh"
-#include "support/parallel.hh"
 #include "world/gen/generators.hh"
 
 namespace {
@@ -196,8 +196,9 @@ raycastSeconds(const world::VirtualWorld &world, geom::Vec3 eye, int w,
 
 /**
  * 8-client far-BE scenario: four position pairs, each pair inside one
- * quantization cell, fanned out over the pool — measures how many
- * actual renders the pano cache performs and its hit ratio.
+ * quantization cell, sent to the pano cache as one batch — measures
+ * how many actual renders it performs (fanned out over the pool) and
+ * its hit ratio.
  */
 obs::Json
 panoCacheScenario(const world::VirtualWorld &world, int width, int height)
@@ -207,6 +208,7 @@ panoCacheScenario(const world::VirtualWorld &world, int width, int height)
     const auto partition = core::partitionWorld(world, device::pixel2(), {});
     const core::RegionIndex regions(world.bounds(), partition.leaves);
     const core::FrameStore frames(world, grid, regions);
+    core::PanoramaRenderCache cache(256ull << 20);
 
     const double thresh = 8.0;
     const double pitch = std::max(thresh, grid.spacing());
@@ -219,27 +221,25 @@ panoCacheScenario(const world::VirtualWorld &world, int width, int height)
         clients.push_back({cx + 0.4 * pitch, cy + 0.4 * pitch});
     }
 
+    std::vector<core::FrameStore::FarBeLookup> lookups;
+    std::vector<core::PanoRequest> requests;
+    for (const geom::Vec2 &pos : clients) {
+        lookups.push_back(frames.farBeLookup(pos, thresh, width, height));
+        requests.push_back({lookups.back().key});
+    }
     const double wall_s = seconds([&] {
-        support::parallelFor(
-            0, static_cast<std::int64_t>(clients.size()), 1,
-            [&](std::int64_t s, std::int64_t e) {
-                for (std::int64_t i = s; i < e; ++i)
-                    frames.farBePanorama(
-                        clients[static_cast<std::size_t>(i)], thresh,
-                        width, height);
-            },
-            4);
+        cache.serveBatch(requests, [&](std::size_t i) {
+            return frames.renderFarBe(lookups[i], /*threads=*/1);
+        });
     });
 
-    const core::PanoCacheStats stats = frames.panoCacheStats();
-    const double served =
-        static_cast<double>(stats.hits + stats.misses + stats.inflightJoins);
+    const core::PanoCacheStats stats = cache.stats();
+    const double served = static_cast<double>(stats.hits + stats.misses);
     obs::Json out = obs::Json::object();
     out.set("clients",
             obs::Json(static_cast<std::uint64_t>(clients.size())));
     out.set("renders", obs::Json(stats.misses));
     out.set("hits", obs::Json(stats.hits));
-    out.set("inflight_joins", obs::Json(stats.inflightJoins));
     out.set("hit_ratio",
             obs::Json(served > 0.0
                           ? (served - stats.misses) / served

@@ -204,7 +204,7 @@ class SplitSystemRun
      * outstanding fetch (`ResilientFetcher::cancelAll`), abort live
      * causal records, stop the frame loops, and freeze the SLO label
      * by publishing the summary of the frames so far. Idempotent. The
-     * caller (manager) releases the session's pano-cache claims.
+     * caller (manager) releases the session's fleet capacity.
      */
     void quarantine();
 

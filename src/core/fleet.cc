@@ -10,7 +10,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "support/logging.hh"
-#include "support/parallel.hh"
 #include "support/rng.hh"
 #include "trace/trajectory.hh"
 
@@ -284,11 +283,6 @@ SessionManager::finalizeSession(SessionState &s, SessionPhase phase,
     // the barrier the confinement was deferred to — the report's
     // timeline reads the same as a solo run's.
     s.finishedAtMs = finishedAt;
-    // Fault isolation invariant: a departing session leaves nothing
-    // pinned in the shared cache — in-flight claims are withdrawn so
-    // sibling waiters take over, completed entries stay (they are
-    // world-keyed shareable data, charged to this id until evicted).
-    panoCache_->releaseClaims(s.id);
     --runningSessions_;
     runningClients_ -= s.players;
     runningLoadMsPerS_ -= s.loadMsPerS;
@@ -442,55 +436,38 @@ SessionManager::onFrameFetched(std::uint32_t session,
 void
 SessionManager::drainRenderBatch()
 {
-    // Phase A — serial cache decisions in (lane id, delivery order):
-    // the deterministic merge order. First request for an absent key
-    // claims the render (the miss, charged to that session); every
-    // later request of the same key in the batch is a hit, exactly as
-    // if the renders had completed synchronously in that order.
-    struct Claimed
+    // One cache batch in (lane id, delivery order): the deterministic
+    // merge order. The cache decides hits and misses serially in that
+    // order, fans only the actual renders out over the pool (the
+    // fleet's dominant compute), and publishes them in the same order.
+    struct Lookup
     {
         const Session *base;
         FrameStore::FarBeLookup lookup;
-        std::uint64_t token;
     };
-    std::vector<Claimed> claimed;
+    std::vector<Lookup> lookups;
+    std::vector<PanoRequest> requests;
     for (const auto &sp : sessions_) {
         SessionState &s = *sp;
-        if (s.pendingRenders.empty())
-            continue;
         const world::GridMap &grid = s.spec.base->grid();
         const auto cols = static_cast<std::uint64_t>(grid.cols());
         for (const std::uint64_t gridKey : s.pendingRenders) {
             const world::GridPoint g{
                 static_cast<std::int64_t>(gridKey % cols),
                 static_cast<std::int64_t>(gridKey / cols)};
-            FrameStore::FarBeLookup lookup =
+            const FrameStore::FarBeLookup lookup =
                 s.spec.base->frames().farBeLookup(
                     grid.position(g), /*distThresh=*/0.0,
                     s.spec.renderWidth, s.spec.renderHeight);
-            if (const auto token = panoCache_->batchLookupOrClaim(
-                    lookup.key, s.id)) {
-                claimed.push_back(Claimed{s.spec.base, lookup, *token});
-            }
+            lookups.push_back(Lookup{s.spec.base, lookup});
+            requests.push_back(PanoRequest{lookup.key, s.id});
         }
         s.pendingRenders.clear();
     }
-    if (claimed.empty())
-        return;
-    // Phase B — only the actual renders fan out over the pool. This is
-    // where the fleet's dominant compute runs N-wide.
-    auto images = support::parallelMap<image::Image>(
-        static_cast<std::int64_t>(claimed.size()), 1,
-        [&](std::int64_t i) {
-            const Claimed &c = claimed[static_cast<std::size_t>(i)];
-            return c.base->frames().renderFarBe(c.lookup, /*threads=*/1);
-        });
-    // Phase C — serial publication in the same order: charging, LRU
-    // bookkeeping, and eviction are pure functions of the batch.
-    for (std::size_t i = 0; i < claimed.size(); ++i)
-        panoCache_->publishClaimed(claimed[i].lookup.key,
-                                   claimed[i].token,
-                                   std::move(images[i]));
+    panoCache_->serveBatch(requests, [&](std::size_t i) {
+        return lookups[i].base->frames().renderFarBe(lookups[i].lookup,
+                                                     /*threads=*/1);
+    });
 }
 
 void
@@ -524,7 +501,7 @@ SessionManager::confirmSessionFault(std::uint32_t session, double faultAt)
     obs::flight::recordInstant("fleet.session_fault_confined", "fleet",
                                faultAt);
     // The run already quarantined itself (fetches cancelled, SLO label
-    // frozen); the manager's half is cache claims + capacity release.
+    // frozen); the manager's half is the capacity release.
     finalizeSession(s, SessionPhase::Faulted, faultAt);
 }
 

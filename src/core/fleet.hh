@@ -24,10 +24,9 @@
  *
  *  - **Fault isolation.** Each session runs behind the per-session
  *    error boundary (`FleetHooks`): an exception escaping its event
- *    code quarantines that session — fetches cancelled, pano-cache
- *    claims released, SLO label frozen — without perturbing sibling
- *    frame output (fleet_test asserts siblings byte-identical to solo
- *    runs).
+ *    code quarantines that session — fetches cancelled, SLO label
+ *    frozen — without perturbing sibling frame output (fleet_test
+ *    asserts siblings byte-identical to solo runs).
  *
  * The empty fleet is a strict no-op: one submitted session with the
  * governor disabled produces frame output bit-identical to
@@ -122,8 +121,8 @@ struct GovernorParams
 struct FleetSessionSpec
 {
     /** Preprocessed world/grid/catalogue; must outlive the manager.
-     *  Sessions sharing a base (or bases built over the same shared
-     *  pano cache) share renders. */
+     *  Sessions over the same world share renders through the
+     *  manager's pano cache. */
     const Session *base = nullptr;
     /** 0 = reuse the base's players and traces verbatim. */
     int players = 0;
@@ -203,9 +202,7 @@ struct FleetResult
  * cache, and every fleet session's lifecycle. Usage:
  *
  *   SessionManager mgr(capacity, governor);
- *   SessionParams sp;
- *   sp.frameStore.sharedPanoCache = mgr.panoCache();
- *   auto base = Session::create(game, sp);
+ *   auto base = Session::create(game, SessionParams{});
  *   mgr.submit({.base = base.get()});
  *   FleetResult fleet = mgr.run();
  *
@@ -228,7 +225,8 @@ class SessionManager : public FleetHooks
     SessionManager(const SessionManager &) = delete;
     SessionManager &operator=(const SessionManager &) = delete;
 
-    /** The shared render cache, for SessionParams::frameStore. */
+    /** The shared render cache every renderOnFetch delivery goes
+     *  through (one batch per round barrier). */
     std::shared_ptr<PanoramaRenderCache> panoCache() const;
 
     /** The shared event queue (tests may inspect `now()`). */

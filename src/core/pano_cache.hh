@@ -6,16 +6,16 @@
  * (world, quantized location, cutoff, resolution) — every client whose
  * FI location quantizes to the same cell shares the same frame (the
  * paper's frame-similarity premise applied server-side). This cache
- * makes that sharing explicit: `getOrRender` returns the cached frame
- * on a hit, and *single-flights* concurrent misses so N clients asking
- * for the same panorama at once trigger exactly one render while the
- * other N-1 block until it lands.
+ * makes that sharing explicit. Its one way in is `serveBatch`: a batch
+ * of requests is classified in request order, the distinct misses are
+ * rendered once each on the shared pool, and the results are published
+ * in the same order, so every counter is a pure function of the batch
+ * whatever the thread count.
  *
- * Memory is bounded by a byte budget with LRU eviction (in-flight
- * entries are never evicted). Everything is observable:
- * `server.pano_cache.{hit,miss,inflight_join,evicted_bytes}` counters,
- * a `server.pano_cache.bytes` gauge, and a `server.pano_cache.render`
- * trace span around each actual render.
+ * Memory is bounded by a byte budget with owner-fair LRU eviction.
+ * Everything is observable: `server.pano_cache.{hit,miss,evicted_bytes}`
+ * counters, a `server.pano_cache.bytes` gauge, and cumulative
+ * `server.pano_cache.{hits,misses}` trace counter tracks.
  */
 
 #pragma once
@@ -23,35 +23,28 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "image/image.hh"
-#include "obs/frame_trace.hh"
 #include "support/rng.hh"
 #include "support/thread_annotations.hh"
 
 namespace coterie::core {
 
 /**
- * Identity of one cached panorama. Two key schemes share the map and
- * must not collide:
- *  - grid-point keys (offline prerender): `pitchBits == 0` sentinel,
- *    `qx`/`qy` are grid indices;
- *  - quantized-location keys (online far-BE lookup): `pitchBits` holds
- *    the quantization pitch's bit pattern (never zero), `qx`/`qy` are
- *    cell indices at that pitch.
- * `cutoffBits` carries the far-BE cutoff radius bit pattern so a
- * partition change can never alias a stale frame.
+ * Identity of one cached panorama: the world, the quantization cell
+ * (`qx`/`qy` at the pitch whose bit pattern is `pitchBits`) and the
+ * resolution. `cutoffBits` carries the far-BE cutoff radius bit pattern
+ * so a partition change can never alias a stale frame.
  */
 struct PanoKey
 {
     std::uint64_t worldTag = 0;   ///< world identity (name + object count)
-    std::int64_t qx = 0;          ///< quantized x (cell or grid index)
-    std::int64_t qy = 0;          ///< quantized y (cell or grid index)
+    std::int64_t qx = 0;          ///< quantized x (cell index)
+    std::int64_t qy = 0;          ///< quantized y (cell index)
     std::uint64_t cutoffBits = 0; ///< bit pattern of the cutoff radius
-    std::uint64_t pitchBits = 0;  ///< bit pattern of the pitch (0 = grid)
+    std::uint64_t pitchBits = 0;  ///< bit pattern of the cell pitch
     int width = 0;                ///< panorama resolution
     int height = 0;
 
@@ -78,30 +71,29 @@ struct PanoKeyHash
 struct PanoCacheStats
 {
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0;       ///< renders actually performed
-    std::uint64_t inflightJoins = 0; ///< waits on someone else's render
+    std::uint64_t misses = 0; ///< renders actually performed
+    /** Always 0: no request waits on another's render since the batch
+     *  is the only way in. Kept so recorded digests and baselines that
+     *  fold it in stay comparable. */
+    std::uint64_t inflightJoins = 0;
     std::uint64_t evictions = 0;
     std::uint64_t evictedBytes = 0;
     std::uint64_t bytes = 0;   ///< resident pixel bytes right now
     std::uint64_t entries = 0; ///< resident panoramas right now
-    /** In-flight claims dropped by releaseClaims (session teardown). */
-    std::uint64_t claimsReleased = 0;
-    /** Renders whose claim was released mid-flight: the image was
-     *  returned to the caller but never published or charged. */
-    std::uint64_t orphanRenders = 0;
 };
 
-/**
- * Byte-budgeted, single-flight panorama cache. Thread-safe; the render
- * callback runs outside the lock (and may itself fan out on the shared
- * pool — waiters block on a condition variable, not on pool slots, so
- * there is no pool-starvation cycle).
- */
+/** One batch request: a panorama and the session its render is charged
+ *  to (0 = the solo/unattributed owner). */
+struct PanoRequest
+{
+    PanoKey key;
+    std::uint32_t owner = 0;
+};
+
+/** Byte-budgeted panorama cache. Thread-safe. */
 class PanoramaRenderCache
 {
   public:
-    using RenderFn = std::function<image::Image()>;
-
     explicit PanoramaRenderCache(std::size_t budgetBytes)
         : budgetBytes_(budgetBytes)
     {
@@ -111,109 +103,58 @@ class PanoramaRenderCache
     PanoramaRenderCache &operator=(const PanoramaRenderCache &) = delete;
 
     /**
-     * Return the panorama for @p key, rendering it via @p render on a
-     * miss. Concurrent misses on the same key share one render
-     * (single-flight). If @p render throws, the in-flight claim is
-     * withdrawn, one waiter takes over the render, and the exception
-     * propagates to the original caller.
+     * Serve @p requests in order, as if each render completed before
+     * the next request arrived:
      *
-     * When @p trace carries an active causal context, the outcome is
-     * stamped as a wall-interval hop: CacheLookup on a hit, CacheJoin
-     * for a single-flight wait, Render around an actual render.
+     *  - A request whose key is resident is a hit and refreshes the
+     *    entry's LRU stamp. A repeat of a key missed earlier in the
+     *    batch is also a hit (its render is already under way).
+     *  - The first request of any other key is a miss: @p render is
+     *    called with that request's index, once per distinct missing
+     *    key. The renders run on the shared pool, outside the lock.
+     *  - Each rendered panorama is then published in request order,
+     *    charged to its request's owner, and evicted down to budget
+     *    right after it lands.
      *
-     * @p owner charges the entry to a fleet session for eviction
-     * accounting (0 = the solo/unattributed owner, the pre-fleet
-     * behaviour). The charge is attributed at render time and stays
-     * with the entry: sibling sessions *hit* each other's entries for
-     * free, but the session that caused a render pays for its
-     * residency, so one hot session cannot starve the others' budget
-     * (evictLocked takes victims from the heaviest-charged owner
-     * first). If the owner's claims are released while the render is
-     * in flight (session teardown), the finished image is handed back
-     * uncached — never published, never charged.
+     * The charge stays with the entry: sibling sessions hit each
+     * other's entries for free, but the session that caused a render
+     * pays for its residency, so one hot session cannot starve the
+     * others' budget (eviction takes victims from the heaviest-charged
+     * owner first). Concurrent batches are safe; if two miss the same
+     * key, both render it and the first publication wins.
      */
-    std::shared_ptr<const image::Image>
-    getOrRender(const PanoKey &key, const RenderFn &render,
-                obs::FrameTraceContext *trace = nullptr,
-                std::uint32_t owner = 0);
+    void serveBatch(const std::vector<PanoRequest> &requests,
+                    const std::function<image::Image(std::size_t)> &render);
 
-    /**
-     * Deterministic two-phase batch interface, for callers that defer
-     * lookups to a synchronization barrier (the parallel fleet engine)
-     * and must keep hit/miss counters independent of thread count:
-     *
-     *  - Phase A (serial, in a deterministic request order):
-     *    `batchLookupOrClaim` classifies each request. It returns no
-     *    token when the key is already resident *or* was claimed
-     *    earlier in the same batch — both count as hits, as if each
-     *    render completed synchronously before the next request
-     *    arrived — and otherwise records the
-     *    miss, claims the render for @p owner, and returns the claim
-     *    token.
-     *  - Phase B (parallel, outside the cache): render the claimed
-     *    keys.
-     *  - Phase C (serial, same order): `publishClaimed` installs each
-     *    image under its token. Charging, LRU bookkeeping, and
-     *    eviction all happen here, serially, so they are pure
-     *    functions of the batch order. A token invalidated in between
-     *    (releaseClaims on session teardown) counts as an orphan
-     *    render, exactly like getOrRender's publish path.
-     */
-    std::optional<std::uint64_t>
-    batchLookupOrClaim(const PanoKey &key, std::uint32_t owner);
-    void publishClaimed(const PanoKey &key, std::uint64_t claimToken,
-                        image::Image image);
-
-    /**
-     * Session teardown: withdraw every in-flight claim charged to
-     * @p owner and wake the waiters (one of them re-claims and
-     * renders). Completed entries stay resident — they are shareable
-     * world-keyed data, not session state. Returns how many claims
-     * were dropped. This is the fix for the claim leak when a session
-     * is destroyed mid-render: without it, waiters on the orphaned
-     * claim would block forever and the entry could never complete
-     * nor be evicted.
-     */
-    std::size_t releaseClaims(std::uint32_t owner);
-
-    /** Resident completed bytes currently charged to @p owner. */
+    /** Resident bytes currently charged to @p owner. */
     std::uint64_t ownerBytes(std::uint32_t owner) const;
 
     PanoCacheStats stats() const;
-
-    /** Drop every completed entry (in-flight renders are unaffected). */
-    void clear();
 
     std::size_t budgetBytes() const { return budgetBytes_; }
 
   private:
     struct Entry
     {
-        /** Null while the owning render is in flight. */
-        std::shared_ptr<const image::Image> image;
+        image::Image image;
         std::uint64_t lastUse = 0;
         std::size_t bytes = 0;
         /** Session charged for this entry's residency. */
         std::uint32_t owner = 0;
-        /** Claim generation: a publish is valid only if the claim it
-         *  took is still the one in the map (guards releaseClaims). */
-        std::uint64_t claim = 0;
     };
 
-    /** Evict completed entries until within budget: LRU within the
+    /** Evict entries until within budget: LRU within the
      *  heaviest-charged owner (single owner == plain global LRU). */
     void evictLocked() COTERIE_REQUIRES(mutex_);
 
     const std::size_t budgetBytes_;
     mutable support::Mutex mutex_{"PanoramaRenderCache::mutex_"};
-    support::CondVar readyCv_;
     std::unordered_map<PanoKey, Entry, PanoKeyHash>
         entries_ COTERIE_GUARDED_BY(mutex_);
-    /** Resident completed bytes charged per owner (absent == 0). */
+    /** Resident bytes charged per owner (absent == 0). */
     std::unordered_map<std::uint32_t, std::uint64_t>
         ownerBytes_ COTERIE_GUARDED_BY(mutex_);
     std::uint64_t useClock_ COTERIE_GUARDED_BY(mutex_) = 0;
-    std::uint64_t claimClock_ COTERIE_GUARDED_BY(mutex_) = 0;
     std::uint64_t bytes_ COTERIE_GUARDED_BY(mutex_) = 0;
     PanoCacheStats stats_ COTERIE_GUARDED_BY(mutex_);
 };

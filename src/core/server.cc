@@ -5,10 +5,6 @@
 #include <cmath>
 
 #include "image/size_model.hh"
-#include "obs/clock.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
-#include "support/parallel.hh"
 #include "support/rng.hh"
 
 namespace coterie::core {
@@ -36,11 +32,7 @@ FrameStore::FrameStore(const world::VirtualWorld &world,
                        const world::GridMap &grid,
                        const RegionIndex &regions, FrameStoreParams params)
     : world_(world), grid_(grid), regions_(regions), params_(params),
-      worldTag_(worldTagOf(world)),
-      panoCache_(params_.sharedPanoCache
-                     ? params_.sharedPanoCache
-                     : std::make_shared<PanoramaRenderCache>(
-                           params_.panoCacheBytes))
+      worldTag_(worldTagOf(world))
 {
 }
 
@@ -136,65 +128,6 @@ FrameStore::fovFrameBytes(world::GridPoint g) const
     return image::modelFrameBytes(spec);
 }
 
-PrerenderResult
-FrameStore::prerenderFarBe(std::int64_t cellStride, int width, int height,
-                           int threads) const
-{
-    COTERIE_SPAN("server.prerender_far_be", "core");
-    const obs::Stopwatch watch;
-    cellStride = std::max<std::int64_t>(1, cellStride);
-
-    // Row-major list of the grid points this pass covers; the ordered
-    // result vector below makes the byte total scheduling-independent.
-    std::vector<world::GridPoint> points;
-    for (std::int64_t iy = 0; iy < grid_.rows(); iy += cellStride)
-        for (std::int64_t ix = 0; ix < grid_.cols(); ix += cellStride)
-            points.push_back({ix, iy});
-
-    const render::Renderer renderer(world_);
-    const auto sizes = support::parallelMap<std::uint64_t>(
-        static_cast<std::int64_t>(points.size()), 1,
-        [&](std::int64_t i) -> std::uint64_t {
-            const world::GridPoint g = points[static_cast<std::size_t>(i)];
-            const Vec2 p = grid_.position(g);
-            const double cutoff = regions_.cutoffAt(p);
-            // Route through the render cache (grid-index key scheme:
-            // pitchBits == 0). Within one pass every point is distinct,
-            // so this is a pure de-dup across passes and against online
-            // farBePanorama() requests that land on the same frame.
-            PanoKey key;
-            key.worldTag = worldTag_;
-            key.qx = g.ix;
-            key.qy = g.iy;
-            key.cutoffBits = std::bit_cast<std::uint64_t>(cutoff);
-            key.pitchBits = 0;
-            key.width = width;
-            key.height = height;
-            const auto pano = panoCache_->getOrRender(key, [&] {
-                render::RenderOptions opts;
-                opts.layer = render::DepthLayer::farBe(cutoff);
-                // Nested render parallelism collapses inline on the
-                // pool, so each grid point is one task end to end.
-                return renderer.renderPanorama(world_.eyePosition(p),
-                                               width, height, opts);
-            });
-            return image::encode(*pano).sizeBytes();
-        },
-        threads);
-
-    PrerenderResult result;
-    result.frames = sizes.size();
-    for (std::uint64_t bytes : sizes)
-        result.encodedBytes += bytes;
-    result.wallSeconds = watch.elapsedSeconds();
-    // Fan-out accounting for the offline pre-render pass (Table 3's
-    // server-side budget): frames dispatched and bytes produced.
-    COTERIE_COUNT_N("server.prerender_frames", result.frames);
-    COTERIE_COUNT_N("server.prerender_bytes", result.encodedBytes);
-    COTERIE_OBSERVE("server.prerender_ms", watch.elapsedMillis());
-    return result;
-}
-
 FrameStore::FarBeLookup
 FrameStore::farBeLookup(Vec2 pos, double distThresh, int width,
                         int height) const
@@ -202,7 +135,7 @@ FrameStore::farBeLookup(Vec2 pos, double distThresh, int width,
     // Quantize the FI location: positions within `pitch` of each other
     // are "similar enough" to share a far-BE frame (the background
     // changes imperceptibly below the distance threshold). Grid spacing
-    // is the floor so cells are never finer than the prerender grid.
+    // is the floor so cells are never finer than the frame grid.
     const geom::Rect &b = world_.bounds();
     const double pitch = std::max(distThresh, grid_.spacing());
     const auto qx =
@@ -238,19 +171,6 @@ FrameStore::renderFarBe(const FarBeLookup &lookup, int threads) const
     return renderer.renderPanorama(world_.eyePosition(lookup.rep),
                                    lookup.key.width, lookup.key.height,
                                    opts);
-}
-
-std::shared_ptr<const image::Image>
-FrameStore::farBePanorama(Vec2 pos, double distThresh, int width,
-                          int height, int threads,
-                          obs::FrameTraceContext *trace,
-                          std::uint32_t cacheOwner) const
-{
-    const FarBeLookup lookup =
-        farBeLookup(pos, distThresh, width, height);
-    return panoCache_->getOrRender(
-        lookup.key, [&] { return renderFarBe(lookup, threads); }, trace,
-        cacheOwner);
 }
 
 double

@@ -1,26 +1,25 @@
 /**
  * @file
- * Coterie server: offline pre-rendering and per-grid-point encoded
- * frame metadata.
+ * Coterie server: the far-BE frame catalogue.
  *
  * The real server pre-renders and x264-encodes a panoramic far-BE frame
  * for every reachable grid point. At simulation scale we expose the two
  * things the online system consumes: encoded frame *sizes* (from the
  * calibrated H.264 size model, with per-region content complexity) and
  * on-demand *actual frames* (from the software renderer) for the
- * visual-quality experiments.
+ * visual-quality experiments. Sharing renders across clients is the
+ * job of PanoramaRenderCache, which callers feed with `farBeLookup`
+ * keys and `renderFarBe` renders.
  */
 
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
 
 #include "core/pano_cache.hh"
 #include "core/partitioner.hh"
-#include "image/codec.hh"
 #include "render/renderer.hh"
 #include "support/thread_annotations.hh"
 #include "world/grid.hh"
@@ -34,25 +33,12 @@ struct FrameStoreParams
     int panoHeight = 2160;
     /** Density (tri/m^2) that saturates content complexity at 1.0. */
     double complexitySaturationDensity = 2500.0;
-    /** Byte budget for the de-duplicating panorama render cache
-     *  (ignored when sharedPanoCache is set). */
-    std::size_t panoCacheBytes = 256ull << 20;
     /**
-     * Optional externally owned render cache. A fleet passes one
-     * cache to every session's FrameStore so same-world sessions
-     * share renders (keys carry the world tag, so distinct worlds
-     * can never collide); null = a private cache of panoCacheBytes,
-     * the pre-fleet behaviour.
+     * Not read: a fleet's renders go through its SessionManager's own
+     * cache. Kept only because benchmark/coterie_bench.cc still
+     * assigns it; remove it together with that assignment.
      */
     std::shared_ptr<PanoramaRenderCache> sharedPanoCache;
-};
-
-/** Aggregate result of an offline pre-render + encode pass. */
-struct PrerenderResult
-{
-    std::uint64_t frames = 0;       ///< panoramas rendered + encoded
-    std::uint64_t encodedBytes = 0; ///< total encoded payload
-    double wallSeconds = 0.0;
 };
 
 /**
@@ -64,37 +50,6 @@ class FrameStore
   public:
     FrameStore(const world::VirtualWorld &world, const world::GridMap &grid,
                const RegionIndex &regions, FrameStoreParams params = {});
-
-    /**
-     * The install-time offline pass: render the far-BE panorama at
-     * every @p cellStride-th grid point (cutoff taken from the point's
-     * leaf region) and encode it, with grid points fanned out over the
-     * shared thread pool. @p width/@p height size the panoramas (the
-     * real server renders at panoWidth x panoHeight; callers pick a
-     * reduced resolution for experiments). Deterministic: per-point
-     * encoded sizes are reduced in row-major grid order regardless of
-     * thread count (@p threads: 0 = pool, 1 = serial).
-     */
-    PrerenderResult prerenderFarBe(std::int64_t cellStride, int width,
-                                   int height, int threads = 0) const;
-
-    /**
-     * The far-BE panorama a client standing at @p pos receives, through
-     * the de-duplicating render cache: positions within the same
-     * quantization cell (pitch = max(@p distThresh, grid spacing) —
-     * the paper's FI-location similarity radius) share one cached
-     * render keyed by the cell's representative point. Concurrent
-     * first requests single-flight; @p threads as in prerenderFarBe.
-     * @p trace (optional) stamps the cache outcome — CacheLookup /
-     * CacheJoin / Render — into the caller's causal frame record.
-     * @p cacheOwner charges the render to a fleet session for
-     * eviction accounting (see PanoramaRenderCache::getOrRender).
-     */
-    std::shared_ptr<const image::Image>
-    farBePanorama(geom::Vec2 pos, double distThresh, int width, int height,
-                  int threads = 0,
-                  obs::FrameTraceContext *trace = nullptr,
-                  std::uint32_t cacheOwner = 0) const;
 
     /**
      * A fully-resolved online far-BE lookup: the cache key plus the
@@ -110,20 +65,21 @@ class FrameStore
         double cutoff = 0.0; ///< far-BE cutoff radius at rep
     };
 
-    /** Resolve the lookup farBePanorama(pos, ...) would perform. */
+    /**
+     * Resolve the far-BE panorama a client standing at @p pos
+     * receives: positions within the same quantization cell (pitch =
+     * max(@p distThresh, grid spacing) — the paper's FI-location
+     * similarity radius) share one key and render from the cell's
+     * representative point.
+     */
     FarBeLookup farBeLookup(geom::Vec2 pos, double distThresh, int width,
                             int height) const;
 
     /** Render the panorama a resolved lookup describes (cache-free;
-     *  the caller owns publication). @p threads as in prerenderFarBe. */
+     *  the caller owns publication). @p threads: 0 = shared pool,
+     *  1 = serial. */
     image::Image renderFarBe(const FarBeLookup &lookup,
                              int threads = 0) const;
-
-    /** Render-cache effectiveness counters (hits, misses, joins, ...). */
-    PanoCacheStats panoCacheStats() const { return panoCache_->stats(); }
-
-    /** The render cache itself (shared across a fleet when injected). */
-    PanoramaRenderCache &panoCache() const { return *panoCache_; }
 
     /** World identity folded into every render-cache key. */
     std::uint64_t worldTag() const { return worldTag_; }
@@ -157,9 +113,6 @@ class FrameStore
     FrameStoreParams params_;
     /** World identity folded into every cache key. */
     std::uint64_t worldTag_;
-    /** De-dups far-BE panorama renders (internally synchronized).
-     *  Either injected (fleet-shared) or privately owned. */
-    std::shared_ptr<PanoramaRenderCache> panoCache_;
     /**
      * Complexity cached per leaf region (cheap, stable, deterministic —
      * the cached value never depends on which thread computed it).

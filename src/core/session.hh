@@ -32,9 +32,7 @@ struct SessionParams
     /** Fit the analytic similarity model against rendered SSIM for
      *  this world (a few dozen low-resolution panorama renders). */
     bool calibrateSimilarity = true;
-    /** Frame-catalogue knobs; a fleet injects its shared render cache
-     *  here (FrameStoreParams::sharedPanoCache). Defaults preserve the
-     *  pre-fleet private-cache behaviour. */
+    /** Frame-catalogue knobs (panorama size, complexity model). */
     FrameStoreParams frameStore{};
 };
 

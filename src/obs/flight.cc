@@ -111,7 +111,7 @@ void
 recordFrameHop(const char *name, const char *label,
                std::uint32_t session, std::uint16_t client,
                std::uint64_t frame, double simBeginMs, double simDurMs,
-               std::uint64_t wallBeginNs, std::uint64_t wallDurNs)
+               std::uint64_t wallNs)
 {
     FlightEvent e;
     e.kind = EventKind::FrameHop;
@@ -123,8 +123,7 @@ recordFrameHop(const char *name, const char *label,
     e.frame = frame;
     e.simBeginMs = simBeginMs;
     e.simDurMs = simDurMs;
-    e.wallBeginNs = wallBeginNs;
-    e.wallDurNs = wallDurNs;
+    e.wallBeginNs = wallNs;
     write(e);
 }
 
@@ -289,32 +288,15 @@ dump(const std::string &path)
                 j.set("ph", Json("X"));
                 j.set("name", Json(e.name));
                 j.set("cat", Json("frame"));
-                // Wall-only hops (sim time unknown: cache lookups,
-                // joins, renders inside one sim instant) render on the
-                // wall timeline instead of the sim-frame timeline.
-                const bool wallOnly = e.simBeginMs < 0.0;
-                j.set("pid", Json(wallOnly ? 1 : 2));
-                j.set("tid", Json(wallOnly
-                                      ? r->slot
-                                      : static_cast<int>(e.client)));
-                if (wallOnly) {
-                    j.set("ts", Json(relUs(e.wallBeginNs)));
-                    j.set("dur",
-                          Json(static_cast<double>(e.wallDurNs) /
-                               1000.0));
-                } else {
-                    j.set("ts", Json(e.simBeginMs * 1000.0));
-                    j.set("dur", Json(e.simDurMs * 1000.0));
-                }
+                j.set("pid", Json(2));
+                j.set("tid", Json(static_cast<int>(e.client)));
+                j.set("ts", Json(e.simBeginMs * 1000.0));
+                j.set("dur", Json(e.simDurMs * 1000.0));
                 Json args = Json::object();
                 args.set("label", Json(e.label ? e.label : ""));
                 args.set("client",
                          Json(static_cast<int>(e.client)));
                 args.set("frame", Json(e.frame));
-                if (e.wallDurNs > 0)
-                    args.set("wall_us",
-                             Json(static_cast<double>(e.wallDurNs) /
-                                  1000.0));
                 j.set("args", std::move(args));
                 break;
             }

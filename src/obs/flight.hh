@@ -90,14 +90,13 @@ void recordSpan(const char *name, const char *category,
                 std::uint64_t beginNs, std::uint64_t endNs,
                 double simMs = -1.0);
 
-/** Record one causal hop of a frame record (sim-time interval with
- *  wall-time attribution). @p name must be a static literal
+/** Record one causal hop of a frame record (sim-time interval,
+ *  stamped at wall time @p wallNs). @p name must be a static literal
  *  (`frame.<hop>`); @p label an intern()-ed session label. */
 void recordFrameHop(const char *name, const char *label,
                     std::uint32_t session, std::uint16_t client,
                     std::uint64_t frame, double simBeginMs,
-                    double simDurMs, std::uint64_t wallBeginNs,
-                    std::uint64_t wallDurNs);
+                    double simDurMs, std::uint64_t wallNs);
 
 /** Record a frame completion (the dump scores it against the
  *  deadline budget). @p criticalPath must be a static string. */
@@ -155,8 +154,7 @@ recordSpan(const char *, const char *, std::uint64_t, std::uint64_t,
 
 inline void
 recordFrameHop(const char *, const char *, std::uint32_t, std::uint16_t,
-               std::uint64_t, double, double, std::uint64_t,
-               std::uint64_t)
+               std::uint64_t, double, double, std::uint64_t)
 {
 }
 

@@ -20,10 +20,7 @@ hopName(Hop hop)
       case Hop::PipeWait:    return "pipe_wait";
       case Hop::Backlog:     return "backlog";
       case Hop::Transfer:    return "transfer";
-      case Hop::CacheLookup: return "cache_lookup";
-      case Hop::CacheJoin:   return "cache_join";
       case Hop::Render:      return "render";
-      case Hop::Codec:       return "codec";
       case Hop::Decode:      return "decode";
       case Hop::Sync:        return "sync";
       case Hop::StallWait:   return "stall_wait";
@@ -43,10 +40,7 @@ hopEventName(Hop hop)
       case Hop::PipeWait:    return "frame.pipe_wait";
       case Hop::Backlog:     return "frame.backlog";
       case Hop::Transfer:    return "frame.transfer";
-      case Hop::CacheLookup: return "frame.cache_lookup";
-      case Hop::CacheJoin:   return "frame.cache_join";
       case Hop::Render:      return "frame.render";
-      case Hop::Codec:       return "frame.codec";
       case Hop::Decode:      return "frame.decode";
       case Hop::Sync:        return "frame.sync";
       case Hop::StallWait:   return "frame.stall_wait";
@@ -81,14 +75,6 @@ FrameTraceContext::hop(Hop h, double beginMs, double endMs)
 {
     if (tracer != nullptr)
         tracer->hop(*this, h, beginMs, endMs);
-}
-
-void
-FrameTraceContext::hopWall(Hop h, std::uint64_t wallBeginNs,
-                           std::uint64_t wallEndNs)
-{
-    if (tracer != nullptr)
-        tracer->hopWall(*this, h, wallBeginNs, wallEndNs);
 }
 
 FrameTracer::FrameTracer(std::string label)
@@ -133,32 +119,11 @@ FrameTracer::hop(FrameTraceContext &ctx, Hop h, double beginMs,
         COTERIE_ASSERT(ctx.recordId < records_.size(),
                        "bad frame-trace record id ", ctx.recordId);
         records_[ctx.recordId].hops.push_back(
-            HopRecord{h, beginMs, durMs, wallNs, 0});
+            HopRecord{h, beginMs, durMs, wallNs});
     }
     ++ctx.hops;
     flight::recordFrameHop(hopEventName(h), flightLabel_, ctx.session,
-                           ctx.client, ctx.frame, beginMs, durMs,
-                           wallNs, 0);
-}
-
-void
-FrameTracer::hopWall(FrameTraceContext &ctx, Hop h,
-                     std::uint64_t wallBeginNs, std::uint64_t wallEndNs)
-{
-    COTERIE_ASSERT(ctx.tracer == this, "context from another tracer");
-    const std::uint64_t durNs =
-        wallEndNs >= wallBeginNs ? wallEndNs - wallBeginNs : 0;
-    {
-        support::MutexLock lock(mutex_);
-        COTERIE_ASSERT(ctx.recordId < records_.size(),
-                       "bad frame-trace record id ", ctx.recordId);
-        records_[ctx.recordId].hops.push_back(
-            HopRecord{h, -1.0, 0.0, wallBeginNs, durNs});
-    }
-    ++ctx.hops;
-    flight::recordFrameHop(hopEventName(h), flightLabel_, ctx.session,
-                           ctx.client, ctx.frame, -1.0, 0.0,
-                           wallBeginNs, durNs);
+                           ctx.client, ctx.frame, beginMs, durMs, wallNs);
 }
 
 void
@@ -252,8 +217,6 @@ FrameTracer::finish()
     for (const FrameRecord &rec : records_) {
         const int tid = static_cast<int>(rec.client);
         for (const HopRecord &h : rec.hops) {
-            if (h.simBeginMs < 0.0)
-                continue; // wall-only hop: no sim timeline slot
             Json args = Json::object();
             args.set("label", Json(label_));
             args.set("client", Json(static_cast<int>(rec.client)));

@@ -7,8 +7,7 @@
  * A `FrameTraceContext` is minted at the client's frame request and
  * travels by value with the work: `Prefetcher` cover-set misses,
  * `net::Channel` transfers, `FrameServer` fan-out and backlog,
- * `PanoramaRenderCache` lookups (including single-flight joins), the
- * codec, delivery, and merge/display. Each stage stamps a `Hop` — a
+ * delivery, decode, and merge/display. Each stage stamps a `Hop` — a
  * sim-time interval plus a wall-clock timestamp — into the record via
  * `FrameTracer::hop()`. When the frame completes with the latency its
  * caller computed, the tracer computes the critical path (the hop
@@ -46,10 +45,7 @@ enum class Hop : std::uint8_t {
     PipeWait,    ///< queued behind earlier requests on the client pipe
     Backlog,     ///< queued in the server fan-out backlog
     Transfer,    ///< on the wire (one hop per retry attempt)
-    CacheLookup, ///< panorama cache hit
-    CacheJoin,   ///< joined an in-flight render (single-flight)
-    Render,      ///< server-side panorama render
-    Codec,       ///< encode on the server
+    Render,      ///< on-device FI render (Equation 2)
     Decode,      ///< decode on the client
     Sync,        ///< frame-interval sync wait
     StallWait,   ///< client stalled waiting for a delivery
@@ -107,16 +103,6 @@ struct FrameTraceContext
 
     /** Stamp a hop spanning [beginMs, endMs] sim-time. */
     void hop(Hop h, double beginMs, double endMs);
-
-    /**
-     * Stamp a hop that is wall-clock work inside one sim instant
-     * (server-side cache lookups, single-flight joins, actual
-     * renders): no sim-time attribution, so it never enters the
-     * sim-side critical path, but the wall interval is kept for
-     * forensics.
-     */
-    void hopWall(Hop h, std::uint64_t wallBeginNs,
-                 std::uint64_t wallEndNs);
 };
 
 /**
@@ -136,10 +122,9 @@ class FrameTracer
     struct HopRecord
     {
         Hop hop;
-        double simBeginMs; ///< < 0 -> wall-only hop (hopWall)
+        double simBeginMs;
         double simDurMs;
-        std::uint64_t wallNs;    ///< wall clock at the stamp (or begin)
-        std::uint64_t wallDurNs; ///< wall duration (hopWall only)
+        std::uint64_t wallNs; ///< wall clock at the stamp
     };
 
     struct FrameRecord
@@ -173,10 +158,6 @@ class FrameTracer
      *  increments the context's hop counter. No-op when inert. */
     void hop(FrameTraceContext &ctx, Hop h, double beginMs,
              double endMs);
-
-    /** Stamp a wall-only hop (see FrameTraceContext::hopWall). */
-    void hopWall(FrameTraceContext &ctx, Hop h,
-                 std::uint64_t wallBeginNs, std::uint64_t wallEndNs);
 
     /** Link a displayed frame to the fetch whose delivery unblocked
      *  it, so critical paths can descend through the stall. */

@@ -59,6 +59,13 @@ appendNumber(std::string &out, double v)
     out += buf;
 }
 
+/**
+ * Deepest array/object nesting parse() accepts. The recursive descent
+ * spends stack frames per level, so unbounded input depth would
+ * overflow the stack; the repo's own documents nest about 5 deep.
+ */
+constexpr int kMaxDepth = 256;
+
 /** Recursive-descent parser over a raw character range. */
 class Parser
 {
@@ -124,10 +131,17 @@ class Parser
             return {};
         }
         const char c = text_[pos_];
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
+        if (c == '{' || c == '[') {
+            if (depth_ == kMaxDepth) {
+                fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                     " levels");
+                return {};
+            }
+            ++depth_;
+            Json v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+        }
         if (c == '"')
             return Json(parseString());
         if (literal("true"))
@@ -142,17 +156,43 @@ class Parser
         return {};
     }
 
+    /** Consume [0-9]+; false when no digit is next. */
+    bool
+    digits()
+    {
+        const std::size_t begin = pos_;
+        while (pos_ < text_.size() &&
+               std::isdigit(static_cast<unsigned char>(text_[pos_])))
+            ++pos_;
+        return pos_ > begin;
+    }
+
+    /** -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, and finite. */
     Json
     parseNumber()
     {
-        const char *start = text_.c_str() + pos_;
+        const std::size_t start = pos_;
+        consume('-');
+        bool ok = consume('0') || digits();
+        if (ok && consume('.'))
+            ok = digits();
+        if (ok && (consume('e') || consume('E'))) {
+            if (!consume('+'))
+                consume('-');
+            ok = digits();
+        }
+        // strtod reads further than the grammar on a leading zero
+        // ("01", "0x10"): that is not a JSON number either.
         char *end = nullptr;
-        const double v = std::strtod(start, &end);
-        if (end == start) {
+        const double v = ok ? std::strtod(text_.c_str() + start, &end) : 0.0;
+        if (!ok || end != text_.c_str() + pos_) {
             fail("malformed number");
             return {};
         }
-        pos_ += static_cast<std::size_t>(end - start);
+        if (!std::isfinite(v)) {
+            fail("number out of range");
+            return {};
+        }
         return Json(v);
     }
 
@@ -283,6 +323,7 @@ class Parser
     const std::string &text_;
     std::string *error_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
     bool failed_ = false;
 };
 

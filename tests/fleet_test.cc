@@ -442,15 +442,15 @@ TEST(Fleet, HealthySessionNeverSheds)
 TEST(Fleet, SameWorldSessionsShareRenders)
 {
     SessionManager mgr;
-    // Two bases over the *same* world (same game + seed), both wired
-    // to the manager's shared cache — the multi-tenant deployment
-    // shape. Short runs; similarity calibration skipped for speed.
+    // Two bases over the *same* world (same game + seed), both
+    // rendering through the manager's cache — the multi-tenant
+    // deployment shape. Short runs; similarity calibration skipped for
+    // speed.
     SessionParams sp;
     sp.players = 2;
     sp.durationS = 5.0;
     sp.seed = 42;
     sp.calibrateSimilarity = false;
-    sp.frameStore.sharedPanoCache = mgr.panoCache();
     const auto base1 = Session::create(world::gen::GameId::Viking, sp);
     const auto base2 = Session::create(world::gen::GameId::Viking, sp);
 
@@ -478,9 +478,12 @@ TEST(Fleet, SameWorldSessionsShareRenders)
     // never move the charge.
     EXPECT_EQ(mgr.panoCache()->ownerBytes(1), fleet.panoCache.bytes);
     EXPECT_EQ(mgr.panoCache()->ownerBytes(2), 0u);
-    // Departing sessions left no in-flight claims behind.
-    EXPECT_EQ(fleet.panoCache.claimsReleased, 0u);
-    EXPECT_EQ(fleet.panoCache.orphanRenders, 0u);
+    // Every delivery is one batch request: a hit or a render, never a
+    // wait on someone else's render.
+    EXPECT_EQ(fleet.panoCache.hits + fleet.panoCache.misses,
+              fleet.sessions[0].fleetRenders +
+                  fleet.sessions[1].fleetRenders);
+    EXPECT_EQ(fleet.panoCache.inflightJoins, 0u);
 }
 
 } // namespace

@@ -28,6 +28,10 @@ namespace {
 
 // --- Json -------------------------------------------------------------
 
+/** Nesting depth that overflowed an 8 MiB stack before parse() bounded
+ *  it (50 000 levels already did). */
+constexpr std::size_t kDeepNesting = 200'000;
+
 TEST(Json, ScalarConstructionAndAccess)
 {
     EXPECT_TRUE(Json().isNull());
@@ -83,14 +87,17 @@ TEST(Json, ParseHandlesNestedDocument)
 {
     std::string error;
     const Json doc = Json::parse(
-        R"({"a": [1, 2.5, -3e2], "b": {"c": null, "d": [true, false]},)"
-        R"( "e": "x"})",
+        R"({"a": [1, 2.5, -3e2, -0, 2E-2, 0.5e+1, 1e-400],)"
+        R"( "b": {"c": null, "d": [true, false]}, "e": "x"})",
         &error);
     ASSERT_TRUE(error.empty()) << error;
     ASSERT_TRUE(doc.isObject());
     ASSERT_TRUE(doc.at("a").isArray());
-    ASSERT_EQ(doc.at("a").items().size(), 3u);
+    ASSERT_EQ(doc.at("a").items().size(), 7u);
     EXPECT_DOUBLE_EQ(doc.at("a").items()[2].asNumber(), -300.0);
+    EXPECT_DOUBLE_EQ(doc.at("a").items()[4].asNumber(), 0.02);
+    EXPECT_DOUBLE_EQ(doc.at("a").items()[5].asNumber(), 5.0);
+    EXPECT_EQ(doc.at("a").items()[6].asNumber(), 0.0); // underflow
     EXPECT_TRUE(doc.at("b").at("c").isNull());
     EXPECT_TRUE(doc.at("b").at("d").items()[0].asBool());
     EXPECT_EQ(doc.at("e").asString(), "x");
@@ -100,13 +107,22 @@ TEST(Json, ParseHandlesNestedDocument)
 
 TEST(Json, ParseReportsErrorsWithPosition)
 {
-    const char *broken[] = {"{", "[1, ]", "{\"a\" 1}", "tru",
-                            "\"unterminated", "{\"a\":1} trailing"};
-    for (const char *text : broken) {
+    const std::string deep(kDeepNesting, '[');
+    const std::string broken[] = {
+        "{", "[1, ]", "{\"a\" 1}", "tru", "\"unterminated",
+        "{\"a\":1} trailing",
+        // Numbers follow the JSON grammar and are finite.
+        "[-inf]", "[-nan]", "[1e999]", "[-1e999]", "[0x10]", "[01]",
+        "[-]", "[1.]", "[.5]", "[1e]", "[1e+]", "[+1]",
+        // Nesting is bounded instead of recursing off the stack.
+        deep, deep + "1" + std::string(kDeepNesting, ']')};
+    for (const std::string &text : broken) {
         std::string error;
         const Json v = Json::parse(text, &error);
-        EXPECT_FALSE(error.empty()) << "no error for: " << text;
-        EXPECT_TRUE(v.isNull()) << "non-null result for: " << text;
+        EXPECT_NE(error.find(" at offset "), std::string::npos)
+            << "no positioned error for: " << text.substr(0, 40);
+        EXPECT_TRUE(v.isNull())
+            << "non-null result for: " << text.substr(0, 40);
     }
 }
 

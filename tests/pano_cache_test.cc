@@ -1,9 +1,13 @@
 /**
  * @file
- * Panorama render cache: hit/miss accounting, single-flight de-dup,
- * LRU eviction under a byte budget, failure takeover, and end-to-end
- * transparency through FrameStore (a cached far-BE panorama is the
- * exact frame the renderer would have produced).
+ * Panorama render cache: the batch entry point's hit/miss accounting,
+ * in-batch de-dup, owner-charged LRU eviction under a byte budget, and
+ * the FrameStore catalogue that feeds it (cell quantization, and the
+ * frame a lookup renders is the exact frame the renderer would have
+ * produced for the cell representative).
+ *
+ * Batch renders fan out on the shared pool; ctest runs this binary at
+ * COTERIE_THREADS=1 and 4.
  */
 
 #include <gtest/gtest.h>
@@ -11,11 +15,10 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
-#include <stdexcept>
+#include <vector>
 
 #include "core/pano_cache.hh"
 #include "core/server.hh"
-#include "support/parallel.hh"
 #include "world/gen/generators.hh"
 
 namespace coterie::core {
@@ -46,92 +49,69 @@ solidImage(int w, int h, std::uint8_t v)
     return img;
 }
 
+/**
+ * Serve @p requests as one batch of 4x4 frames (48 bytes each) and
+ * return how often the render callback ran for each request index.
+ */
+std::vector<int>
+serve(PanoramaRenderCache &cache, const std::vector<PanoRequest> &requests)
+{
+    // One slot per request index: the pool never renders an index
+    // twice, so the slots need no synchronization.
+    std::vector<int> renders(requests.size(), 0);
+    cache.serveBatch(requests, [&](std::size_t i) {
+        ++renders[i];
+        return solidImage(4, 4, 9);
+    });
+    return renders;
+}
+
+/** Total renders a serve() call performed. */
+int
+total(const std::vector<int> &renders)
+{
+    int sum = 0;
+    for (const int n : renders)
+        sum += n;
+    return sum;
+}
+
 TEST(PanoCache, HitMissAndStats)
 {
+    // A repeat of a key within one batch is a hit and never renders
+    // twice; only the first request of each missing key renders.
     PanoramaRenderCache cache(1 << 20);
-    std::atomic<int> renders{0};
-    const auto render = [&] {
-        ++renders;
-        return solidImage(4, 4, 9);
-    };
+    const PanoKey a = testKey(0, 0);
+    const PanoKey b = testKey(1, 0);
+    EXPECT_EQ(serve(cache, {{a}, {b}, {a}, {a}}),
+              (std::vector<int>{1, 1, 0, 0}));
 
-    const auto a1 = cache.getOrRender(testKey(0, 0), render);
-    const auto a2 = cache.getOrRender(testKey(0, 0), render);
-    EXPECT_EQ(a1.get(), a2.get()); // literally the same frame
-    EXPECT_EQ(renders.load(), 1);
-
-    cache.getOrRender(testKey(1, 0), render);
-    EXPECT_EQ(renders.load(), 2);
-
-    const PanoCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.hits, 1u);
+    PanoCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits, 2u);
     EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.inflightJoins, 0u);
     EXPECT_EQ(stats.entries, 2u);
     EXPECT_EQ(stats.bytes, 2u * 4 * 4 * 3);
     EXPECT_EQ(stats.evictions, 0u);
-}
 
-TEST(PanoCache, KeySchemesDoNotCollide)
-{
-    // Same indices, but one key is grid-scheme (pitchBits == 0) and the
-    // other quantized-location-scheme: they must be distinct entries.
-    PanoramaRenderCache cache(1 << 20);
-    std::atomic<int> renders{0};
-    const auto render = [&] {
-        ++renders;
-        return solidImage(4, 4, 1);
-    };
-    PanoKey grid_key = testKey(5, 5);
-    PanoKey cell_key = testKey(5, 5);
-    cell_key.pitchBits = 0x4010000000000000ull; // 4.0
-    cache.getOrRender(grid_key, render);
-    cache.getOrRender(cell_key, render);
-    EXPECT_EQ(renders.load(), 2);
-}
-
-TEST(PanoCache, SingleFlightConcurrentMisses)
-{
-    // N concurrent requests for one key: exactly one render; every
-    // other request is a hit (arrived after completion) or an
-    // inflight join (arrived during the render) — never a second
-    // render.
-    constexpr int kRequests = 16;
-    PanoramaRenderCache cache(1 << 20);
-    std::atomic<int> renders{0};
-    support::parallelFor(
-        0, kRequests, 1,
-        [&](std::int64_t b, std::int64_t e) {
-            for (std::int64_t i = b; i < e; ++i) {
-                const auto img = cache.getOrRender(testKey(7, 7), [&] {
-                    ++renders;
-                    return solidImage(16, 16, 3);
-                });
-                ASSERT_TRUE(img);
-                EXPECT_EQ(img->pixels()[0].r, 3);
-            }
-        },
-        4);
-    EXPECT_EQ(renders.load(), 1);
-    const PanoCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.hits + stats.inflightJoins,
-              static_cast<std::uint64_t>(kRequests - 1));
+    // Both are resident now: a later batch is all hits.
+    EXPECT_EQ(total(serve(cache, {{b}, {a}})), 0);
+    stats = cache.stats();
+    EXPECT_EQ(stats.hits, 4u);
+    EXPECT_EQ(stats.misses, 2u);
 }
 
 TEST(PanoCache, LruEvictionUnderByteBudget)
 {
-    // Budget fits exactly two 4x4 frames (48 bytes each).
+    // Budget fits exactly two 4x4 frames. A resident hit refreshes the
+    // entry's LRU stamp before the same batch's publications evict, so
+    // C pushes out B, not the older but just-touched A.
     PanoramaRenderCache cache(96);
-    std::atomic<int> renders{0};
-    const auto render = [&] {
-        ++renders;
-        return solidImage(4, 4, 2);
-    };
-    cache.getOrRender(testKey(0, 0), render); // A
-    cache.getOrRender(testKey(1, 0), render); // B
-    cache.getOrRender(testKey(0, 0), render); // touch A (hit)
-    cache.getOrRender(testKey(2, 0), render); // C -> evicts LRU = B
-    EXPECT_EQ(renders.load(), 3);
+    const PanoKey a = testKey(0, 0);
+    const PanoKey b = testKey(1, 0);
+    const PanoKey c = testKey(2, 0);
+    EXPECT_EQ(total(serve(cache, {{a}, {b}})), 2);
+    EXPECT_EQ(serve(cache, {{a}, {c}}), (std::vector<int>{0, 1}));
 
     PanoCacheStats stats = cache.stats();
     EXPECT_EQ(stats.evictions, 1u);
@@ -139,45 +119,29 @@ TEST(PanoCache, LruEvictionUnderByteBudget)
     EXPECT_EQ(stats.entries, 2u);
     EXPECT_LE(stats.bytes, 96u);
 
-    cache.getOrRender(testKey(0, 0), render); // A still resident
-    EXPECT_EQ(renders.load(), 3);
-    cache.getOrRender(testKey(1, 0), render); // B was evicted
-    EXPECT_EQ(renders.load(), 4);
+    EXPECT_EQ(total(serve(cache, {{a}, {c}})), 0); // still resident
+    EXPECT_EQ(total(serve(cache, {{b}})), 1);       // was evicted
 }
 
-TEST(PanoCache, FailedRenderReleasesClaim)
+TEST(PanoCache, EarlierPublicationNeverEvictsLaterMiss)
 {
-    PanoramaRenderCache cache(1 << 20);
-    EXPECT_THROW(cache.getOrRender(
-                     testKey(9, 9),
-                     []() -> Image { throw std::runtime_error("gpu"); }),
-                 std::runtime_error);
-    // The claim was withdrawn: a retry renders fresh instead of
-    // deadlocking on a forever-in-flight entry.
-    std::atomic<int> renders{0};
-    const auto img = cache.getOrRender(testKey(9, 9), [&] {
-        ++renders;
-        return solidImage(4, 4, 8);
-    });
-    EXPECT_EQ(renders.load(), 1);
-    EXPECT_EQ(img->pixels()[0].g, 8);
-    EXPECT_EQ(cache.stats().misses, 2u);
-}
+    // Budget of two frames, one batch of three misses. Publication in
+    // request order evicts A when C lands; B and C (the batch's later
+    // misses) stay, and each key rendered exactly once.
+    PanoramaRenderCache cache(96);
+    const PanoKey a = testKey(0, 0);
+    const PanoKey b = testKey(1, 0);
+    const PanoKey c = testKey(2, 0);
+    EXPECT_EQ(serve(cache, {{a}, {b}, {c}}), (std::vector<int>{1, 1, 1}));
 
-TEST(PanoCache, ClearDropsCompletedEntries)
-{
-    PanoramaRenderCache cache(1 << 20);
-    std::atomic<int> renders{0};
-    const auto render = [&] {
-        ++renders;
-        return solidImage(4, 4, 5);
-    };
-    cache.getOrRender(testKey(0, 0), render);
-    cache.clear();
-    EXPECT_EQ(cache.stats().entries, 0u);
-    EXPECT_EQ(cache.stats().bytes, 0u);
-    cache.getOrRender(testKey(0, 0), render);
-    EXPECT_EQ(renders.load(), 2);
+    const PanoCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.misses, 3u);
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.entries, 2u);
+    EXPECT_EQ(stats.bytes, 96u);
+
+    EXPECT_EQ(total(serve(cache, {{b}, {c}})), 0);
+    EXPECT_EQ(total(serve(cache, {{a}})), 1);
 }
 
 TEST(PanoCache, WorldTagsNeverCollide)
@@ -186,94 +150,47 @@ TEST(PanoCache, WorldTagsNeverCollide)
     // world tags are different panoramas — a fleet sharing one cache
     // across worlds must never serve one world's sky to another.
     PanoramaRenderCache cache(1 << 20);
-    std::atomic<int> renders{0};
-    const auto render = [&] {
-        ++renders;
-        return solidImage(4, 4, 6);
-    };
-    PanoKey viking = testKey(3, 3);
+    const PanoKey viking = testKey(3, 3);
     PanoKey fps = testKey(3, 3);
     fps.worldTag = 0x0f95;
-    cache.getOrRender(viking, render);
-    cache.getOrRender(fps, render);
-    EXPECT_EQ(renders.load(), 2);
+    EXPECT_EQ(total(serve(cache, {{viking}, {fps}})), 2);
     EXPECT_EQ(cache.stats().hits, 0u);
     EXPECT_EQ(cache.stats().entries, 2u);
 }
 
-TEST(PanoCache, ReleaseClaimsOrphansInFlightRender)
-{
-    // Regression for the fleet claim leak: a session destroyed while
-    // its render is in flight must not leave a forever-pending claim.
-    // releaseClaims fires *during* the render (exactly what session
-    // teardown does); the finished image is handed back uncached.
-    PanoramaRenderCache cache(1 << 20);
-    std::size_t released = 0;
-    const auto img = cache.getOrRender(
-        testKey(2, 2),
-        [&] {
-            released = cache.releaseClaims(/*owner=*/7);
-            return solidImage(4, 4, 4);
-        },
-        nullptr, /*owner=*/7);
-    ASSERT_TRUE(img); // the caller still gets its frame
-    EXPECT_EQ(img->pixels()[0].r, 4);
-    EXPECT_EQ(released, 1u);
-
-    PanoCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.claimsReleased, 1u);
-    EXPECT_EQ(stats.orphanRenders, 1u);
-    EXPECT_EQ(stats.entries, 0u); // never published, never charged
-    EXPECT_EQ(cache.ownerBytes(7), 0u);
-
-    // The key is renderable again by anyone — no deadlocked claim.
-    std::atomic<int> renders{0};
-    cache.getOrRender(testKey(2, 2), [&] {
-        ++renders;
-        return solidImage(4, 4, 4);
-    });
-    EXPECT_EQ(renders.load(), 1);
-}
-
 TEST(PanoCache, CrossOwnerHitsLeaveChargeWithRenderer)
 {
-    // Sibling sessions hit each other's entries for free: the session
-    // that caused the render keeps the residency charge.
+    // Publication charges the owner of the request that rendered;
+    // sibling sessions hit each other's entries for free, in the same
+    // batch or a later one.
     PanoramaRenderCache cache(1 << 20);
-    const auto render = [] { return solidImage(4, 4, 1); };
-    cache.getOrRender(testKey(0, 0), render, nullptr, /*owner=*/1);
-    cache.getOrRender(testKey(0, 0), render, nullptr, /*owner=*/2);
-    EXPECT_EQ(cache.stats().hits, 1u);
+    const PanoKey a = testKey(0, 0);
+    serve(cache, {{a, /*owner=*/1}, {a, /*owner=*/2}});
+    serve(cache, {{a, /*owner=*/2}});
+    EXPECT_EQ(cache.stats().hits, 2u);
     EXPECT_EQ(cache.ownerBytes(1), 48u);
     EXPECT_EQ(cache.ownerBytes(2), 0u);
 }
 
 TEST(PanoCache, EvictionChargesHeaviestOwnerFirst)
 {
-    // Budget fits two 4x4 frames. Session 1 renders two panoramas;
-    // session 2's first render then forces an eviction — the victim
-    // comes from the heaviest-charged owner (session 1, LRU within),
-    // not from the newcomer, so one hot session cannot starve a
-    // sibling's working set.
+    // Budget fits two 4x4 frames. Session 1 renders A and B; session 2
+    // hits A (refreshing its LRU stamp, not its charge), then renders
+    // C, which forces an eviction. The victim comes from the
+    // heaviest-charged owner (session 1), LRU within it (B), not from
+    // the newcomer — one hot session cannot starve a sibling.
     PanoramaRenderCache cache(96);
-    std::atomic<int> renders{0};
-    const auto render = [&] {
-        ++renders;
-        return solidImage(4, 4, 2);
-    };
-    cache.getOrRender(testKey(0, 0), render, nullptr, 1); // A
-    cache.getOrRender(testKey(1, 0), render, nullptr, 1); // B
-    cache.getOrRender(testKey(2, 0), render, nullptr, 2); // C evicts A
-    EXPECT_EQ(renders.load(), 3);
+    const PanoKey a = testKey(0, 0);
+    const PanoKey b = testKey(1, 0);
+    const PanoKey c = testKey(2, 0);
+    EXPECT_EQ(total(serve(cache, {{a, 1}, {b, 1}})), 2);
+    EXPECT_EQ(total(serve(cache, {{a, 2}, {c, 2}})), 1);
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_EQ(cache.ownerBytes(1), 48u);
     EXPECT_EQ(cache.ownerBytes(2), 48u);
 
-    cache.getOrRender(testKey(1, 0), render, nullptr, 1); // B resident
-    cache.getOrRender(testKey(2, 0), render, nullptr, 2); // C resident
-    EXPECT_EQ(renders.load(), 3);
-    cache.getOrRender(testKey(0, 0), render, nullptr, 1); // A was evicted
-    EXPECT_EQ(renders.load(), 4);
+    EXPECT_EQ(total(serve(cache, {{a, 1}, {c, 2}})), 0); // resident
+    EXPECT_EQ(total(serve(cache, {{b, 1}})), 1);         // was evicted
 }
 
 /** FrameStore integration over a real world + partition. */
@@ -287,6 +204,24 @@ struct PanoCacheFixture : testing::Test
           regions(world.bounds(), partition.leaves),
           frames(world, grid, regions)
     {
+    }
+
+    /** One batch of far-BE lookups rendered through @p cache; each
+     *  request is charged to the matching entry of @p owners (0 when
+     *  absent). */
+    static void
+    serveLookups(PanoramaRenderCache &cache,
+                 const std::vector<const FrameStore *> &stores,
+                 const std::vector<FrameStore::FarBeLookup> &lookups,
+                 const std::vector<std::uint32_t> &owners = {})
+    {
+        std::vector<PanoRequest> requests;
+        for (std::size_t i = 0; i < lookups.size(); ++i)
+            requests.push_back(
+                {lookups[i].key, i < owners.size() ? owners[i] : 0});
+        cache.serveBatch(requests, [&](std::size_t i) {
+            return stores[i]->renderFarBe(lookups[i], /*threads=*/1);
+        });
     }
 
     world::VirtualWorld world;
@@ -306,27 +241,32 @@ TEST_F(PanoCacheFixture, SameCellSharesOneRender)
     const Vec2 p1{b.lo.x + 2.25 * pitch, b.lo.y + 2.25 * pitch};
     const Vec2 p2{b.lo.x + 2.75 * pitch, b.lo.y + 2.75 * pitch};
     const Vec2 p3{b.lo.x + 3.25 * pitch, b.lo.y + 2.25 * pitch};
+    const auto l1 = frames.farBeLookup(p1, thresh, 48, 24);
+    const auto l2 = frames.farBeLookup(p2, thresh, 48, 24);
+    const auto l3 = frames.farBeLookup(p3, thresh, 48, 24);
+    EXPECT_EQ(l1.key, l2.key);
+    EXPECT_EQ(l1.rep, l2.rep);
+    EXPECT_NE(l1.key, l3.key);
 
-    const auto f1 = frames.farBePanorama(p1, thresh, 48, 24);
-    const auto f2 = frames.farBePanorama(p2, thresh, 48, 24);
-    const auto f3 = frames.farBePanorama(p3, thresh, 48, 24);
-    EXPECT_EQ(f1.get(), f2.get()); // shared cached frame
-    EXPECT_NE(f1.get(), f3.get());
-
-    const PanoCacheStats stats = frames.panoCacheStats();
+    PanoramaRenderCache cache(64ull << 20);
+    serveLookups(cache, {&frames, &frames, &frames}, {l1, l2, l3});
+    const PanoCacheStats stats = cache.stats();
     EXPECT_EQ(stats.misses, 2u);
     EXPECT_EQ(stats.hits, 1u);
 }
 
 TEST_F(PanoCacheFixture, CachedPanoramaMatchesDirectRender)
 {
+    // The frame the cache publishes for a lookup is
+    // renderFarBe(farBeLookup(pos)); it must be exactly the render of
+    // the cell representative.
     const double thresh = 8.0;
     const double pitch = std::max(thresh, grid.spacing());
     const geom::Rect &b = world.bounds();
     const Vec2 pos{b.lo.x + 5.6 * pitch, b.lo.y + 4.4 * pitch};
-    const auto cached = frames.farBePanorama(pos, thresh, 48, 24);
+    const Image cached =
+        frames.renderFarBe(frames.farBeLookup(pos, thresh, 48, 24));
 
-    // Reconstruct the cell-representative render the cache performs.
     const auto qx = static_cast<std::int64_t>(
         std::floor((pos.x - b.lo.x) / pitch));
     const auto qy = static_cast<std::int64_t>(
@@ -339,114 +279,90 @@ TEST_F(PanoCacheFixture, CachedPanoramaMatchesDirectRender)
     opts.layer = render::DepthLayer::farBe(regions.cutoffAt(rep));
     const Image direct =
         renderer.renderPanorama(world.eyePosition(rep), 48, 24, opts);
-    EXPECT_TRUE(cached->pixels() == direct.pixels());
-}
-
-TEST_F(PanoCacheFixture, PrerenderSecondPassIsAllHits)
-{
-    const auto first = frames.prerenderFarBe(192, 32, 16);
-    const PanoCacheStats after_first = frames.panoCacheStats();
-    EXPECT_EQ(after_first.misses, first.frames);
-
-    const auto second = frames.prerenderFarBe(192, 32, 16);
-    const PanoCacheStats after_second = frames.panoCacheStats();
-    EXPECT_EQ(second.frames, first.frames);
-    EXPECT_EQ(second.encodedBytes, first.encodedBytes);
-    // Every second-pass frame came out of the cache.
-    EXPECT_EQ(after_second.misses, after_first.misses);
-    EXPECT_EQ(after_second.hits, after_first.hits + second.frames);
+    EXPECT_TRUE(cached.pixels() == direct.pixels());
 }
 
 TEST_F(PanoCacheFixture, EightClientsRenderOncePerDistinctCell)
 {
     // Four position pairs, each pair within one quantization cell:
-    // eight "clients" cost exactly four renders (ISSUE acceptance:
-    // renders == distinct quantized locations).
+    // eight clients in one batch cost exactly four renders.
     const double thresh = 8.0;
     const double pitch = std::max(thresh, grid.spacing());
     const geom::Rect &b = world.bounds();
-    std::vector<Vec2> clients;
+    std::vector<FrameStore::FarBeLookup> lookups;
     for (int pair = 0; pair < 4; ++pair) {
         const double cx = b.lo.x + (2.0 * pair + 2.25) * pitch;
         const double cy = b.lo.y + 2.25 * pitch;
-        clients.push_back({cx, cy});
-        clients.push_back({cx + 0.4 * pitch, cy + 0.4 * pitch});
+        lookups.push_back(frames.farBeLookup({cx, cy}, thresh, 32, 16));
+        lookups.push_back(frames.farBeLookup(
+            {cx + 0.4 * pitch, cy + 0.4 * pitch}, thresh, 32, 16));
     }
-    support::parallelFor(
-        0, static_cast<std::int64_t>(clients.size()), 1,
-        [&](std::int64_t s, std::int64_t e) {
-            for (std::int64_t i = s; i < e; ++i)
-                frames.farBePanorama(clients[static_cast<std::size_t>(i)],
-                                     thresh, 32, 16);
-        },
-        4);
-    const PanoCacheStats stats = frames.panoCacheStats();
+    PanoramaRenderCache cache(64ull << 20);
+    serveLookups(cache,
+                 std::vector<const FrameStore *>(lookups.size(), &frames),
+                 lookups);
+    const PanoCacheStats stats = cache.stats();
     EXPECT_EQ(stats.misses, 4u);
-    EXPECT_EQ(stats.hits + stats.inflightJoins, 4u);
+    EXPECT_EQ(stats.hits, 4u);
 }
 
 TEST_F(PanoCacheFixture, SerialAndPooledRendersAreBitIdentical)
 {
-    // Two independent stores so both actually render: one serial, one
-    // on the pool. The frames must match bit for bit (the determinism
-    // invariant the cache relies on to share frames across clients).
-    FrameStore serial(world, grid, regions);
-    const Vec2 pos = world.bounds().center();
-    const auto pooled = frames.farBePanorama(pos, 8.0, 64, 32, 0);
-    const auto single = serial.farBePanorama(pos, 8.0, 64, 32, 1);
-    EXPECT_TRUE(pooled->pixels() == single->pixels());
+    // The frame must not depend on how the render fans out (the
+    // determinism invariant the cache relies on to share frames
+    // across clients).
+    const auto lookup =
+        frames.farBeLookup(world.bounds().center(), 8.0, 64, 32);
+    const Image pooled = frames.renderFarBe(lookup, 0);
+    const Image single = frames.renderFarBe(lookup, 1);
+    EXPECT_TRUE(pooled.pixels() == single.pixels());
 }
 
 TEST_F(PanoCacheFixture, SameWorldStoresShareOneCacheAcrossSessions)
 {
     // The fleet deployment shape: two sessions (FrameStores) over the
-    // same world wired to one externally owned cache. Session 2's
-    // first render of any cell session 1 already produced is a hit —
-    // and the residency charge stays with session 1.
-    const auto shared = std::make_shared<PanoramaRenderCache>(64ull << 20);
-    FrameStoreParams params;
-    params.sharedPanoCache = shared;
-    FrameStore store1(world, grid, regions, params);
-    FrameStore store2(world, grid, regions, params);
+    // same world feeding one cache. Session 2's request for the cell
+    // session 1 asked for is a hit, and the residency charge stays
+    // with session 1.
+    FrameStore store1(world, grid, regions);
+    FrameStore store2(world, grid, regions);
     ASSERT_EQ(store1.worldTag(), store2.worldTag());
-    ASSERT_EQ(&store1.panoCache(), shared.get());
 
     const Vec2 pos = world.bounds().center();
-    const auto first = store1.farBePanorama(pos, 8.0, 48, 24, 1, nullptr,
-                                            /*cacheOwner=*/1);
-    const auto second = store2.farBePanorama(pos, 8.0, 48, 24, 1, nullptr,
-                                             /*cacheOwner=*/2);
-    EXPECT_EQ(first.get(), second.get()); // literally the same frame
-    const PanoCacheStats stats = shared->stats();
+    const auto first = store1.farBeLookup(pos, 8.0, 48, 24);
+    const auto second = store2.farBeLookup(pos, 8.0, 48, 24);
+    EXPECT_EQ(first.key, second.key);
+
+    PanoramaRenderCache cache(64ull << 20);
+    serveLookups(cache, {&store1, &store2}, {first, second}, {1, 2});
+    const PanoCacheStats stats = cache.stats();
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(shared->ownerBytes(1), stats.bytes);
-    EXPECT_EQ(shared->ownerBytes(2), 0u);
+    EXPECT_EQ(cache.ownerBytes(1), stats.bytes);
+    EXPECT_EQ(cache.ownerBytes(2), 0u);
 }
 
 TEST_F(PanoCacheFixture, DifferentWorldsNeverShareRenders)
 {
-    // Two sessions over *different* worlds on one shared cache: the
-    // world tag in every key keeps their panoramas apart even at
-    // identical positions and resolutions.
-    const auto shared = std::make_shared<PanoramaRenderCache>(64ull << 20);
-    FrameStoreParams params;
-    params.sharedPanoCache = shared;
-    FrameStore viking(world, grid, regions, params);
-
+    // Two sessions over *different* worlds on one cache: the world tag
+    // in every key keeps their panoramas apart even at identical
+    // positions and resolutions.
     world::VirtualWorld other = world::gen::makeWorld(GameId::FPS, 42);
     world::GridMap otherGrid =
         world::gen::makeGrid(world::gen::gameInfo(GameId::FPS));
     PartitionResult otherPartition =
         partitionWorld(other, device::pixel2(), {});
     RegionIndex otherRegions(other.bounds(), otherPartition.leaves);
-    FrameStore fps(other, otherGrid, otherRegions, params);
-    ASSERT_NE(viking.worldTag(), fps.worldTag());
+    FrameStore fps(other, otherGrid, otherRegions);
+    ASSERT_NE(frames.worldTag(), fps.worldTag());
 
     const Vec2 pos = world.bounds().center();
-    viking.farBePanorama(pos, 8.0, 48, 24, 1, nullptr, 1);
-    fps.farBePanorama(pos, 8.0, 48, 24, 1, nullptr, 2);
-    const PanoCacheStats stats = shared->stats();
+    PanoramaRenderCache cache(64ull << 20);
+    serveLookups(cache, {&frames, &fps},
+                 {frames.farBeLookup(pos, 8.0, 48, 24),
+                  fps.farBeLookup(pos, 8.0, 48, 24)},
+                 {1, 2});
+    const PanoCacheStats stats = cache.stats();
     EXPECT_EQ(stats.misses, 2u);
     EXPECT_EQ(stats.hits, 0u);
     EXPECT_EQ(stats.entries, 2u);

@@ -3,8 +3,7 @@
  * Tests for the shared thread pool and the determinism contract of the
  * parallel frame pipeline: chunk boundaries and results independent of
  * thread count, exception propagation, nested-parallelFor safety, and
- * serial-vs-pooled equivalence for the renderer, the partitioner, and
- * the server's offline pre-render pass.
+ * serial-vs-pooled equivalence for the renderer and the partitioner.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "core/partitioner.hh"
-#include "core/server.hh"
 #include "render/cost_model.hh"
 #include "render/renderer.hh"
 #include "support/parallel.hh"
@@ -212,28 +210,6 @@ TEST(ParallelPipeline, CutoffCostCacheMatchesFreeFunctionBitExact)
                   render::renderTimeMs(world, eye, 0.0, r, params))
             << "radius " << r;
     }
-}
-
-TEST(ParallelPipeline, ServerPrerenderDeterministicSerialVsPool)
-{
-    const world::VirtualWorld world = tinyWorld();
-    core::PartitionParams params;
-    params.maxDepth = 2;
-    params.minDepth = 1;
-    params.samplesPerRegion = 2;
-    const auto partition =
-        core::partitionWorld(world, device::pixel2(), params);
-    const core::RegionIndex regions(world.bounds(), partition.leaves);
-    const world::GridMap grid(world.bounds(), 20.0);
-    const core::FrameStore store(world, grid, regions);
-
-    const auto serial = store.prerenderFarBe(1, 48, 24, /*threads=*/1);
-    const auto pooled = store.prerenderFarBe(1, 48, 24, /*threads=*/0);
-    EXPECT_EQ(serial.frames,
-              static_cast<std::uint64_t>(grid.cols() * grid.rows()));
-    EXPECT_EQ(serial.frames, pooled.frames);
-    EXPECT_EQ(serial.encodedBytes, pooled.encodedBytes);
-    EXPECT_GT(serial.encodedBytes, 0u);
 }
 
 } // namespace

@@ -113,7 +113,6 @@ struct HopRow
     std::string hop;     // "transfer", "stall_wait", ...
     double beginMs = 0.0;
     double durMs = 0.0;
-    bool wallOnly = false; // pid 1: wall-clock hop (flight dumps)
 };
 
 /** One causal frame record reassembled from its trace events. */
@@ -167,8 +166,6 @@ runFramesReport(const Json &events, const char *path)
             hop.hop = name.substr(6);
             hop.beginMs = e.at("ts").asNumber() / 1000.0;
             hop.durMs = e.at("dur").asNumber() / 1000.0;
-            hop.wallOnly =
-                static_cast<int>(e.at("pid").asNumber(2)) == 1;
             row.hops.push_back(std::move(hop));
         }
     }
@@ -191,12 +188,11 @@ runFramesReport(const Json &events, const char *path)
     };
     std::map<std::string, SessionAgg> sessions;
     std::map<std::pair<std::string, int>, SampleSet> byClient;
-    std::map<std::string, SampleSet> byHop; // sim hops, merged
+    std::map<std::string, SampleSet> byHop;
     std::vector<const FrameRow *> missed;
     for (const auto &[key, row] : records) {
-        for (const HopRow &h : row.hops) {
-            byHop[h.wallOnly ? h.hop + "[wall]" : h.hop].add(h.durMs);
-        }
+        for (const HopRow &h : row.hops)
+            byHop[h.hop].add(h.durMs);
         if (!row.done)
             continue;
         SessionAgg &agg = sessions[row.label];
@@ -255,9 +251,8 @@ runFramesReport(const Json &events, const char *path)
                           return a.beginMs < b.beginMs;
                       });
             for (const HopRow &h : hops) {
-                std::printf("    %-14s %12.3f ms  +%.3f ms%s\n",
-                            h.hop.c_str(), h.durMs, h.beginMs,
-                            h.wallOnly ? "  [wall]" : "");
+                std::printf("    %-14s %12.3f ms  +%.3f ms\n",
+                            h.hop.c_str(), h.durMs, h.beginMs);
             }
         }
     } else {
