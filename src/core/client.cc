@@ -12,7 +12,6 @@
 
 #include "net/endpoints.hh"
 #include "net/resilience.hh"
-#include "obs/flight.hh"
 #include "obs/frame_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/slo.hh"
@@ -133,7 +132,7 @@ struct SplitSystemRun::Impl
 
     void start();
     SystemResult finish();
-    void publishRecords();
+    void publishSlo();
     void quarantineAt(TimeMs now);
     void confineFault(const char *what);
 
@@ -223,7 +222,7 @@ struct SplitSystemRun::Impl
     bool isQuarantined = false; ///< stopped via quarantine()
     bool isFaulted = false;     ///< stopped via the error boundary
     std::string faultReason;
-    bool recordsPublished = false;
+    bool sloPublished = false;
     bool finished = false;
     bool throttled = false;     ///< shed level 1: conservative prefetch
     bool forceDegrade = false;  ///< shed level 2: immediate stale subst.
@@ -575,8 +574,7 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
         ++c.rejoins;
         c.rejoinAt = now;
         COTERIE_COUNT("client.rejoins");
-        obs::TraceRecorder::global().instant("client.rejoin", "fault",
-                                             now);
+        obs::instant("client.rejoin", "fault", now);
         c.lastGrid = GridPoint{-1, -1};
         for (const PrefetchTarget &t : prefetcher.resyncTargets(
                  g, pose.position, c.cache.get(), distThresholds)) {
@@ -788,9 +786,9 @@ SplitSystemRun::Impl::quarantineAt(TimeMs now)
     }
     // Freeze the SLO label: publish the summary as of the quarantine
     // instant — later events in sibling sessions can no longer move it.
-    publishRecords();
+    publishSlo();
     COTERIE_COUNT("fleet.session_quarantined");
-    obs::flight::recordInstant("fleet.session_quarantined", "fleet", now);
+    obs::instant("fleet.session_quarantined", "fleet", now);
 }
 
 void
@@ -804,16 +802,14 @@ SplitSystemRun::Impl::confineFault(const char *what)
         hooks->onSessionFault(fleetSession, faultReason.c_str());
 }
 
-// Export the causal records (sim-timeline trace events when
-// recording) and publish the SLO summary of the frame records under
-// the session label, once: a quarantine freezes both at its instant.
+// Publish the SLO summary of the frame records under the session
+// label, once: a quarantine freezes it at its instant.
 void
-SplitSystemRun::Impl::publishRecords()
+SplitSystemRun::Impl::publishSlo()
 {
-    if (recordsPublished)
+    if (sloPublished)
         return;
-    recordsPublished = true;
-    tracer.finish();
+    sloPublished = true;
     obs::DeadlineTracker summary;
     for (const ClientState &c : clients)
         for (const FrameLogEntry &e : c.frames)
@@ -828,7 +824,7 @@ SplitSystemRun::Impl::finish()
 {
     COTERIE_ASSERT(!finished, "SplitSystemRun::finish called twice");
     finished = true;
-    publishRecords();
+    publishSlo();
 
     SystemResult result;
     result.systemName = systemName;

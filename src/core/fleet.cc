@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "obs/flight.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "support/logging.hh"
@@ -247,8 +246,7 @@ SessionManager::startSession(SessionState &s)
         s.run->start();
     });
     COTERIE_COUNT("fleet.session_started");
-    obs::flight::recordInstant("fleet.session_started", "fleet",
-                               queue_.now());
+    obs::instant("fleet.session_started", "fleet", queue_.now());
     // Finalize at the same trailing-delivery cutoff the solo wrapper
     // drains to — but strictly *after* every event at the horizon
     // instant (runUntil includes events at `when == horizon`; the
@@ -374,8 +372,8 @@ SessionManager::governorTick()
             s.level = level;
             s.run->throttlePrefetch(level >= 1);
             s.run->forceDegrade(level >= 2);
-            obs::flight::recordInstant("fleet.governor.level_change",
-                                       "fleet", queue_.now());
+            obs::instant("fleet.governor.level_change", "fleet",
+                         queue_.now());
         }
         if (miss >= governor_.evictMissRate * scale)
             ++s.strikes;
@@ -395,8 +393,7 @@ SessionManager::governorTick()
         worst->run->quarantine();
         ++evictions_;
         COTERIE_COUNT("fleet.session_evicted");
-        obs::flight::recordInstant("fleet.session_evicted", "fleet",
-                                   queue_.now());
+        obs::instant("fleet.session_evicted", "fleet", queue_.now());
         finalizeSession(*worst, SessionPhase::Evicted, queue_.now());
     }
 
@@ -498,8 +495,7 @@ SessionManager::confirmSessionFault(std::uint32_t session, double faultAt)
         return;
     ++faults_;
     COTERIE_COUNT("fleet.session_fault_confined");
-    obs::flight::recordInstant("fleet.session_fault_confined", "fleet",
-                               faultAt);
+    obs::instant("fleet.session_fault_confined", "fleet", faultAt);
     // The run already quarantined itself (fetches cancelled, SLO label
     // frozen); the manager's half is the capacity release.
     finalizeSession(s, SessionPhase::Faulted, faultAt);

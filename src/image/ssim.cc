@@ -1,6 +1,5 @@
 #include "image/ssim.hh"
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -14,9 +13,9 @@ namespace coterie::image {
 
 namespace {
 
-/** Bands per pool chunk. Fixed (thread-count-independent) so the
- *  chunk-local column-sum recurrences are deterministic at any
- *  COTERIE_THREADS value. */
+/** Bands per pool chunk in the tiled kernel's window stage. Fixed
+ *  (thread-count-independent) so the chunk grid, and with it the
+ *  result, is the same at any COTERIE_THREADS value. */
 constexpr std::int64_t kBandsPerChunk = 8;
 
 /** Row-groups per pool chunk in the tiled kernel's build stage. */
@@ -24,26 +23,16 @@ constexpr std::int64_t kGroupsPerChunk = 8;
 
 // Vector lanes and runtime dispatch come from support/simd.hh: the
 // vector path follows the COTERIE_SIMD CMake option, and
-// COTERIE_SIMD_CLONES emits AVX-512/AVX2 clones of the hot kernels
+// COTERIE_SIMD_CLONES emits AVX-512/AVX2 clones of the hot kernel
 // (skipped under sanitizers — the ifunc resolver runs before their
 // runtimes initialise). Results are thread-count deterministic either
-// way; vector-vs-scalar builds agree to the kernels' documented 1e-12
+// way; vector-vs-scalar builds agree to the kernel's documented 1e-12
 // envelope rather than bit-exactly (ssim_test pins both properties).
 #ifdef COTERIE_SIMD_VECTOR_EXT
-#define COTERIE_SSIM_V2D 1
 // The wide-vector helpers are internal and always inlined; the ABI of
 // their V4d return type is irrelevant.
 #pragma GCC diagnostic ignored "-Wpsabi"
-using V2d = support::simd::V2dRaw;
 using V4d = support::simd::V4dRaw;
-
-inline V2d
-loadu2(const double *p)
-{
-    V2d v;
-    __builtin_memcpy(&v, p, sizeof(v));
-    return v;
-}
 
 inline V4d
 loadu4(const double *p)
@@ -52,20 +41,7 @@ loadu4(const double *p)
     __builtin_memcpy(&v, p, sizeof(v));
     return v;
 }
-
-inline void
-storeu4(double *p, V4d v)
-{
-    __builtin_memcpy(p, &v, sizeof(v));
-}
 #endif
-#define COTERIE_SSIM_CLONES COTERIE_SIMD_CLONES
-
-/** Horizontal running window sums are recomputed from the column sums
- *  every this many window positions, bounding floating-point drift of
- *  the add/subtract recurrence (keeps the kernel within 1e-12 of the
- *  naive formulation). */
-constexpr int kRefreshInterval = 64;
 
 double
 ssimWindow(double sa, double sb, double saa, double sbb, double sab,
@@ -87,16 +63,17 @@ constexpr int kMoments = 5;
  * One row-group of the tiled kernel's moment table: for each
  * column-group j, the five moment sums over the stride x stride pixel
  * tile whose top-left corner is (j*stride, g*stride). Every pixel is
- * loaded exactly once; the inner accumulation runs on two-lane vectors
- * where the compiler supports them (scalar tail for odd strides).
+ * loaded exactly once. The default stride 4 runs on 4-lane vectors
+ * where the compiler supports them; every other stride, and builds
+ * without vector extensions, run the scalar loop.
  */
-COTERIE_SSIM_CLONES void
+COTERIE_SIMD_CLONES void
 buildTileRow(const double *a, const double *b, int width, int g,
              int xGroups, int stride, double *tg)
 {
     const double *baseA = a + static_cast<std::size_t>(g) * stride * width;
     const double *baseB = b + static_cast<std::size_t>(g) * stride * width;
-#ifdef COTERIE_SSIM_V2D
+#ifdef COTERIE_SIMD_VECTOR_EXT
     if (stride == 4) {
         // The default geometry (8x8 windows, stride 4) fully unrolled:
         // one 4-lane vector per tile row, no inner-loop branches.
@@ -126,52 +103,7 @@ buildTileRow(const double *a, const double *b, int width, int g,
         }
         return;
     }
-    const int quads = stride / 4;
-    const int pairs = (stride % 4) / 2;
-    const bool odd = (stride & 1) != 0;
-    for (int j = 0; j < xGroups; ++j) {
-        const int x0 = j * stride;
-        V4d qa{}, qb{}, qaa{}, qbb{}, qab{};
-        V2d sa{}, sb{}, saa{}, sbb{}, sab{};
-        double ta = 0, tb = 0, taa = 0, tbb = 0, tab = 0;
-        for (int r = 0; r < stride; ++r) {
-            const double *ra = baseA + static_cast<std::size_t>(r) * width + x0;
-            const double *rb = baseB + static_cast<std::size_t>(r) * width + x0;
-            for (int v = 0; v < quads; ++v) {
-                const V4d pa = loadu4(ra + 4 * v);
-                const V4d pb = loadu4(rb + 4 * v);
-                qa += pa;
-                qb += pb;
-                qaa += pa * pa;
-                qbb += pb * pb;
-                qab += pa * pb;
-            }
-            for (int v = 0; v < pairs; ++v) {
-                const V2d pa = loadu2(ra + 4 * quads + 2 * v);
-                const V2d pb = loadu2(rb + 4 * quads + 2 * v);
-                sa += pa;
-                sb += pb;
-                saa += pa * pa;
-                sbb += pb * pb;
-                sab += pa * pb;
-            }
-            if (odd) {
-                const double pa = ra[stride - 1], pb = rb[stride - 1];
-                ta += pa;
-                tb += pb;
-                taa += pa * pa;
-                tbb += pb * pb;
-                tab += pa * pb;
-            }
-        }
-        double *t = tg + static_cast<std::size_t>(j) * kMoments;
-        t[0] = qa[0] + qa[1] + qa[2] + qa[3] + sa[0] + sa[1] + ta;
-        t[1] = qb[0] + qb[1] + qb[2] + qb[3] + sb[0] + sb[1] + tb;
-        t[2] = qaa[0] + qaa[1] + qaa[2] + qaa[3] + saa[0] + saa[1] + taa;
-        t[3] = qbb[0] + qbb[1] + qbb[2] + qbb[3] + sbb[0] + sbb[1] + tbb;
-        t[4] = qab[0] + qab[1] + qab[2] + qab[3] + sab[0] + sab[1] + tab;
-    }
-#else
+#endif
     for (int j = 0; j < xGroups; ++j) {
         const int x0 = j * stride;
         double sa = 0, sb = 0, saa = 0, sbb = 0, sab = 0;
@@ -193,43 +125,6 @@ buildTileRow(const double *a, const double *b, int width, int g,
         t[2] = saa;
         t[3] = sbb;
         t[4] = sab;
-    }
-#endif
-}
-
-/**
- * Column-sum update for the sliding kernel: admit (+) or retire (-)
- * one pixel row's moments into the per-column running sums. Columns
- * are independent, so the 4-wide form performs the same per-column
- * arithmetic as the scalar tail; the result depends only on (row,
- * sign, width), never on thread count.
- */
-COTERIE_SSIM_CLONES void
-slideRow(const double *ra, const double *rb, int width, double sign,
-         double *colA, double *colB, double *colAA, double *colBB,
-         double *colAB)
-{
-    int x = 0;
-#ifdef COTERIE_SSIM_V2D
-    const V4d s = {sign, sign, sign, sign};
-    for (; x + 4 <= width; x += 4) {
-        const V4d pa = loadu4(ra + x);
-        const V4d pb = loadu4(rb + x);
-        storeu4(colA + x, loadu4(colA + x) + s * pa);
-        storeu4(colB + x, loadu4(colB + x) + s * pb);
-        storeu4(colAA + x, loadu4(colAA + x) + s * pa * pa);
-        storeu4(colBB + x, loadu4(colBB + x) + s * pb * pb);
-        storeu4(colAB + x, loadu4(colAB + x) + s * pa * pb);
-    }
-#endif
-    for (; x < width; ++x) {
-        const double pa = ra[x];
-        const double pb = rb[x];
-        colA[x] += sign * pa;
-        colB[x] += sign * pb;
-        colAA[x] += sign * pa * pa;
-        colBB[x] += sign * pb * pb;
-        colAB[x] += sign * pa * pb;
     }
 }
 
@@ -409,124 +304,23 @@ ssimLuma(const std::vector<double> &a, const std::vector<double> &b,
     COTERIE_TIMER_SCOPE("image.ssim_ms");
     const int win = params.windowSize;
     const int stride = params.stride > 0 ? params.stride : win;
-    // Disjoint windows (stride >= win) have no overlap to exploit; the
-    // naive pass is optimal there and stays bit-identical to the
-    // historical implementation. Degenerate images share its one-window
-    // path.
-    if (width < win || height < win || stride >= win) {
+    // The tiled kernel takes stride-aligned overlapping grids with a
+    // modest overlap factor (q = win/stride <= 4: each pixel is read
+    // once and a window costs q*q small loads). Everything else —
+    // disjoint windows (no overlap to exploit; bit-identical to the
+    // historical implementation), degenerate images, and the
+    // overlapping grids no caller uses — runs the naive pass.
+    if (width < win || height < win || stride >= win ||
+        win % stride != 0 || win / stride > 4) {
         COTERIE_COUNT("image.ssim_reference");
         return ssimLumaReference(a, b, width, height, params);
     }
 
     const double c1 = params.k1 * params.dynamicRange;
     const double c2 = params.k2 * params.dynamicRange;
-    const double C1 = c1 * c1;
-    const double C2 = c2 * c2;
-
-    // Stride-aligned grids with modest overlap (q = win/stride) are
-    // fastest as tile sums: each pixel is read once and a window costs
-    // q*q small loads. Beyond q = 4 the per-window tile traffic
-    // overtakes the sliding kernel's O(stride) incremental updates.
-    if (win % stride == 0 && win / stride <= 4) {
-        COTERIE_COUNT("image.ssim_tiled");
-        return ssimLumaTiled(a, b, width, height, win, stride, C1, C2,
-                             params.threads);
-    }
-    COTERIE_COUNT("image.ssim_sliding");
-
-    const double inv_n = 1.0 / (static_cast<double>(win) * win);
-    const std::int64_t bands = (height - win) / stride + 1;
-    const int xCount = (width - win) / stride + 1;
-
-    // Per-band accumulation slots + ordered reduction: the mean never
-    // depends on which worker ran which chunk.
-    std::vector<double> bandAcc(static_cast<std::size_t>(bands), 0.0);
-
-    support::parallelFor(
-        0, bands, kBandsPerChunk,
-        [&](std::int64_t bandBegin, std::int64_t bandEnd) {
-            // Sliding-window state for this chunk: per-column running
-            // sums over the current band's rows [y0, y0 + win).
-            std::vector<double> colA(width, 0.0), colB(width, 0.0);
-            std::vector<double> colAA(width, 0.0), colBB(width, 0.0);
-            std::vector<double> colAB(width, 0.0);
-
-            auto addRow = [&](int y, double sign) {
-                slideRow(&a[static_cast<std::size_t>(y) * width],
-                         &b[static_cast<std::size_t>(y) * width], width,
-                         sign, colA.data(), colB.data(), colAA.data(),
-                         colBB.data(), colAB.data());
-            };
-
-            for (std::int64_t band = bandBegin; band < bandEnd; ++band) {
-                const int y0 = static_cast<int>(band) * stride;
-                if (band == bandBegin) {
-                    // Fresh column sums at the chunk boundary.
-                    std::fill(colA.begin(), colA.end(), 0.0);
-                    std::fill(colB.begin(), colB.end(), 0.0);
-                    std::fill(colAA.begin(), colAA.end(), 0.0);
-                    std::fill(colBB.begin(), colBB.end(), 0.0);
-                    std::fill(colAB.begin(), colAB.end(), 0.0);
-                    for (int y = y0; y < y0 + win; ++y)
-                        addRow(y, 1.0);
-                } else {
-                    // O(stride) vertical slide: retire the rows that
-                    // left the band, admit the rows that entered.
-                    for (int y = y0 - stride; y < y0; ++y)
-                        addRow(y, -1.0);
-                    for (int y = y0 + win - stride; y < y0 + win; ++y)
-                        addRow(y, 1.0);
-                }
-
-                // Horizontal pass: O(stride) window update from the
-                // column sums instead of re-summing win^2 pixels.
-                double acc = 0.0;
-                double wa = 0, wb = 0, waa = 0, wbb = 0, wab = 0;
-                int sinceRefresh = kRefreshInterval;
-                for (int i = 0; i < xCount; ++i) {
-                    const int x0 = i * stride;
-                    if (sinceRefresh >= kRefreshInterval) {
-                        wa = wb = waa = wbb = wab = 0.0;
-                        for (int x = x0; x < x0 + win; ++x) {
-                            wa += colA[x];
-                            wb += colB[x];
-                            waa += colAA[x];
-                            wbb += colBB[x];
-                            wab += colAB[x];
-                        }
-                        sinceRefresh = 0;
-                    } else {
-                        for (int x = x0 - stride; x < x0; ++x) {
-                            wa -= colA[x];
-                            wb -= colB[x];
-                            waa -= colAA[x];
-                            wbb -= colBB[x];
-                            wab -= colAB[x];
-                        }
-                        for (int x = x0 + win - stride; x < x0 + win;
-                             ++x) {
-                            wa += colA[x];
-                            wb += colB[x];
-                            waa += colAA[x];
-                            wbb += colBB[x];
-                            wab += colAB[x];
-                        }
-                    }
-                    ++sinceRefresh;
-                    acc += ssimWindow(wa, wb, waa, wbb, wab, inv_n, C1,
-                                      C2);
-                }
-                bandAcc[static_cast<std::size_t>(band)] = acc;
-            }
-        },
-        params.threads);
-
-    double total = 0.0;
-    for (double band : bandAcc)
-        total += band;
-    const std::size_t windows =
-        static_cast<std::size_t>(bands) * static_cast<std::size_t>(xCount);
-    return windows ? total / static_cast<double>(windows) : 1.0;
+    COTERIE_COUNT("image.ssim_tiled");
+    return ssimLumaTiled(a, b, width, height, win, stride, c1 * c1,
+                         c2 * c2, params.threads);
 }
 
 double

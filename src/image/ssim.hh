@@ -34,26 +34,22 @@ double ssim(const Image &a, const Image &b, const SsimParams &params = {});
 
 /**
  * SSIM on raw luma planes (width*height doubles each). Overlapping
- * window grids run one of two fast kernels, both fanned out over the
- * shared thread pool with thread-count-independent results:
- *
- * - stride divides windowSize (small overlap factor): a tiled kernel
- *   reads every pixel exactly once into stride x stride tile moments
- *   and assembles each window from q*q tile sums (q = win/stride);
- * - otherwise: a sliding-window kernel whose per-column running sums
- *   give O(stride) window updates instead of re-summing win^2 pixels.
- *
- * Bit-identical to `ssimLumaReference` when stride >= windowSize;
- * within 1e-12 for overlapping windows.
+ * grids whose stride divides windowSize with a small overlap factor
+ * (q = win/stride <= 4, e.g. the default 8x8 / stride 4) run a tiled
+ * kernel, fanned out over the shared thread pool with
+ * thread-count-independent results: it reads every pixel exactly once
+ * into stride x stride tile moments and assembles each window from
+ * q*q tile sums, within 1e-12 of `ssimLumaReference`. Every other
+ * grid runs `ssimLumaReference` itself.
  */
 double ssimLuma(const std::vector<double> &a, const std::vector<double> &b,
                 int width, int height, const SsimParams &params = {});
 
 /**
  * The naive O(win^2)-per-window serial formulation. It is the
- * production kernel for disjoint windows — `ssimLuma` calls it when
- * stride >= windowSize or the image is smaller than one window — and
- * the regression/benchmark reference for the two fast kernels.
+ * production kernel for disjoint windows, for images smaller than one
+ * window and for overlapping grids the tiled kernel does not take, and
+ * the regression/benchmark reference for the tiled kernel.
  */
 double ssimLumaReference(const std::vector<double> &a,
                          const std::vector<double> &b, int width,

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "obs/flight.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -102,11 +101,9 @@ ResilientFetcher::onAttemptExpired(std::uint64_t key, sim::TimeMs at)
         ++stats_.failures;
         COTERIE_COUNT("net.fetch_giveups");
         // Give-ups are rare, diagnosis-critical moments: mark them in
-        // both the counter namespace dashboards scrape and the
-        // always-on flight recorder, so a post-mortem ring dump shows
+        // the trace, so a live trace or a post-mortem ring dump shows
         // exactly when the fetcher abandoned a megaframe.
-        COTERIE_COUNT("net.fetch.gave_up");
-        obs::flight::recordInstant("net.fetch.gave_up", "net", at);
+        obs::instant("net.fetch.gave_up", "net", at);
         std::vector<Failed> failed = std::move(pf.onFailed);
         pending_.erase(it);
         for (Failed &cb : failed)

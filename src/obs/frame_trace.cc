@@ -4,8 +4,6 @@
 #include <atomic>
 
 #include "obs/clock.hh"
-#include "obs/flight.hh"
-#include "obs/slo.hh"
 #include "obs/trace.hh"
 #include "support/logging.hh"
 
@@ -58,8 +56,8 @@ criticalPathName(CriticalPath path)
         return hopName(path.hop);
     COTERIE_ASSERT(path.hop == Hop::StallWait,
                    "only stall_wait descends into a linked fetch");
-    // Leaked: flight-recorder events keep these pointers for the
-    // whole process, panic dumps during static destruction included.
+    // Leaked: trace events keep these pointers for the whole process,
+    // panic dumps during static destruction included.
     static const auto *names = [] {
         auto *out = new std::array<std::string, kHopCount>;
         for (std::size_t i = 0; i < kHopCount; ++i)
@@ -70,6 +68,24 @@ criticalPathName(CriticalPath path)
     return (*names)[static_cast<std::size_t>(path.via)].c_str();
 }
 
+namespace {
+
+/** A frame trace event of session @p label, pre-filled with @p ctx's
+ *  identity. */
+TraceEvent
+frameEvent(const FrameTraceContext &ctx, const char *label)
+{
+    TraceEvent e;
+    e.category = "frame";
+    e.label = label;
+    e.session = ctx.session;
+    e.client = ctx.client;
+    e.frame = ctx.frame;
+    return e;
+}
+
+} // namespace
+
 void
 FrameTraceContext::hop(Hop h, double beginMs, double endMs)
 {
@@ -78,7 +94,7 @@ FrameTraceContext::hop(Hop h, double beginMs, double endMs)
 }
 
 FrameTracer::FrameTracer(std::string label)
-    : label_(std::move(label)), flightLabel_(flight::intern(label_))
+    : label_(std::move(label)), eventLabel_(intern(label_))
 {
     // Distinguishes session runs in flight dumps (forensics only;
     // never exported into deterministic sim-side artifacts).
@@ -122,8 +138,13 @@ FrameTracer::hop(FrameTraceContext &ctx, Hop h, double beginMs,
             HopRecord{h, beginMs, durMs, wallNs});
     }
     ++ctx.hops;
-    flight::recordFrameHop(hopEventName(h), flightLabel_, ctx.session,
-                           ctx.client, ctx.frame, beginMs, durMs, wallNs);
+    TraceEvent e = frameEvent(ctx, eventLabel_);
+    e.kind = TraceEventKind::FrameHop;
+    e.name = hopEventName(h);
+    e.simBeginMs = beginMs;
+    e.simDurMs = durMs;
+    e.wallBeginNs = wallNs;
+    emit(e);
 }
 
 void
@@ -187,9 +208,13 @@ FrameTracer::complete(FrameTraceContext &ctx, double doneMs,
         kind = rec.kind;
     }
     if (kind == Kind::Frame) {
-        flight::recordFrameDone(flightLabel_, ctx.session, ctx.client,
-                                ctx.frame, doneMs, latencyMs,
-                                criticalPathName(path));
+        TraceEvent e = frameEvent(ctx, eventLabel_);
+        e.kind = TraceEventKind::FrameDone;
+        e.name = "frame.done";
+        e.simBeginMs = doneMs;
+        e.value = latencyMs;
+        e.critical = criticalPathName(path);
+        emit(e);
     }
     return path;
 }
@@ -205,39 +230,6 @@ FrameTracer::abort(FrameTraceContext &ctx, double nowMs)
     FrameRecord &rec = records_[ctx.recordId];
     rec.aborted = true;
     rec.doneMs = nowMs;
-}
-
-void
-FrameTracer::finish()
-{
-    TraceRecorder &recorder = TraceRecorder::global();
-    if (!recorder.enabled())
-        return;
-    support::MutexLock lock(mutex_);
-    for (const FrameRecord &rec : records_) {
-        const int tid = static_cast<int>(rec.client);
-        for (const HopRecord &h : rec.hops) {
-            Json args = Json::object();
-            args.set("label", Json(label_));
-            args.set("client", Json(static_cast<int>(rec.client)));
-            args.set("frame", Json(rec.frame));
-            recorder.frameSpan(hopEventName(h.hop), tid, h.simBeginMs,
-                               h.simDurMs, std::move(args));
-        }
-        if (rec.kind != Kind::Frame || !rec.completed)
-            continue;
-        Json args = Json::object();
-        args.set("label", Json(label_));
-        args.set("client", Json(static_cast<int>(rec.client)));
-        args.set("frame", Json(rec.frame));
-        args.set("latency_ms", Json(rec.latencyMs));
-        args.set("budget_ms", Json(kFrameBudgetMs));
-        args.set("miss", Json(missesDeadline(rec.latencyMs)));
-        args.set("critical_path",
-                 Json(criticalPathName(rec.criticalPath)));
-        recorder.frameInstant("frame.done", tid, rec.doneMs,
-                              std::move(args));
-    }
 }
 
 const FrameTracer::FrameRecord *

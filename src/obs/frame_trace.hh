@@ -13,13 +13,15 @@
  * caller computed, the tracer computes the critical path (the hop
  * family with the largest total sim-time; a frame dominated by
  * `StallWait` descends into its linked fetch record, yielding paths
- * like `"stall_wait/transfer"`), returns it for the caller's frame
- * record, and emits the flight-recorder events live.
+ * like `"stall_wait/transfer"`) and returns it for the caller's frame
+ * record.
  *
- * `finish()` (end of a session run) exports the records as sim-
- * timeline events into `TraceRecorder` (pid 2, one track per client —
- * `trace_report --frames` consumes these from a live trace or a
- * flight dump interchangeably).
+ * Every hop and every displayed frame's `frame.done` is emitted as it
+ * happens (`obs::emit`): into the flight ring always, and into the
+ * live trace while the global recorder is recording, the same window
+ * spans follow. Both carry them as sim-timeline events under pid 2,
+ * one track per client, which `trace_report --frames` reads from
+ * either.
  *
  * Determinism: the tracer is observe-only and all exported values are
  * sim-time derived. Records are created and mutated exclusively from
@@ -62,7 +64,7 @@ inline constexpr std::size_t kHopCount =
 const char *hopName(Hop hop);
 
 /** Trace-event name: "frame.request", "frame.stall_wait", ... (static
- *  literals, safe to store in flight-recorder events). */
+ *  literals, safe to store in trace events). */
 const char *hopEventName(Hop hop);
 
 /**
@@ -154,8 +156,8 @@ class FrameTracer
     FrameTraceContext mint(Kind kind, std::uint16_t client,
                            std::uint64_t frame, double nowMs);
 
-    /** Stamp a hop into @p ctx's record (sim interval + wall stamp);
-     *  increments the context's hop counter. No-op when inert. */
+    /** Stamp a hop into @p ctx's record (sim interval + wall stamp)
+     *  and emit it; increments the context's hop counter. */
     void hop(FrameTraceContext &ctx, Hop h, double beginMs,
              double endMs);
 
@@ -167,21 +169,15 @@ class FrameTracer
     /**
      * Complete the record at sim time @p doneMs with the caller's
      * @p latencyMs (for a displayed frame, its Equation-2 latency):
-     * computes the critical path, emits the flight-recorder event for
-     * Frame records, and returns the path. An inert context returns
-     * the empty path.
+     * computes the critical path, emits `frame.done` for Frame
+     * records, and returns the path. An inert context returns the
+     * empty path.
      */
     CriticalPath complete(FrameTraceContext &ctx, double doneMs,
                           double latencyMs);
 
     /** Mark the record abandoned (expired fetch, disconnect). */
     void abort(FrameTraceContext &ctx, double nowMs);
-
-    /**
-     * End of run: export all records as sim-timeline frame events
-     * into `TraceRecorder::global()` (when recording).
-     */
-    void finish();
 
     /** Completed-record lookup for tests; nullptr when absent. */
     const FrameRecord *find(Kind kind, std::uint16_t client,
@@ -197,14 +193,14 @@ class FrameTracer
         COTERIE_REQUIRES(mutex_);
 
     std::string label_;
-    const char *flightLabel_; ///< intern()-ed copy for ring events
+    const char *eventLabel_; ///< intern()-ed copy for trace events
     std::uint32_t sessionId_;
 
     mutable support::Mutex mutex_{"FrameTracer::mutex_"};
     // deque: records must not move — contexts hold indices and
-    // completion touches linked records. Grows one record per causal
-    // hop for the whole session (exported+cleared at finish), which is
-    // the tracer's job, not a leak.
+    // completion touches linked records. Grows by one record per
+    // mint() for the whole session run, which is the tracer's job, not
+    // a leak.
     std::deque<FrameRecord> records_ // lint:allow(unbounded-queue)
         COTERIE_GUARDED_BY(mutex_);
 };

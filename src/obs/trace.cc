@@ -1,9 +1,5 @@
 #include "obs/trace.hh"
 
-#include <algorithm>
-#include <cstdio>
-#include <utility>
-
 #include "support/parallel.hh"
 
 namespace coterie::obs {
@@ -41,29 +37,51 @@ TraceRecorder::clear()
 }
 
 void
-TraceRecorder::push(Event event)
+TraceRecorder::record(const TraceEvent &e)
 {
+    if (!enabled())
+        return;
+    const int slot = threadSlot();
     support::MutexLock lock(mutex_);
-    events_.push_back(std::move(event));
+    events_.push_back({e, slot});
 }
+
+namespace {
+
+TraceEvent
+spanEvent(const char *name, const char *category, std::uint64_t beginNs,
+          std::uint64_t endNs, double simMs)
+{
+    TraceEvent e;
+    e.kind = TraceEventKind::Span;
+    e.name = name;
+    e.category = category;
+    e.wallBeginNs = beginNs;
+    e.wallDurNs = endNs >= beginNs ? endNs - beginNs : 0;
+    e.simBeginMs = simMs;
+    return e;
+}
+
+TraceEvent
+instantEvent(const char *name, const char *category, double simMs)
+{
+    TraceEvent e;
+    e.kind = TraceEventKind::Instant;
+    e.name = name;
+    e.category = category;
+    e.wallBeginNs = monotonicNowNs();
+    e.simBeginMs = simMs;
+    return e;
+}
+
+} // namespace
 
 void
 TraceRecorder::complete(const char *name, const char *category,
                         std::uint64_t beginNs, std::uint64_t endNs,
                         double simMs)
 {
-    if (!enabled())
-        return;
-    Event e;
-    e.phase = Phase::Complete;
-    e.tid = threadSlot();
-    e.name = name;
-    e.category = category;
-    e.beginNs = beginNs;
-    e.durNs = endNs >= beginNs ? endNs - beginNs : 0;
-    e.value = 0.0;
-    e.simMs = simMs;
-    push(std::move(e));
+    record(spanEvent(name, category, beginNs, endNs, simMs));
 }
 
 void
@@ -71,72 +89,21 @@ TraceRecorder::counter(const char *name, double value)
 {
     if (!enabled())
         return;
-    Event e;
-    e.phase = Phase::Counter;
-    e.tid = threadSlot();
+    TraceEvent e;
+    e.kind = TraceEventKind::Counter;
     e.name = name;
     e.category = "counter";
-    e.beginNs = monotonicNowNs();
-    e.durNs = 0;
+    e.wallBeginNs = monotonicNowNs();
     e.value = value;
-    e.simMs = -1.0;
-    push(std::move(e));
+    record(e);
 }
 
 void
 TraceRecorder::instant(const char *name, const char *category,
                        double simMs)
 {
-    if (!enabled())
-        return;
-    Event e;
-    e.phase = Phase::Instant;
-    e.tid = threadSlot();
-    e.name = name;
-    e.category = category;
-    e.beginNs = monotonicNowNs();
-    e.durNs = 0;
-    e.value = 0.0;
-    e.simMs = simMs;
-    push(std::move(e));
-}
-
-void
-TraceRecorder::frameSpan(const char *name, int clientTid,
-                         double simBeginMs, double simDurMs, Json args)
-{
-    if (!enabled())
-        return;
-    Event e;
-    e.phase = Phase::FrameSpan;
-    e.tid = clientTid;
-    e.name = name;
-    e.category = "frame";
-    e.beginNs = 0;
-    e.durNs = 0;
-    e.value = simDurMs;
-    e.simMs = simBeginMs;
-    e.args = std::move(args);
-    push(std::move(e));
-}
-
-void
-TraceRecorder::frameInstant(const char *name, int clientTid,
-                            double simMs, Json args)
-{
-    if (!enabled())
-        return;
-    Event e;
-    e.phase = Phase::FrameInstant;
-    e.tid = clientTid;
-    e.name = name;
-    e.category = "frame";
-    e.beginNs = 0;
-    e.durNs = 0;
-    e.value = 0.0;
-    e.simMs = simMs;
-    e.args = std::move(args);
-    push(std::move(e));
+    if (enabled())
+        record(instantEvent(name, category, simMs));
 }
 
 std::size_t
@@ -149,147 +116,38 @@ TraceRecorder::eventCount() const
 Json
 TraceRecorder::toJson() const
 {
-    std::vector<Event> events;
-    std::uint64_t epochNs = 0;
-    {
-        support::MutexLock lock(mutex_);
-        events = events_;
-        epochNs = epochNs_;
-    }
-
-    Json traceEvents = Json::array();
-
-    // Thread-name metadata so Perfetto labels tracks by obs slot.
-    // Frame events (pid 2) carry client ids as tids and get their own
-    // process label instead.
-    int maxTid = -1;
-    bool haveFrameEvents = false;
-    for (const Event &e : events) {
-        if (e.phase == Phase::FrameSpan ||
-            e.phase == Phase::FrameInstant) {
-            haveFrameEvents = true;
-            continue;
-        }
-        maxTid = std::max(maxTid, e.tid);
-    }
-    if (haveFrameEvents) {
-        Json args = Json::object();
-        args.set("name", Json("frames (sim)"));
-        Json m = Json::object();
-        m.set("ph", Json("M"));
-        m.set("name", Json("process_name"));
-        m.set("pid", Json(2));
-        m.set("args", std::move(args));
-        traceEvents.push(std::move(m));
-    }
-    for (int tid = 0; tid <= maxTid; ++tid) {
-        Json args = Json::object();
-        args.set("name", Json(tid == 0 ? std::string("main/slot0")
-                                       : "slot" + std::to_string(tid)));
-        Json m = Json::object();
-        m.set("ph", Json("M"));
-        m.set("name", Json("thread_name"));
-        m.set("pid", Json(1));
-        m.set("tid", Json(tid));
-        m.set("args", std::move(args));
-        traceEvents.push(std::move(m));
-    }
-
-    const auto relUs = [epochNs](std::uint64_t ns) {
-        return ns >= epochNs
-                   ? static_cast<double>(ns - epochNs) / 1000.0
-                   : 0.0;
-    };
-
-    for (const Event &e : events) {
-        Json j = Json::object();
-        switch (e.phase) {
-        case Phase::Complete: {
-            j.set("ph", Json("X"));
-            j.set("name", Json(e.name));
-            j.set("cat", Json(e.category));
-            j.set("pid", Json(1));
-            j.set("tid", Json(e.tid));
-            j.set("ts", Json(relUs(e.beginNs)));
-            j.set("dur", Json(static_cast<double>(e.durNs) / 1000.0));
-            if (e.simMs >= 0.0) {
-                Json args = Json::object();
-                args.set("sim_ms", Json(e.simMs));
-                j.set("args", std::move(args));
-            }
-            break;
-        }
-        case Phase::Counter: {
-            j.set("ph", Json("C"));
-            j.set("name", Json(e.name));
-            j.set("pid", Json(1));
-            j.set("tid", Json(e.tid));
-            j.set("ts", Json(relUs(e.beginNs)));
-            Json args = Json::object();
-            args.set("value", Json(e.value));
-            j.set("args", std::move(args));
-            break;
-        }
-        case Phase::Instant: {
-            j.set("ph", Json("i"));
-            j.set("name", Json(e.name));
-            j.set("cat", Json(e.category));
-            j.set("pid", Json(1));
-            j.set("tid", Json(e.tid));
-            j.set("ts", Json(relUs(e.beginNs)));
-            j.set("s", Json("t"));
-            if (e.simMs >= 0.0) {
-                Json args = Json::object();
-                args.set("sim_ms", Json(e.simMs));
-                j.set("args", std::move(args));
-            }
-            break;
-        }
-        case Phase::FrameSpan: {
-            j.set("ph", Json("X"));
-            j.set("name", Json(e.name));
-            j.set("cat", Json("frame"));
-            j.set("pid", Json(2));
-            j.set("tid", Json(e.tid));
-            // Sim milliseconds -> trace microseconds: the frame
-            // timeline has its own (simulated) clock domain.
-            j.set("ts", Json(e.simMs * 1000.0));
-            j.set("dur", Json(e.value * 1000.0));
-            j.set("args", e.args);
-            break;
-        }
-        case Phase::FrameInstant: {
-            j.set("ph", Json("i"));
-            j.set("name", Json(e.name));
-            j.set("cat", Json("frame"));
-            j.set("pid", Json(2));
-            j.set("tid", Json(e.tid));
-            j.set("ts", Json(e.simMs * 1000.0));
-            j.set("s", Json("t"));
-            j.set("args", e.args);
-            break;
-        }
-        }
-        traceEvents.push(std::move(j));
-    }
-
-    Json out = Json::object();
-    out.set("displayTimeUnit", Json("ms"));
-    out.set("traceEvents", std::move(traceEvents));
-    return out;
+    support::MutexLock lock(mutex_);
+    return traceDocument(events_, epochNs_);
 }
 
 bool
 TraceRecorder::exportToFile(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const std::string text = exportJson();
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    std::fclose(f);
-    return ok;
+    support::MutexLock lock(mutex_);
+    return writeTraceFile(path, events_, epochNs_);
+}
+
+void
+emit(const TraceEvent &e)
+{
+    flight::record(e);
+    TraceRecorder::global().record(e);
+}
+
+void
+instant(const char *name, const char *category, double simMs)
+{
+    emit(instantEvent(name, category, simMs));
+}
+
+void
+emitSpan(const char *name, const char *category, std::uint64_t beginNs,
+         std::uint64_t endNs, double simMs, bool recorderArmed)
+{
+    const TraceEvent e = spanEvent(name, category, beginNs, endNs, simMs);
+    flight::record(e);
+    if (recorderArmed)
+        TraceRecorder::global().record(e);
 }
 
 namespace {

@@ -1,19 +1,25 @@
 /**
  * @file
- * coterie-scope trace spans: Chrome `trace_event` export of the frame
- * pipeline, loadable in Perfetto / chrome://tracing.
+ * coterie-scope tracing: the opt-in `TraceRecorder` and the emit calls
+ * that feed it and the flight recorder with one `TraceEvent` record
+ * (obs/trace_event.hh), exported as Chrome `trace_event` JSON loadable
+ * in Perfetto / chrome://tracing.
  *
  * `COTERIE_SPAN("render.panorama", "render")` opens an RAII span that
  * records a complete ("ph":"X") event with wall-clock begin/duration
  * (read only through obs/clock), the recording thread's slot as `tid`,
  * and — when the call site attaches it — the simulation time as a
  * `sim_ms` arg, so wall-time spans can be correlated with sim-time
- * behaviour. `TraceRecorder::counter` emits "ph":"C" counter tracks;
- * the pool telemetry hooks (installed by `installPoolTelemetry`) use
- * them for thread-pool queue depth and worker utilisation.
+ * behaviour. `obs::instant` marks a point event, and `obs::emit` takes
+ * any prepared record (the frame tracer's hops and `frame.done`); each
+ * writes the calling thread's flight ring and, while the global
+ * recorder is recording, the recorder too. `TraceRecorder::counter`
+ * emits recorder-only "ph":"C" counter tracks; the pool telemetry
+ * hooks (installed by `installPoolTelemetry`) use them for
+ * thread-pool queue depth and worker utilisation.
  *
- * Recording is opt-in: spans are dropped (two relaxed atomic loads)
- * until `TraceRecorder::global().start()`. With
+ * Recording is opt-in: the recorder drops events (two relaxed atomic
+ * loads) until `TraceRecorder::global().start()`. With
  * `-DCOTERIE_TELEMETRY=OFF` the span macros compile away entirely;
  * the recorder API itself stays linkable so tools and tests build in
  * both configurations.
@@ -21,7 +27,7 @@
  * Span taxonomy (see DESIGN.md §8): span names reuse the metric naming
  * scheme minus the unit suffix (`render.panorama`, `codec.encode`);
  * the category is the owning layer (`render`, `image`, `core`, `net`,
- * `support`).
+ * `support`). Every name is a static literal or `intern()`-ed.
  */
 
 #pragma once
@@ -35,6 +41,7 @@
 #include "obs/flight.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
+#include "obs/trace_event.hh"
 #include "support/thread_annotations.hh"
 
 namespace coterie::obs {
@@ -62,6 +69,11 @@ class TraceRecorder
         return enabled_.load(std::memory_order_relaxed);
     }
 
+    /** Record @p e, tagged with the calling thread's slot, while
+     *  recording. Every string in @p e must be a static literal or
+     *  `intern()`-ed. */
+    void record(const TraceEvent &e);
+
     /**
      * Record a complete span. @p simMs attaches simulated time as an
      * arg when non-negative (wall and sim time share no epoch; the
@@ -74,65 +86,25 @@ class TraceRecorder
     /** Record a counter-track sample ("ph":"C"). */
     void counter(const char *name, double value);
 
-    /** Record an instant event ("ph":"i", thread scope). @p simMs
-     *  attaches simulated time as an arg when non-negative (used by
-     *  the fault-injection driver's episode boundary markers). */
+    /** Record an instant event ("ph":"i", thread scope) in this
+     *  recorder only; `obs::instant` also marks the flight ring. */
     void instant(const char *name, const char *category,
                  double simMs = -1.0);
-
-    /**
-     * Record a sim-timeline frame span (category "frame", pid 2, one
-     * track per client): ts/dur are the *simulated* interval, so the
-     * frame causal records render as a timeline of their own next to
-     * the wall-clock spans. Fed by `FrameTracer::finish()`; consumed
-     * by `trace_report --frames`.
-     */
-    void frameSpan(const char *name, int clientTid, double simBeginMs,
-                   double simDurMs, Json args);
-
-    /** Record a sim-timeline frame instant ("frame.done"). */
-    void frameInstant(const char *name, int clientTid, double simMs,
-                      Json args);
 
     std::size_t eventCount() const;
 
     /**
-     * Export everything recorded so far as a Chrome trace_event
-     * document: `{"displayTimeUnit": "ms", "traceEvents": [...]}` with
-     * per-thread `thread_name` metadata. Timestamps are microseconds
-     * relative to the first `start()`.
+     * Export everything recorded so far through `traceDocument`. Wall
+     * timestamps are microseconds relative to the last `start()`.
      */
     Json toJson() const;
     std::string exportJson() const { return toJson().dump(1); }
     bool exportToFile(const std::string &path) const;
 
   private:
-    enum class Phase : std::uint8_t {
-        Complete,
-        Counter,
-        Instant,
-        FrameSpan,    ///< sim-timeline span, pid 2 (frame tracer)
-        FrameInstant, ///< sim-timeline instant, pid 2
-    };
-
-    struct Event
-    {
-        Phase phase;
-        int tid;
-        std::string name;
-        std::string category;
-        std::uint64_t beginNs;
-        std::uint64_t durNs;
-        double value;  ///< counter sample; FrameSpan: sim dur ms
-        double simMs;  ///< < 0 -> absent; Frame*: sim begin ms
-        Json args;     ///< Frame* payload (label/client/frame/...)
-    };
-
-    void push(Event event);
-
     std::atomic<bool> enabled_{false};
     mutable support::Mutex mutex_{"TraceRecorder::mutex_"};
-    std::vector<Event> events_ COTERIE_GUARDED_BY(mutex_);
+    std::vector<SlottedEvent> events_ COTERIE_GUARDED_BY(mutex_);
     std::uint64_t epochNs_ COTERIE_GUARDED_BY(mutex_) = 0;
 };
 
@@ -143,15 +115,30 @@ class TraceRecorder
  */
 void installPoolTelemetry();
 
+/**
+ * Emit @p e into both sinks: the calling thread's flight ring and,
+ * while the global recorder is recording, the recorder.
+ */
+void emit(const TraceEvent &e);
+
+/** Emit an instant event ("ph":"i") stamped now. @p simMs attaches
+ *  simulated time as an arg when non-negative. */
+void instant(const char *name, const char *category, double simMs = -1.0);
+
+/** ScopedSpan's exit: the span record into the flight ring and, when
+ *  @p recorderArmed, into the global recorder. */
+void emitSpan(const char *name, const char *category,
+              std::uint64_t beginNs, std::uint64_t endNs, double simMs,
+              bool recorderArmed);
+
 #if COTERIE_TELEMETRY_ENABLED
 
 /**
- * RAII span. Two independent sinks share the clock readings:
- *  - `TraceRecorder` gets a complete event iff recording was on at
- *    entry (spans straddling the recording window are dropped, as
- *    before);
- *  - the flight recorder (obs/flight.hh) gets every span,
- *    unconditionally, into the calling thread's ring.
+ * RAII span. Both sinks get the same record:
+ *  - `TraceRecorder` iff recording was on at entry and still is at
+ *    exit (spans straddling the recording window are dropped);
+ *  - the flight recorder (obs/flight.hh) every span, unconditionally,
+ *    into the calling thread's ring.
  * With the flight recorder compiled out this collapses back to the
  * recorder-only behaviour, including skipping the clock reads when
  * recording is off.
@@ -171,12 +158,8 @@ class ScopedSpan
     {
         if (!recorderArmed_ && !flight::kCompiledIn)
             return;
-        const std::uint64_t endNs = monotonicNowNs();
-        flight::recordSpan(name_, category_, beginNs_, endNs, simMs_);
-        if (recorderArmed_) {
-            TraceRecorder::global().complete(name_, category_, beginNs_,
-                                             endNs, simMs_);
-        }
+        emitSpan(name_, category_, beginNs_, monotonicNowNs(), simMs_,
+                 recorderArmed_);
     }
 
     ScopedSpan(const ScopedSpan &) = delete;

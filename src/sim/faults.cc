@@ -247,14 +247,13 @@ FaultDriver::emitBoundary(const FaultEpisode &episode, bool begin)
                                              : label_ + "/") +
                              "fault." + faultKindName(episode.kind) +
                              (begin ? ".begin" : ".end");
-    obs::TraceRecorder::global().instant(name.c_str(), "fault", now);
+    obs::instant(obs::intern(name), "fault", now);
     obs::TraceRecorder::global().counter(
         "fault.active_episodes",
         static_cast<double>(plan_.activeEpisodes(now)));
-    // Episode boundaries are natural flight-recorder checkpoints: mark
-    // the boundary in the ring, and snapshot the ring to disk when the
-    // operator opted in via COTERIE_FLIGHT_DUMP.
-    obs::flight::recordInstant(obs::flight::intern(name), "fault", now);
+    // Episode boundaries are natural flight-recorder checkpoints:
+    // snapshot the ring to disk when the operator opted in via
+    // COTERIE_FLIGHT_DUMP.
     obs::flight::dumpOnEpisodeBoundary();
     if (begin)
         COTERIE_COUNT("fault.episodes");

@@ -75,8 +75,6 @@ inline constexpr int kLanes = 4;
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wpsabi"
 
-/** Raw 2-lane double vector (SSE2/NEON width), for narrow kernels. */
-typedef double V2dRaw __attribute__((vector_size(16)));
 /** Raw 4-lane double vector. */
 typedef double V4dRaw __attribute__((vector_size(32)));
 

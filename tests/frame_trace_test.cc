@@ -6,9 +6,9 @@
  * fetch record), deadline scoring/attribution and its JSON summary,
  * SLO publication into the metrics snapshot, the one-record invariant
  * (trace export, SLO summary and governor window all read a run's
- * frame records), flight-ring wraparound and dump parsing, and the
- * crash-dump path (an injected COTERIE_ASSERT must leave a parseable
- * flight dump behind).
+ * frame records), one emit feeding both sinks with the same encoding,
+ * flight-ring wraparound and dump parsing, and the crash-dump path (an
+ * injected COTERIE_ASSERT must leave a parseable flight dump behind).
  */
 
 #include <gtest/gtest.h>
@@ -41,13 +41,13 @@ class FrameTraceTest : public testing::Test
     void TearDown() override { SloRegistry::global().clear(); }
 };
 
-/** The `frame.done` events @p tracer exports at finish(). */
+/** Stop the global recorder (started before the records were minted:
+ *  frame events reach it live) and return the `frame.done` events it
+ *  exported. */
 std::vector<Json>
-exportedFrameDones(FrameTracer &tracer)
+exportedFrameDones()
 {
     TraceRecorder &recorder = TraceRecorder::global();
-    recorder.start();
-    tracer.finish();
     recorder.stop();
     const Json trace = recorder.toJson();
     std::vector<Json> dones;
@@ -161,6 +161,7 @@ TEST_F(FrameTraceTest, StallDescendsIntoLinkedFetch)
 
 TEST_F(FrameTraceTest, InertContextIsANoOpEverywhere)
 {
+    TraceRecorder::global().start();
     FrameTraceContext inert;
     EXPECT_FALSE(inert.active());
     inert.hop(Hop::Render, 0.0, 1.0); // must not crash
@@ -168,11 +169,12 @@ TEST_F(FrameTraceTest, InertContextIsANoOpEverywhere)
     EXPECT_EQ(tracer.complete(inert, 1.0, 1.0), CriticalPath{});
     tracer.abort(inert, 1.0);
     EXPECT_EQ(tracer.recordCount(), 0u);
-    EXPECT_TRUE(exportedFrameDones(tracer).empty());
+    EXPECT_TRUE(exportedFrameDones().empty());
 }
 
 TEST_F(FrameTraceTest, AbortedRecordsAreNotScored)
 {
+    TraceRecorder::global().start();
     FrameTracer tracer("t/abort");
     FrameTraceContext ctx =
         tracer.mint(FrameTracer::Kind::Frame, 0, 1, 0.0);
@@ -182,11 +184,12 @@ TEST_F(FrameTraceTest, AbortedRecordsAreNotScored)
     ASSERT_NE(rec, nullptr);
     EXPECT_TRUE(rec->aborted);
     EXPECT_FALSE(rec->completed);
-    EXPECT_TRUE(exportedFrameDones(tracer).empty());
+    EXPECT_TRUE(exportedFrameDones().empty());
 }
 
 TEST_F(FrameTraceTest, OnlyFrameRecordsExportFrameDone)
 {
+    TraceRecorder::global().start();
     FrameTracer tracer("t/kinds");
     FrameTraceContext fetch =
         tracer.mint(FrameTracer::Kind::Fetch, 0, 1, 0.0);
@@ -196,7 +199,7 @@ TEST_F(FrameTraceTest, OnlyFrameRecordsExportFrameDone)
         tracer.mint(FrameTracer::Kind::Frame, 0, 1, 0.0);
     frame.hop(Hop::Render, 0.0, 10.0);
     tracer.complete(frame, 10.0, 10.0);
-    const std::vector<Json> dones = exportedFrameDones(tracer);
+    const std::vector<Json> dones = exportedFrameDones();
     ASSERT_EQ(dones.size(), 1u);
     const Json &args = dones[0].at("args");
     EXPECT_EQ(args.at("latency_ms").asNumber(), 10.0);
@@ -408,6 +411,120 @@ TEST_F(FrameTraceTest, SloSnapshotDumpIsDeterministic)
     EXPECT_EQ(publishBoth(false), publishBoth(true));
 }
 
+// --- One record, two sinks -------------------------------------------
+
+/** Parse the JSON file at @p path (Null when unreadable). */
+Json
+readJsonFile(const std::string &path)
+{
+    std::string text;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr)
+        return {};
+    char buf[1 << 16];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+        text.append(buf, n);
+    const bool ok = std::ferror(f) == 0;
+    std::fclose(f);
+    std::string error;
+    const Json doc = Json::parse(text, &error);
+    EXPECT_TRUE(ok && error.empty()) << path << ": " << error;
+    return doc;
+}
+
+/** The one event named @p name (frame events: of session @p label) in
+ *  a trace document, re-serialized without its wall-clock `ts`. */
+std::string
+eventWithoutWallTs(const Json &doc, const std::string &name,
+                   const std::string &label)
+{
+    std::string found;
+    for (const Json &ev : doc.at("traceEvents").items()) {
+        if (ev.at("name").asString() != name ||
+            ev.at("args").at("label").asString() != label)
+            continue;
+        const bool frame = ev.at("pid").asNumber() == 2.0;
+        Json copy = Json::object();
+        for (const auto &[key, value] : ev.members())
+            if (frame || key != "ts")
+                copy.set(key, value);
+        EXPECT_TRUE(found.empty()) << "two events named " << name;
+        found = copy.dump();
+    }
+    return found;
+}
+
+TEST_F(FrameTraceTest, LiveTraceAndFlightDumpEncodeEveryEventAlike)
+{
+    // One span, one instant, and one frame hop plus its frame.done,
+    // each emitted once while the recorder records: both sinks hold
+    // each one, written by the one encoder (only the wall epoch, and
+    // with it the wall-clock ts, differs between them).
+    const std::string label = "t/both_sinks";
+    TraceRecorder &recorder = TraceRecorder::global();
+    recorder.start();
+    {
+        COTERIE_NAMED_SPAN(span, "test.both_sinks.span", "test");
+        span.simTimeMs(4.0);
+    }
+    instant("test.both_sinks.instant", "test", 5.0);
+    FrameTracer tracer(label);
+    FrameTraceContext ctx =
+        tracer.mint(FrameTracer::Kind::Frame, 1, 9, 10.0);
+    ctx.hop(Hop::Render, 10.0, 18.0);
+    tracer.complete(ctx, 18.0, 8.0);
+    recorder.stop();
+    const Json live = recorder.toJson();
+    recorder.clear();
+
+    // Frame events carry the session label in every build.
+    const std::string hop = eventWithoutWallTs(live, "frame.render", label);
+    const std::string done = eventWithoutWallTs(live, "frame.done", label);
+    EXPECT_NE(hop.find("\"label\":\"t/both_sinks\""), std::string::npos)
+        << hop;
+    EXPECT_NE(done.find("\"critical_path\":\"render\""),
+              std::string::npos)
+        << done;
+    const std::string marker =
+        eventWithoutWallTs(live, "test.both_sinks.instant", "");
+    EXPECT_NE(marker.find("\"sim_ms\":5"), std::string::npos) << marker;
+#if COTERIE_TELEMETRY_ENABLED
+    const std::string span =
+        eventWithoutWallTs(live, "test.both_sinks.span", "");
+    EXPECT_FALSE(span.empty());
+#else
+    const std::string span;
+#endif
+
+#if COTERIE_FLIGHT_ENABLED
+    const std::string path = "frame_trace_both_sinks.json";
+    ASSERT_TRUE(flight::dump(path));
+    const Json dumped = readJsonFile(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(eventWithoutWallTs(dumped, "frame.render", label), hop);
+    EXPECT_EQ(eventWithoutWallTs(dumped, "frame.done", label), done);
+    EXPECT_EQ(eventWithoutWallTs(dumped, "test.both_sinks.instant", ""),
+              marker);
+    if (!span.empty()) {
+        EXPECT_EQ(eventWithoutWallTs(dumped, "test.both_sinks.span", ""),
+                  span);
+    }
+#else
+    EXPECT_FALSE(flight::dump("frame_trace_both_sinks.json"));
+#endif
+}
+
+TEST(FlightRecorder, InternIsIdempotentAndStable)
+{
+    const char *a = intern("flight/label");
+    const char *b = intern("flight/label");
+    const char *c = intern("flight/other");
+    EXPECT_EQ(a, b);
+    EXPECT_NE(a, c);
+    EXPECT_STREQ(a, "flight/label");
+}
+
 // --- Flight recorder ---------------------------------------------------
 
 #if COTERIE_FLIGHT_ENABLED
@@ -417,29 +534,29 @@ TEST(FlightRecorder, RingWrapsAndDumpParses)
     const std::string path = "frame_trace_flight_wrap.json";
     // Overfill this thread's ring; the recorder keeps the newest
     // kRingCapacity events and the dump must still be valid JSON.
-    for (std::size_t i = 0; i < flight::kRingCapacity + 512; ++i)
-        flight::recordFrameHop("frame.render", "flight/test", 1,
-                               2, i, static_cast<double>(i), 1.0, 0);
-    flight::recordFrameDone("flight/test", 1, 2, 999, 1000.0, 21.5,
-                            "render");
-    ASSERT_TRUE(flight::dump(path));
-
-    bool ok = true;
-    std::string text;
-    {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        char buf[1 << 16];
-        std::size_t n;
-        while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-            text.append(buf, n);
-        ok = std::ferror(f) == 0;
-        std::fclose(f);
+    TraceEvent hop;
+    hop.kind = TraceEventKind::FrameHop;
+    hop.name = "frame.render";
+    hop.category = "frame";
+    hop.label = "flight/test";
+    hop.client = 2;
+    hop.simDurMs = 1.0;
+    for (std::size_t i = 0; i < flight::kRingCapacity + 512; ++i) {
+        hop.frame = i;
+        hop.simBeginMs = static_cast<double>(i);
+        flight::record(hop);
     }
-    ASSERT_TRUE(ok);
-    std::string error;
-    const Json doc = Json::parse(text, &error);
-    ASSERT_TRUE(error.empty()) << error;
+    TraceEvent done = hop;
+    done.kind = TraceEventKind::FrameDone;
+    done.name = "frame.done";
+    done.frame = 999;
+    done.simBeginMs = 1000.0;
+    done.simDurMs = 0.0;
+    done.value = 21.5;
+    done.critical = "render";
+    flight::record(done);
+    ASSERT_TRUE(flight::dump(path));
+    const Json doc = readJsonFile(path);
     ASSERT_TRUE(doc.contains("traceEvents"));
 
     std::size_t hops = 0, dones = 0;
@@ -470,16 +587,6 @@ TEST(FlightRecorder, RingWrapsAndDumpParses)
     std::remove(path.c_str());
 }
 
-TEST(FlightRecorder, InternIsIdempotentAndStable)
-{
-    const char *a = flight::intern("flight/label");
-    const char *b = flight::intern("flight/label");
-    const char *c = flight::intern("flight/other");
-    EXPECT_EQ(a, b);
-    EXPECT_NE(a, c);
-    EXPECT_STREQ(a, "flight/label");
-}
-
 TEST(FlightRecorder, TracerHopsLandInTheRing)
 {
     const std::size_t before = flight::eventCount();
@@ -508,26 +615,15 @@ TEST(FlightDeathTest, InjectedAssertLeavesAParseableDump)
     ASSERT_EQ(setenv("COTERIE_FLIGHT_DUMP", path.c_str(), 1), 0);
     EXPECT_DEATH(
         {
-            flight::recordInstant("flight.crash_marker", "test", 5.0);
+            instant("flight.crash_marker", "test", 5.0);
             COTERIE_ASSERT(false, "injected flight-dump crash");
         },
         "injected flight-dump crash");
     unsetenv("COTERIE_FLIGHT_DUMP");
 
-    std::string text;
-    {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        ASSERT_NE(f, nullptr)
-            << "panic hook did not write the flight dump";
-        char buf[1 << 16];
-        std::size_t n;
-        while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-            text.append(buf, n);
-        std::fclose(f);
-    }
-    std::string error;
-    const Json doc = Json::parse(text, &error);
-    ASSERT_TRUE(error.empty()) << error;
+    const Json doc = readJsonFile(path);
+    ASSERT_TRUE(doc.contains("traceEvents"))
+        << "panic hook did not write the flight dump";
     bool sawMarker = false;
     for (const Json &ev : doc.at("traceEvents").items())
         if (ev.at("name").asString() == "flight.crash_marker")
@@ -541,10 +637,9 @@ TEST(FlightDeathTest, InjectedAssertLeavesAParseableDump)
 TEST(FlightRecorder, CompiledOutEntryPointsAreInertNoOps)
 {
     static_assert(!flight::kCompiledIn);
-    flight::recordInstant("gone", "test");
+    instant("gone", "test");
     EXPECT_EQ(flight::eventCount(), 0u);
     EXPECT_FALSE(flight::dump("unused.json"));
-    EXPECT_STREQ(flight::intern("anything"), "");
 }
 
 #endif // COTERIE_FLIGHT_ENABLED

@@ -121,15 +121,16 @@ TEST(Ssim, StrideParameterKeepsResultClose)
     EXPECT_NEAR(ssim(a, b, dense), ssim(a, b, sparse), 0.05);
 }
 
-TEST(Ssim, SlidingKernelMatchesNaiveReferenceOnRandomImages)
+TEST(Ssim, TiledKernelMatchesNaiveReferenceOnRandomImages)
 {
-    // The production kernel (per-column running sums, pool-parallel
-    // bands) must agree with the naive O(win^2)-per-window formulation
-    // to within 1e-12 across overlap factors and odd geometries.
+    // ssimLuma (the pool-parallel tiled kernel where it applies: the
+    // 4-lane stride-4 tiles, and the scalar tile loop at stride 2)
+    // must agree with the naive O(win^2)-per-window formulation to
+    // within 1e-12 across overlap factors and odd geometries.
     struct Case { int w, h, win, stride; };
-    for (const Case &c : {Case{64, 64, 8, 4}, Case{128, 64, 8, 1},
-                          Case{512, 256, 8, 4}, Case{96, 48, 11, 3},
-                          Case{70, 130, 16, 5}}) {
+    for (const Case &c : {Case{64, 64, 8, 4}, Case{64, 64, 8, 2},
+                          Case{128, 64, 8, 1}, Case{512, 256, 8, 4},
+                          Case{96, 48, 11, 3}, Case{70, 130, 16, 5}}) {
         const Image a = noiseImage(c.w, c.h, 21);
         const Image b = addNoise(a, 18.0, 22);
         SsimParams params;

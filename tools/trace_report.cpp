@@ -9,12 +9,14 @@
 // stages by total time are flagged HOT — those are where optimisation
 // effort pays.
 //
-// When the trace carries chaos-harness instants ("fault.<kind>.begin"
-// / ".end", emitted by sim::FaultDriver with sim-time args) an extra
-// fault-timeline section pairs them into episodes and folds the
-// "net.retries" and "qoe.degraded_frames" counter tracks into
-// per-episode deltas — how much resilience work each scripted fault
-// caused. Exits nonzero on unreadable or malformed input.
+// When the trace carries chaos-harness instants
+// ("[<label>/]fault.<kind>.begin" / ".end", emitted by sim::FaultDriver
+// with sim-time args; the label names the session) an extra
+// fault-timeline section pairs them into episodes per session and
+// kind and folds the "net.retries" and "qoe.degraded_frames" counter
+// tracks into per-episode deltas — how much resilience work each
+// scripted fault caused. Exits nonzero on unreadable or malformed
+// input.
 //
 // --frames switches to the causal frame-lifecycle report over the
 // "frame" category events (emitted by obs::FrameTracer into a live
@@ -71,9 +73,10 @@ struct Stage
     double spanBeginUs = 1e300;
 };
 
-/** One fault.<kind>.begin / .end instant from a chaos run. */
+/** One [<label>/]fault.<kind>.begin / .end instant from a chaos run. */
 struct FaultMark
 {
+    std::string label; // session label; empty when unlabelled
     std::string kind;
     bool begin = false;
     double tsUs = 0.0;
@@ -83,6 +86,7 @@ struct FaultMark
 /** A paired episode on the fault timeline. */
 struct FaultEpisodeRow
 {
+    std::string label;
     std::string kind;
     double beginSimMs = -1.0;
     double endSimMs = -1.0; // -1 = trace ended mid-episode
@@ -350,11 +354,19 @@ main(int argc, char **argv)
         const double tsUs = e.at("ts").asNumber();
         if (ph == "i" || ph == "C" || ph == "X")
             lastTsUs = std::max(lastTsUs, tsUs);
-        if (ph == "i" && name.rfind("fault.", 0) == 0) {
+        // "fault.<...>" or "<label>/fault.<...>".
+        const std::size_t labelled = name.rfind("/fault.");
+        if (ph == "i" && (name.rfind("fault.", 0) == 0 ||
+                          labelled != std::string::npos)) {
             FaultMark mark;
             mark.tsUs = tsUs;
             mark.simMs = e.at("args").at("sim_ms").asNumber(-1.0);
-            const std::string tail = name.substr(6);
+            std::size_t kindAt = 6;
+            if (labelled != std::string::npos) {
+                mark.label = name.substr(0, labelled);
+                kindAt = labelled + 7;
+            }
+            const std::string tail = name.substr(kindAt);
             if (tail.size() > 6 &&
                 tail.compare(tail.size() - 6, 6, ".begin") == 0) {
                 mark.kind = tail.substr(0, tail.size() - 6);
@@ -499,19 +511,24 @@ main(int argc, char **argv)
                       return a.tsUs < b.tsUs;
                   });
 
-        // Pair begin/end marks per kind, FIFO in timestamp order.
+        // Pair begin/end marks per (label, kind), FIFO in timestamp
+        // order.
         std::vector<FaultEpisodeRow> episodes;
-        std::map<std::string, std::vector<std::size_t>> open;
+        std::map<std::pair<std::string, std::string>,
+                 std::vector<std::size_t>>
+            open;
         for (const FaultMark &mark : faultMarks) {
+            auto &queue = open[{mark.label, mark.kind}];
             if (mark.begin) {
                 FaultEpisodeRow row;
+                row.label = mark.label;
                 row.kind = mark.kind;
                 row.beginSimMs = mark.simMs;
                 row.beginTsUs = mark.tsUs;
                 row.endTsUs = lastTsUs; // until matched
-                open[mark.kind].push_back(episodes.size());
+                queue.push_back(episodes.size());
                 episodes.push_back(std::move(row));
-            } else if (auto &queue = open[mark.kind]; !queue.empty()) {
+            } else if (!queue.empty()) {
                 FaultEpisodeRow &row = episodes[queue.front()];
                 queue.erase(queue.begin());
                 row.endSimMs = mark.simMs;
@@ -523,8 +540,9 @@ main(int argc, char **argv)
         const auto &degraded = counters["qoe.degraded_frames"];
         std::printf("\nFault timeline (%zu episodes)\n",
                     episodes.size());
-        std::printf("%-20s %12s %12s %10s %10s  %s\n", "fault",
-                    "begin_ms", "end_ms", "retries", "degraded", "");
+        std::printf("%-20s %-20s %12s %12s %10s %10s  %s\n", "fault",
+                    "session", "begin_ms", "end_ms", "retries",
+                    "degraded", "");
         for (const FaultEpisodeRow &row : episodes) {
             const double retryDelta =
                 counterValueAt(retries, row.endTsUs) -
@@ -538,9 +556,10 @@ main(int argc, char **argv)
                               row.endSimMs);
             else
                 std::snprintf(endBuf, sizeof endBuf, "%12s", "(open)");
-            std::printf("%-20s %12.1f %s %10.0f %10.0f  %s\n",
-                        row.kind.c_str(), row.beginSimMs, endBuf,
-                        retryDelta, degradedDelta,
+            std::printf("%-20s %-20s %12.1f %s %10.0f %10.0f  %s\n",
+                        row.kind.c_str(),
+                        row.label.empty() ? "-" : row.label.c_str(),
+                        row.beginSimMs, endBuf, retryDelta, degradedDelta,
                         row.endSimMs < 0.0 ? "trace ended mid-episode"
                                            : "");
         }
