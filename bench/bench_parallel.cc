@@ -181,29 +181,6 @@ runSimLeg(int sessions, int players, double durationS, int renderW,
         for (const auto &p : s.result.players)
             run.deliveries += p.framesFetched;
     }
-    if (std::getenv("COTERIE_SIM_DUMP") != nullptr) {
-        for (const auto &s : fleet.sessions) {
-            std::uint64_t fetched = 0, displayed = 0, retries = 0,
-                          timeouts = 0;
-            for (const auto &p : s.result.players) {
-                fetched += p.framesFetched;
-                displayed += p.framesDisplayed;
-                retries += p.netRetries;
-                timeouts += p.netTimeouts;
-            }
-            std::fprintf(stderr,
-                         "SIMDUMP id=%u phase=%d renders=%llu "
-                         "fetched=%llu displayed=%llu retries=%llu "
-                         "timeouts=%llu finished=%.6f\n",
-                         s.id, static_cast<int>(s.phase),
-                         static_cast<unsigned long long>(s.fleetRenders),
-                         static_cast<unsigned long long>(fetched),
-                         static_cast<unsigned long long>(displayed),
-                         static_cast<unsigned long long>(retries),
-                         static_cast<unsigned long long>(timeouts),
-                         s.finishedAtMs);
-        }
-    }
     return run;
 }
 

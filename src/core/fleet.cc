@@ -91,8 +91,8 @@ SessionManager::panoCache() const
     return panoCache_;
 }
 
-sim::EventQueue &
-SessionManager::queue()
+const sim::ParallelEventQueue &
+SessionManager::queue() const
 {
     return queue_;
 }
@@ -232,19 +232,17 @@ SessionManager::startSession(SessionState &s)
 {
     s.phase = SessionPhase::Running;
     s.startedAtMs = queue_.now();
-    // The session's whole object graph is constructed *into* its own
-    // event lane: ctor-time scheduling (fault-driver arming, client
-    // frame staggering) and every nested scheduleAt/scheduleIn the
-    // session ever makes land in the lane, so the per-session stack
-    // needs no lane awareness. The lane clock starts at the control
-    // clock, so the session schedules relative to its admission.
+    // The session's whole object graph is built over its own lane's
+    // queue: ctor-time scheduling (fault-driver arming, client frame
+    // staggering) and every event the session ever schedules land in
+    // the lane. The lane clock starts at the control clock, so the
+    // session schedules relative to its admission.
     s.lane = queue_.createLane();
-    queue_.runInLane(s.lane, [&] {
-        s.run = std::make_unique<SplitSystemRun>(
-            queue_, s.config, SplitVariant::coterie(s.spec.withCache),
-            s.spec.base->distThresholds(), "Coterie", this, s.id);
-        s.run->start();
-    });
+    s.run = std::make_unique<SplitSystemRun>(
+        queue_.lane(s.lane), s.config,
+        SplitVariant::coterie(s.spec.withCache),
+        s.spec.base->distThresholds(), "Coterie", this, s.id);
+    s.run->start();
     COTERIE_COUNT("fleet.session_started");
     obs::instant("fleet.session_started", "fleet", queue_.now());
     // Finalize at the same trailing-delivery cutoff the solo wrapper
@@ -425,8 +423,6 @@ SessionManager::onFrameFetched(std::uint32_t session,
     // round barrier, where drainRenderBatch makes every cache decision
     // serially in (lane, delivery) order. SessionState is lane-owned
     // between barriers, so this buffer needs no lock.
-    COTERIE_ASSERT(queue_.currentLane() == s.lane,
-                   "fleet session ", session, " fetched outside its lane");
     s.pendingRenders.push_back(gridKey);
 }
 
@@ -472,19 +468,15 @@ SessionManager::onSessionFault(std::uint32_t session, const char *what)
 {
     SessionState &s = *sessions_[session - 1];
     s.faultReason = what != nullptr ? what : "unknown";
-    if (queue_.currentLane() != 0) {
-        // Lane context: the confinement's manager half (fault
-        // counters, capacity release, admission-queue drain) mutates
-        // control-plane state, so it is deferred to the round barrier.
-        // The faulting lane's sim time rides along so the report reads
-        // identically to a solo run's.
-        const double faultAt = queue_.now();
-        queue_.postControl([this, session, faultAt] {
-            confirmSessionFault(session, faultAt);
-        });
-        return;
-    }
-    confirmSessionFault(session, queue_.now());
+    // Every guarded session event runs in the session's lane. The
+    // confinement's manager half (fault counters, capacity release,
+    // admission-queue drain) mutates control-plane state, so it is
+    // deferred to the round barrier; the faulting lane's sim time rides
+    // along so the report reads identically to a solo run's.
+    const double faultAt = queue_.lane(s.lane).now();
+    queue_.postControl(s.lane, [this, session, faultAt] {
+        confirmSessionFault(session, faultAt);
+    });
 }
 
 void

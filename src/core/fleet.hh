@@ -1,9 +1,9 @@
 /**
  * @file
  * Multi-session fleet orchestration: a `SessionManager` multiplexes N
- * independent Coterie sessions ("coteries") over one shared
- * discrete-event queue, the shared thread pool, and one world-keyed
- * panorama render cache.
+ * independent Coterie sessions ("coteries") over one lane engine
+ * (a discrete-event lane per session), the shared thread pool, and one
+ * world-keyed panorama render cache.
  *
  * Three robustness pillars (DESIGN.md §11):
  *
@@ -11,7 +11,8 @@
  *    clients, estimated device render load) yields an explicit
  *    Admitted / Queued / Rejected verdict per submitted session;
  *    queued sessions wait in a bounded FIFO and start the instant
- *    capacity frees.
+ *    a completion or eviction frees capacity (a fault frees its slot
+ *    at the next round barrier).
  *
  *  - **Overload detection + shedding.** A sim-time load governor
  *    samples each running session's deadline-miss rate (`LiveSlo`)
@@ -60,7 +61,7 @@ enum class AdmissionVerdict : std::uint8_t
 enum class SessionPhase : std::uint8_t
 {
     Queued,    ///< admitted to the wait queue, not yet started
-    Running,   ///< frame loops live on the shared queue
+    Running,   ///< frame loops live in the session's lane
     Completed, ///< ran to its horizon
     Evicted,   ///< quarantined by the load governor
     Faulted,   ///< quarantined by the error boundary
@@ -198,7 +199,7 @@ struct FleetResult
 };
 
 /**
- * Owns the shared event queue, the shared world-keyed panorama render
+ * Owns the lane engine, the shared world-keyed panorama render
  * cache, and every fleet session's lifecycle. Usage:
  *
  *   SessionManager mgr(capacity, governor);
@@ -208,7 +209,7 @@ struct FleetResult
  *
  * Not thread-safe: submit/run from one thread. Internally run() drives
  * the parallel discrete-event engine (`sim::ParallelEventQueue`,
- * DESIGN.md §12): each session's events live in their own lane and
+ * DESIGN.md §12): each session is built over its own lane's queue and
  * lanes advance concurrently on the shared pool between control-plane
  * barriers (admission wakes, governor ticks, finalize horizons), so a
  * fleet simulates on every core while staying bit-identical at any
@@ -229,8 +230,9 @@ class SessionManager : public FleetHooks
      *  through (one batch per round barrier). */
     std::shared_ptr<PanoramaRenderCache> panoCache() const;
 
-    /** The shared event queue (tests may inspect `now()`). */
-    sim::EventQueue &queue();
+    /** The fleet's event engine, read-only (benches report its
+     *  `executedEvents()`). */
+    const sim::ParallelEventQueue &queue() const;
 
     /**
      * Evaluate the capacity model and either schedule the session
@@ -262,8 +264,8 @@ class SessionManager : public FleetHooks
     void startSession(SessionState &s);
     void finalizeSession(SessionState &s, SessionPhase phase,
                          double finishedAt);
-    /** Control-plane half of a fault confinement (may run deferred at
-     *  a round barrier; @p faultAt is the faulting lane's sim time). */
+    /** Control-plane half of a fault confinement (runs deferred at a
+     *  round barrier; @p faultAt is the faulting lane's sim time). */
     void confirmSessionFault(std::uint32_t session, double faultAt);
     /** Round-barrier hook: the deferred renderOnFetch batch (serial
      *  deterministic cache decisions, parallel renders). */

@@ -15,12 +15,6 @@ SharedChannel::SharedChannel(sim::EventQueue &queue, ChannelParams params,
     : queue_(queue), params_(params), faults_(faults), rng_(params.seed)
 {
     COTERIE_ASSERT(params.goodputMbps > 0.0, "channel needs capacity");
-    // Declare the per-transfer RTT floor as the conservative cross-lane
-    // lookahead bound. A zero floor (some unit tests simplify latency
-    // away) declares nothing: such a channel provides no lookahead, so
-    // it must never couple two lanes.
-    if (params.baseLatencyMs > 0.0)
-        queue_.noteLookaheadFloor(params.baseLatencyMs);
 }
 
 double

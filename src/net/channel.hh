@@ -90,7 +90,9 @@ struct ChannelParams
  * Processor-sharing shared link driven by an EventQueue. Start a
  * transfer with startTransfer(); all in-flight transfers progress at
  * capacity / nActive, recomputed whenever membership changes or a
- * scripted fault boundary passes.
+ * scripted fault boundary passes. Each session owns its channel; in a
+ * fleet the channel runs on its session's lane queue, so it never
+ * couples two lanes.
  */
 class SharedChannel
 {
@@ -130,17 +132,6 @@ class SharedChannel
 
     const ChannelParams &params() const { return params_; }
     const sim::FaultPlan *faults() const { return faults_; }
-
-    /**
-     * Conservative-PDES lookahead floor (DESIGN.md §12): no transfer
-     * can complete — and therefore no cross-entity interaction through
-     * this channel can take effect — sooner than the fixed
-     * request+ACK RTT floor after it is requested. The constructor
-     * declares this bound to the driving queue (`noteLookaheadFloor`),
-     * which is what lets a parallel engine advance other lanes up to
-     * `now + lookaheadFloorMs()` without waiting on this one.
-     */
-    sim::TimeMs lookaheadFloorMs() const { return params_.baseLatencyMs; }
 
   private:
     struct Transfer

@@ -18,10 +18,7 @@ void
 EventQueue::scheduleIn(TimeMs delay, EventFn fn)
 {
     COTERIE_ASSERT(delay >= 0.0, "negative delay: ", delay);
-    // Virtual dispatch on both now() and scheduleAt: under the lane
-    // engine a relative delay is lane-relative, and the event lands in
-    // the scheduling lane's heap.
-    scheduleAt(now() + delay, std::move(fn));
+    scheduleAt(now_ + delay, std::move(fn));
 }
 
 bool

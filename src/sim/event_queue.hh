@@ -24,39 +24,38 @@ using TimeMs = double;
 using EventFn = std::function<void()>;
 
 /**
- * A priority-ordered event queue with stable FIFO ordering among events
- * scheduled for the same instant.
+ * A priority-ordered serial event queue with stable FIFO ordering
+ * among events scheduled for the same instant.
  *
- * The interface is virtual so a drop-in parallel engine
- * (`sim::ParallelEventQueue`, lane_queue.hh) can shard events into
- * per-session lanes behind the same `scheduleAt`/`scheduleIn`/`now`
- * surface; every consumer holds an `EventQueue&` and never needs to
- * know which engine drives it.
+ * Every simulated component holds the `EventQueue&` it was built over.
+ * A solo run owns one; in a fleet the lane engine
+ * (`sim::ParallelEventQueue`, lane_queue.hh) owns one per session lane
+ * plus one for its control plane, and each session is built directly
+ * over its lane's queue.
  */
 class EventQueue
 {
   public:
     EventQueue() = default;
-    virtual ~EventQueue() = default;
+
+    /** A queue whose clock starts at @p startClock instead of zero. */
+    explicit EventQueue(TimeMs startClock) : now_(startClock) {}
 
     /** Current simulation time. */
-    virtual TimeMs now() const { return now_; }
+    TimeMs now() const { return now_; }
 
     /** Schedule @p fn to run at absolute time @p when (>= now). */
-    virtual void scheduleAt(TimeMs when, EventFn fn);
+    void scheduleAt(TimeMs when, EventFn fn);
 
-    /** Schedule @p fn to run @p delay ms from now. (Non-virtual: it
-     *  delegates to the virtual now()/scheduleAt pair.) */
+    /** Schedule @p fn to run @p delay ms from now. */
     void scheduleIn(TimeMs delay, EventFn fn);
 
     /** Number of pending events. */
-    virtual std::size_t pending() const { return heap_.size(); }
+    std::size_t pending() const { return heap_.size(); }
 
-    /** Time of the earliest pending event (+inf when empty). For the
-     *  serial queue this is the head of the single heap; the parallel
-     *  engine overrides it with the minimum across control and lane
-     *  heaps. */
-    virtual TimeMs nextEventAt() const
+    /** Time of the earliest pending event (+inf when empty). */
+    TimeMs
+    nextEventAt() const
     {
         return heap_.empty()
                    ? std::numeric_limits<TimeMs>::infinity()
@@ -64,29 +63,19 @@ class EventQueue
     }
 
     /** Run a single event; returns false when the queue is empty. */
-    virtual bool step();
+    bool step();
 
     /** Run until the queue drains or time would exceed @p horizon. */
-    virtual void runUntil(TimeMs horizon);
+    void runUntil(TimeMs horizon);
 
     /** Run until the queue drains completely. */
-    virtual void runToCompletion();
+    void runToCompletion();
 
     /** Drop all pending events and reset the clock to zero. */
-    virtual void reset();
+    void reset();
 
     /** Events executed since construction (throughput reporting). */
-    virtual std::uint64_t executedEvents() const { return executed_; }
-
-    /**
-     * A channel (or any cross-lane coupling) declares its minimum
-     * cross-entity interaction delay — the conservative-PDES lookahead
-     * floor. The serial engine has no lanes to synchronize, so this is
-     * a no-op; `ParallelEventQueue` records the minimum declared floor
-     * and uses it to bound how far lanes may run ahead of each other
-     * when cross-lane traffic is enabled.
-     */
-    virtual void noteLookaheadFloor(TimeMs floorMs) { (void)floorMs; }
+    std::uint64_t executedEvents() const { return executed_; }
 
   protected:
     struct Event
@@ -113,4 +102,3 @@ class EventQueue
 };
 
 } // namespace coterie::sim
-

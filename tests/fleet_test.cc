@@ -6,7 +6,8 @@
  * confined exception never perturbs another session's frame output),
  * admission control verdicts, the load-governor degradation ladder,
  * cross-session sharing of the world-keyed panorama cache, per-session
- * SLO labels, and QoE of a session admitted mid-simulation.
+ * SLO labels, QoE of a session admitted mid-simulation, and admission
+ * and the governor at degenerate configs.
  *
  * Determinism contract: every assertion here compares sim-time-derived
  * values, and the CI fleet job re-runs this binary at
@@ -16,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -433,6 +436,143 @@ TEST(Fleet, HealthySessionNeverSheds)
     EXPECT_EQ(fleet.evictions, 0u);
     EXPECT_EQ(fleet.sessions[0].shedLevel, 0);
     EXPECT_EQ(fleet.sessions[0].phase, SessionPhase::Completed);
+}
+
+// ---------------------------------------------------------------------
+// Degenerate configs: zero capacity, every session faulting, an
+// eviction and a fault in one governor tick, a resilient eviction
+// ---------------------------------------------------------------------
+
+TEST(Fleet, ZeroCapacityRejectsEverySubmission)
+{
+    FleetCapacity cap;
+    cap.maxSessions = 0;
+    SessionManager mgr(cap);
+    for (std::uint64_t seed : {301, 302, 303}) {
+        const AdmissionDecision d = mgr.submit(shortSpec(seed));
+        EXPECT_EQ(d.verdict, AdmissionVerdict::Rejected);
+        EXPECT_EQ(d.id, 0u);
+        EXPECT_STREQ(d.reason, "exceeds fleet capacity outright");
+    }
+    const FleetResult fleet = mgr.run();
+    EXPECT_TRUE(fleet.sessions.empty());
+    EXPECT_EQ(fleet.admitted, 0u);
+    EXPECT_EQ(fleet.rejected, 3u);
+}
+
+TEST(Fleet, EverySessionFaultsWithAWaitQueue)
+{
+    // One slot, two waiting: each session throws 500 ms into its run.
+    // The fault frees the slot only at the next round barrier, so when
+    // the next session starts depends on what ends the round.
+    const auto runFleet = [](GovernorParams gov) {
+        FleetCapacity cap;
+        cap.maxSessions = 1;
+        cap.admissionQueueLimit = 2;
+        SessionManager mgr(cap, gov);
+        for (std::uint64_t seed : {401, 402, 403}) {
+            FleetSessionSpec spec = shortSpec(seed);
+            spec.injectFaultAtMs = 500.0;
+            mgr.submit(spec);
+        }
+        return mgr.run();
+    };
+    GovernorParams quiet = testGovernor(); // ticks, never sheds
+    quiet.shedMissRate = 0.8;
+    quiet.degradeMissRate = 0.9;
+    quiet.evictMissRate = 0.95;
+    for (const GovernorParams &gov : {GovernorParams{}, quiet}) {
+        SCOPED_TRACE(gov.enabled ? "governor on" : "governor off");
+        const FleetResult fleet = runFleet(gov);
+        ASSERT_EQ(fleet.sessions.size(), 3u);
+        for (const auto &s : fleet.sessions) {
+            EXPECT_EQ(s.phase, SessionPhase::Faulted);
+            EXPECT_EQ(s.faultReason, "injected session fault");
+            EXPECT_LT(s.finishedAtMs, s.startedAtMs + 1000.0);
+        }
+        EXPECT_EQ(fleet.faults, 3u);
+        EXPECT_EQ(fleet.admitted, 1u);
+        EXPECT_EQ(fleet.queuedAdmissions, 2u);
+        EXPECT_EQ(fleet.evictions, 0u);
+        if (gov.enabled) {
+            // The next governor tick is the first barrier after the
+            // fault.
+            EXPECT_EQ(fleet.sessions[1].startedAtMs, 750.0);
+        } else {
+            // No control event comes before the faulted session's own
+            // finalize horizon, so that is where its slot frees.
+            const auto &first = fleet.sessions[0];
+            const double horizon = first.startedAtMs +
+                                   first.result.durationMs +
+                                   core::SplitSystemRun::settleMs();
+            EXPECT_EQ(
+                fleet.sessions[1].startedAtMs,
+                std::nextafter(horizon,
+                               std::numeric_limits<double>::infinity()));
+            EXPECT_NEAR(fleet.sessions[1].startedAtMs, 3983.333, 1e-3);
+        }
+    }
+}
+
+TEST(Fleet, EvictionAndFaultInTheSameGovernorTick)
+{
+    FleetCapacity cap;
+    cap.maxSessions = 2;
+    cap.admissionQueueLimit = 1;
+    SessionManager mgr(cap, testGovernor());
+    FleetSessionSpec faulting;
+    faulting.base = &fleetBase();
+    faulting.injectFaultAtMs = 2900.0;
+    ASSERT_EQ(mgr.submit(hopelessSpec()).verdict,
+              AdmissionVerdict::Admitted);
+    ASSERT_EQ(mgr.submit(faulting).verdict, AdmissionVerdict::Admitted);
+    ASSERT_EQ(mgr.submit(shortSpec(501)).verdict, AdmissionVerdict::Queued);
+    const FleetResult fleet = mgr.run();
+
+    ASSERT_EQ(fleet.sessions.size(), 3u);
+    const auto &hopeless = fleet.sessions[0];
+    const auto &faulted = fleet.sessions[1];
+    const auto &queued = fleet.sessions[2];
+    EXPECT_EQ(hopeless.phase, SessionPhase::Evicted);
+    EXPECT_EQ(hopeless.finishedAtMs, 3000.0);
+    // The fault is stamped with its lane's clock; its confirmation
+    // runs at the 3000 ms barrier, before that instant's governor
+    // tick, so the queued session takes the freed slot at once.
+    EXPECT_EQ(faulted.phase, SessionPhase::Faulted);
+    EXPECT_NEAR(faulted.finishedAtMs, 2902.1, 1e-9);
+    EXPECT_EQ(queued.phase, SessionPhase::Completed);
+    EXPECT_EQ(queued.startedAtMs, 3000.0);
+    EXPECT_EQ(fleet.evictions, 1u);
+    EXPECT_EQ(fleet.faults, 1u);
+    EXPECT_EQ(fleet.queuedAdmissions, 1u);
+}
+
+TEST(Fleet, EvictingAResilientSessionLeavesItsSiblingUntouched)
+{
+    // Evicting a session with resilience on cancels its in-flight
+    // transfers through its ResilientFetcher, from the control plane.
+    const SystemResult solo = soloRun();
+    SessionManager mgr({}, testGovernor());
+    FleetSessionSpec resilient = hopelessSpec();
+    resilient.resilience.enabled = true;
+    FleetSessionSpec clean;
+    clean.base = &fleetBase();
+    clean.recordFrameLog = true;
+    ASSERT_EQ(mgr.submit(resilient).verdict, AdmissionVerdict::Admitted);
+    ASSERT_EQ(mgr.submit(clean).verdict, AdmissionVerdict::Admitted);
+    const FleetResult fleet = mgr.run();
+
+    ASSERT_EQ(fleet.sessions.size(), 2u);
+    const auto &evicted = fleet.sessions[0];
+    EXPECT_EQ(evicted.phase, SessionPhase::Evicted);
+    EXPECT_EQ(evicted.finishedAtMs, 3000.0);
+    std::uint64_t retries = 0;
+    for (const PlayerMetrics &m : evicted.result.players)
+        retries += m.netRetries;
+    EXPECT_GT(retries, 0u);
+    EXPECT_EQ(fleet.evictions, 1u);
+    EXPECT_EQ(fleet.sessions[1].phase, SessionPhase::Completed);
+    EXPECT_EQ(fleet.sessions[1].result.frameLogs, solo.frameLogs);
 }
 
 // ---------------------------------------------------------------------

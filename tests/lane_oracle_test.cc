@@ -2,15 +2,14 @@
  * @file
  * Engine oracle: seeded random multi-lane programs run on the parallel
  * discrete-event engine (`sim::ParallelEventQueue`) must reproduce, event
- * for event, a small single-threaded reference model of the merge rules
+ * for event, a small single-threaded reference model of the round rules
  * documented in sim/lane_queue.hh.
  *
  * A program mixes in-lane schedules (zero delays included, so same-time
- * FIFO order matters), `scheduleCross` sends at or beyond the lookahead,
- * `postControl` actions, and control events that create lanes and seed
- * work into them. What every event does is a pure function of the
- * program seed and the event's id, so the engine and the model generate
- * the same program without sharing any state.
+ * FIFO order matters), `postControl` actions, and control events that
+ * create lanes and seed work into them. What every event does is a pure
+ * function of the program seed and the event's id, so the engine and the
+ * model generate the same program without sharing any state.
  *
  * ctest registers this binary once per pool size (COTERIE_THREADS = 1,
  * 2, 4, 8): the executed `(time, id)` log of every lane and of the
@@ -63,8 +62,6 @@ struct Program
     std::uint64_t seed = 0;
     int initialLanes = 1;
     int maxLanes = 1;
-    bool crossLane = false;
-    TimeMs lookahead = 1.0;
 };
 
 Program
@@ -75,8 +72,6 @@ makeProgram(std::uint64_t seed)
     p.seed = seed;
     p.initialLanes = static_cast<int>(rng.uniformInt(1, 4));
     p.maxLanes = p.initialLanes + static_cast<int>(rng.uniformInt(0, 3));
-    p.crossLane = rng.chance(0.6);
-    p.lookahead = 0.5 * static_cast<double>(rng.uniformInt(1, 4));
     return p;
 }
 
@@ -103,10 +98,9 @@ struct Child
 struct Script
 {
     std::vector<Child> local;   ///< lane: same-lane schedules
-    std::vector<Child> cross;   ///< lane: scheduleCross (delay >= lookahead)
     std::vector<Child> posts;   ///< lane: postControl actions
     bool createLane = false;    ///< control
-    std::vector<Child> seeds;   ///< control: runInLane schedules
+    std::vector<Child> seeds;   ///< control: schedules into a lane
     std::vector<Child> control; ///< control + posted: control schedules
 };
 
@@ -128,8 +122,6 @@ scriptFor(const Program &p, Role role, std::uint64_t id, int depth)
     if (role == Role::Lane) {
         for (auto k = rng.uniformInt(0, 2); k > 0; --k)
             s.local.push_back(child(delay()));
-        if (p.crossLane && rng.chance(0.35))
-            s.cross.push_back(child(p.lookahead + delay()));
         if (rng.chance(0.25))
             s.posts.push_back(child(0.0));
         return s;
@@ -181,10 +173,6 @@ class EngineRun
     Trace
     run()
     {
-        if (p_.crossLane) {
-            q_.noteLookaheadFloor(p_.lookahead);
-            q_.enableCrossLane();
-        }
         for (int l = 0; l < p_.initialLanes; ++l)
             addLane();
         for (const Root &r : rootsOf(p_)) {
@@ -192,7 +180,7 @@ class EngineRun
             if (r.lane == 0)
                 scheduleControl(c);
             else
-                q_.runInLane(r.lane, [&] { scheduleLane(c); });
+                scheduleLane(r.lane, c);
         }
         q_.runToCompletion();
         out_.executed = q_.executedEvents();
@@ -209,9 +197,10 @@ class EngineRun
     }
 
     void
-    scheduleLane(const Child &c)
+    scheduleLane(std::uint32_t lane, const Child &c)
     {
-        q_.scheduleIn(c.delay, [this, c] { laneEvent(c.id, c.depth); });
+        q_.lane(lane).scheduleIn(
+            c.delay, [this, lane, c] { laneEvent(lane, c.id, c.depth); });
     }
 
     void
@@ -221,20 +210,14 @@ class EngineRun
     }
 
     void
-    laneEvent(std::uint64_t id, int depth)
+    laneEvent(std::uint32_t lane, std::uint64_t id, int depth)
     {
-        // Routing under test: the lane comes from the engine's context.
-        const std::uint32_t lane = q_.currentLane();
-        out_.lanes[lane - 1].push_back({q_.now(), id});
+        out_.lanes[lane - 1].push_back({q_.lane(lane).now(), id});
         const Script s = scriptFor(p_, Role::Lane, id, depth);
         for (const Child &c : s.local)
-            scheduleLane(c);
-        for (const Child &c : s.cross)
-            q_.scheduleCross(pickLane(c.laneSel, q_.laneCount()),
-                             q_.now() + c.delay,
-                             [this, c] { laneEvent(c.id, c.depth); });
+            scheduleLane(lane, c);
         for (const Child &c : s.posts)
-            q_.postControl([this, c] { posted(c.id, c.depth); });
+            q_.postControl(lane, [this, c] { posted(c.id, c.depth); });
     }
 
     void
@@ -251,11 +234,10 @@ class EngineRun
         out_.control.push_back({q_.now(), id});
         const Script s = scriptFor(p_, Role::Control, id, depth);
         if (s.createLane &&
-            q_.laneCount() < static_cast<std::size_t>(p_.maxLanes))
+            out_.lanes.size() < static_cast<std::size_t>(p_.maxLanes))
             addLane();
         for (const Child &c : s.seeds)
-            q_.runInLane(pickLane(c.laneSel, q_.laneCount()),
-                         [&] { scheduleLane(c); });
+            scheduleLane(pickLane(c.laneSel, out_.lanes.size()), c);
         for (const Child &c : s.control)
             scheduleControl(c);
     }
@@ -268,7 +250,7 @@ class EngineRun
 /**
  * The reference model: one ordered queue of every pending event keyed
  * by (time, lane, insertion sequence), lane 0 being the control plane,
- * run single-threaded in rounds that apply the documented merge rules.
+ * run single-threaded in rounds that apply the documented round rules.
  */
 class Model
 {
@@ -329,18 +311,13 @@ class Model
     void
     round()
     {
-        // The horizon: the next control event, and with cross-lane
-        // traffic at most the lookahead past the slowest lane clock.
+        // The horizon: the next control event.
         TimeMs horizon = std::numeric_limits<TimeMs>::infinity();
         if (auto it = first(true); it != queue_.end())
             horizon = it->when;
-        if (p_.crossLane)
-            horizon = std::min(horizon, *std::min_element(laneNow_.begin(),
-                                                          laneNow_.end()) +
-                                            p_.lookahead);
         // 1. Every lane event up to the horizon. Lanes never touch each
-        //    other inside a round, so (time, lane, seq) order is each
-        //    lane's own (time, seq) order.
+        //    other, so (time, lane, seq) order is each lane's own
+        //    (time, seq) order.
         for (auto it = first(false); it != queue_.end() && it->when <= horizon;
              it = first(false)) {
             const Ev ev = *it;
@@ -351,28 +328,20 @@ class Model
         if (std::isfinite(horizon))
             for (TimeMs &t : laneNow_)
                 t = std::max(t, horizon);
-        // 2. Cross-lane sends by (source lane, time, send order).
-        std::stable_sort(outbox_.begin(), outbox_.end(),
-                         [](const Send &a, const Send &b) {
-                             return std::tie(a.from, a.when) <
-                                    std::tie(b.from, b.when);
-                         });
-        for (const Send &s : outbox_)
-            push(s.to, s.when, s.id, s.depth);
-        outbox_.clear();
-        // 3. The control clock moves to the barrier.
+        // 2. The control clock moves to the barrier.
         now_ = std::max(now_, std::isfinite(horizon)
                                   ? horizon
                                   : *std::max_element(laneNow_.begin(),
                                                       laneNow_.end()));
-        // 4. Posted actions by (lane, post order).
-        std::vector<Send> posts;
+        // 3. The engine runs with no barrier hook. 4. Posted actions by
+        //    (lane, post order).
+        std::vector<Post> posts;
         posts.swap(posted_);
         std::stable_sort(posts.begin(), posts.end(),
-                         [](const Send &a, const Send &b) {
+                         [](const Post &a, const Post &b) {
                              return a.from < b.from;
                          });
-        for (const Send &s : posts) {
+        for (const Post &s : posts) {
             out_.control.push_back({now_, s.id});
             for (const Child &c :
                  scriptFor(p_, Role::Posted, s.id, s.depth).control)
@@ -396,11 +365,8 @@ class Model
         const Script s = scriptFor(p_, Role::Lane, ev.id, ev.depth);
         for (const Child &c : s.local)
             push(ev.lane, ev.when + c.delay, c.id, c.depth);
-        for (const Child &c : s.cross)
-            outbox_.push_back({ev.lane, pickLane(c.laneSel, laneNow_.size()),
-                               ev.when + c.delay, c.id, c.depth});
         for (const Child &c : s.posts)
-            posted_.push_back({ev.lane, 0, ev.when, c.id, c.depth});
+            posted_.push_back({ev.lane, c.id, c.depth});
     }
 
     void
@@ -420,12 +386,10 @@ class Model
             push(0, now_ + c.delay, c.id, c.depth);
     }
 
-    /** A buffered cross-lane send or posted action. */
-    struct Send
+    /** A posted action, buffered until the barrier. */
+    struct Post
     {
         std::uint32_t from;
-        std::uint32_t to;
-        TimeMs when;
         std::uint64_t id;
         int depth;
     };
@@ -435,8 +399,7 @@ class Model
     std::vector<TimeMs> laneNow_;
     TimeMs now_ = 0.0;
     std::uint64_t seq_ = 0;
-    std::vector<Send> outbox_;
-    std::vector<Send> posted_;
+    std::vector<Post> posted_;
     Trace out_;
 };
 
@@ -448,7 +411,6 @@ TEST(LaneEngineOracle, RandomProgramsMatchReferenceModel)
                   std::atoi(env));
     }
     std::uint64_t events = 0;
-    int crossPrograms = 0;
     for (std::uint64_t seed = 1; seed <= 300; ++seed) {
         const Program p = makeProgram(seed);
         SCOPED_TRACE(testing::Message() << "program seed " << seed);
@@ -461,11 +423,9 @@ TEST(LaneEngineOracle, RandomProgramsMatchReferenceModel)
         ASSERT_EQ(got.executed, want.executed);
         ASSERT_EQ(got.end, want.end);
         events += want.executed;
-        crossPrograms += p.crossLane;
     }
     // The programs must actually exercise the engine.
     EXPECT_GT(events, 20000u);
-    EXPECT_GT(crossPrograms, 100);
 }
 
 } // namespace

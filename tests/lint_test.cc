@@ -541,15 +541,14 @@ void Widget::poke(SessionManager &mgr)
 
 TEST(LintRules, CrossLaneOwnQueueAndMergeApiPass)
 {
-    // A member queue reference, the merge API, and observe-only
+    // A member queue reference, the barrier API, and observe-only
     // accessors are all legal lane interaction.
     const auto ok = run("src/core/widget.cc", R"fx(
 void Widget::tick()
 {
     queue_.scheduleIn(1.0, [] {});
     queue_.scheduleAt(queue_.now() + 5.0, [] {});
-    queue_.postControl([] {});
-    queue_.scheduleCross(2, queue_.now() + lookahead_, [] {});
+    queue_.postControl(lane_, [] {});
     const auto backlog = mgr_.queue().pending();
     const auto done = mgr_.queue().executedEvents();
 }

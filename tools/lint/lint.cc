@@ -660,13 +660,12 @@ checkSimdAmbientMath(const SourceFile &f, std::vector<Finding> &out)
  * it was constructed over. Scheduling into (or reading the clock of) a
  * queue reached through *another object's* accessor
  * (`other.queue().scheduleAt(...)`, `mgr.queue().now()`) crosses lane
- * ownership outside the deterministic merge path: mid-round the target
- * heap is owned by a different thread, and even in serial mode the
- * event bypasses the (lane id, timestamp, sequence) merge order. The
- * legal routes are `postControl` (barrier-deferred control action),
- * `scheduleCross` (lookahead-checked lane-to-lane send), or taking the
- * queue by reference at construction so the object joins that lane.
- * Observe-only accessors (pending, executedEvents, laneNow) are fine.
+ * ownership outside the deterministic barrier path: mid-round the
+ * target heap is owned by a different thread, and even on one thread
+ * the event bypasses the (lane id, posted time, sequence) drain order.
+ * The legal routes are `postControl` (barrier-deferred control action)
+ * or taking the queue by reference at construction so the object joins
+ * that lane. Observe-only accessors (pending, executedEvents) are fine.
  */
 void
 checkCrossLane(const SourceFile &f, std::vector<Finding> &out)
@@ -682,9 +681,8 @@ checkCrossLane(const SourceFile &f, std::vector<Finding> &out)
              "'" + m +
                  "' schedules into (or reads the clock of) a queue "
                  "owned by another component — a cross-lane hazard "
-                 "under the parallel DES; route through postControl/"
-                 "scheduleCross or take the queue by reference at "
-                 "construction"});
+                 "under the parallel DES; route through postControl "
+                 "or take the queue by reference at construction"});
     });
 }
 
@@ -750,7 +748,7 @@ rules()
         {"cross-lane",
          "no scheduleAt/scheduleIn/now through another component's "
          "queue() accessor — cross-lane interaction must use the "
-         "deterministic merge API (postControl/scheduleCross)",
+         "deterministic barrier API (postControl)",
          checkCrossLane},
     };
     return kRules;
