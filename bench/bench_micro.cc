@@ -1,11 +1,14 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) for the hot paths: SSIM, the
- * block codec, panorama rendering, BVH ray casts, frame-cache lookup,
- * near-set signatures, render-cost queries, and quadtree partitioning.
+ * block codec, panorama rendering, BVH ray casts, terrain heights,
+ * frame-cache lookup, near-set signatures, render-cost queries, and
+ * quadtree partitioning.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "core/frame_cache.hh"
 #include "core/partitioner.hh"
@@ -18,6 +21,7 @@
 #include "support/rng.hh"
 #include "world/bvh.hh"
 #include "world/gen/generators.hh"
+#include "world/terrain.hh"
 
 namespace {
 
@@ -148,6 +152,34 @@ BM_BvhClosestHit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BvhClosestHit);
+
+/**
+ * One `Terrain::heightAt` call on Racing's terrain, over 4096 fixed
+ * points: inside the min/max grid (in_grid:1, where the lattice tables
+ * supply every corner) or one grid width past it (in_grid:0, where
+ * every corner is hashed).
+ */
+void
+BM_TerrainHeightAt(benchmark::State &state)
+{
+    static const world::VirtualWorld world =
+        world::gen::makeWorld(world::gen::GameId::Racing, 42);
+    const world::Terrain &terrain = world.terrain();
+    const world::Terrain::GridShape &g = terrain.gridShape();
+    const double w = g.cols * g.cell;
+    const double h = g.rows * g.cell;
+    const double x0 = g.origin.x + (state.range(0) ? 0.0 : 2.0 * w);
+    Rng rng(7);
+    std::vector<geom::Vec2> points(4096);
+    for (geom::Vec2 &p : points)
+        p = {x0 + rng.uniform(0.0, w), g.origin.y + rng.uniform(0.0, h)};
+    for (auto _ : state)
+        for (const geom::Vec2 &p : points)
+            benchmark::DoNotOptimize(terrain.heightAt(p));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(points.size()));
+}
+BENCHMARK(BM_TerrainHeightAt)->ArgName("in_grid")->Arg(1)->Arg(0);
 
 void
 BM_NearSetSignature(benchmark::State &state)

@@ -5,8 +5,10 @@
  * (direction gen / raycast / terrain / shade / composite) from the
  * pipeline's stage timers, the terrain march's `heightAt` calls per ray
  * on one fixed 160x80 far-BE panorama (a deterministic count, identical
- * with and without --smoke), and the coterie-wide far-BE render de-dup
- * scenario (8 clients, pano-cache hit ratio and renders per frame).
+ * with and without --smoke), those calls per ray that fall outside the
+ * min/max grid on the whole-frame panorama (recorded, not gated), and
+ * the coterie-wide far-BE render de-dup scenario (8 clients, pano-cache
+ * hit ratio and renders per frame).
  *
  * Byte equality with the per-pixel reference renderer is pinned by
  * renderer_test and terrain_test, not here. The seed-path and median-
@@ -58,6 +60,9 @@ struct FrameTimes
     double panoMs = 0.0; ///< per panorama frame
     double perspMs = 0.0; ///< per perspective frame
     double panoRaysPerSec = 0.0;
+    /** Terrain `heightAt` calls per panorama ray at points outside the
+     *  min/max grid (read from `terrain.height_evals_off_grid`). */
+    double offGridEvalsPerRay = 0.0;
 };
 
 /** Time panorama + perspective frames from the world's center. */
@@ -78,6 +83,9 @@ timeRenders(const world::VirtualWorld &world, int panoW, int panoH,
     (void)sink;
 
     FrameTimes out;
+    obs::Counter &off_grid = obs::MetricsRegistry::global().counter(
+        "terrain.height_evals_off_grid");
+    const std::uint64_t off_grid_before = off_grid.value();
     const double pano_s = seconds([&] {
         for (int i = 0; i < reps; ++i) {
             const auto frame =
@@ -98,6 +106,9 @@ timeRenders(const world::VirtualWorld &world, int panoW, int panoH,
     out.perspMs = persp_s * 1000.0 / reps;
     out.panoRaysPerSec =
         static_cast<double>(panoW) * panoH * reps / pano_s;
+    out.offGridEvalsPerRay =
+        static_cast<double>(off_grid.value() - off_grid_before) /
+        (static_cast<double>(panoW) * panoH * reps);
     return out;
 }
 
@@ -316,7 +327,9 @@ main(int argc, char **argv)
         for (int i = 0; i < kStageCount; ++i)
             std::printf(" %s %.1f ms%s", kStageLabels[i], stage_ms[i],
                         i + 1 < kStageCount ? "," : "\n");
-        std::printf("    terrain heightAt calls/ray %.4f\n", evals_per_ray);
+        std::printf("    terrain heightAt calls/ray %.4f (far-BE), "
+                    "%.4f off the grid (full depth)\n",
+                    evals_per_ray, frame.offGridEvalsPerRay);
 
         // Key names continue the tracked record's columns for the same
         // measurements (the packet pipeline on the SAH tree).
@@ -333,6 +346,8 @@ main(int argc, char **argv)
         w.set("pano_stage_ms", std::move(stages));
 #if COTERIE_TELEMETRY_ENABLED // the count is drained through telemetry
         w.set("terrain_height_evals_per_ray", obs::Json(evals_per_ray));
+        w.set("terrain_off_grid_evals_per_ray",
+              obs::Json(frame.offGridEvalsPerRay));
 #endif
         worlds.set(game.name, std::move(w));
         total_pano_ms += frame.panoMs;

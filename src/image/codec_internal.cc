@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "support/logging.hh"
 #include "support/simd.hh"
@@ -166,6 +167,8 @@ putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
     out.push_back(static_cast<std::uint8_t>(v));
 }
 
+/** Read an unsigned varint; one longer than 10 bytes (64 bits) is
+ *  corrupt. */
 std::uint64_t
 getVarint(const std::vector<std::uint8_t> &in, std::size_t &pos)
 {
@@ -173,6 +176,7 @@ getVarint(const std::vector<std::uint8_t> &in, std::size_t &pos)
     int shift = 0;
     while (true) {
         COTERIE_ASSERT(pos < in.size(), "varint past end of stream");
+        COTERIE_ASSERT(shift < 64, "varint longer than 10 bytes");
         const std::uint8_t byte = in[pos++];
         v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
         if (!(byte & 0x80))
@@ -254,24 +258,33 @@ void
 decodePlane(const std::vector<std::uint8_t> &in, std::size_t &pos, int w,
             int h, int quality, bool chroma, std::vector<double> &plane)
 {
+    constexpr std::int64_t kMinDc = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMaxDc = std::numeric_limits<std::int64_t>::max();
     const auto &order = zigzagOrder();
     plane.assign(static_cast<std::size_t>(w) * h, 0.0);
     std::int64_t prev_dc = 0;
     for (int by = 0; by < h; by += kBlock) {
         for (int bx = 0; bx < w; bx += kBlock) {
             std::int64_t q[kBlock * kBlock] = {};
-            prev_dc += unzz(getVarint(in, pos));
+            const std::int64_t dc_delta = unzz(getVarint(in, pos));
+            COTERIE_ASSERT(dc_delta < 0 ? prev_dc >= kMinDc - dc_delta
+                                        : prev_dc <= kMaxDc - dc_delta,
+                           "corrupt DC delta");
+            prev_dc += dc_delta;
             q[0] = prev_dc;
             // Read (run, value) pairs until the end-of-block marker;
             // the encoder always emits it, even after a value in the
-            // final coefficient slot.
+            // final coefficient slot. A run is checked before it moves
+            // i, so i stays within [1, 63] at every write.
             int i = 1;
             while (true) {
                 const std::uint64_t run = getVarint(in, pos);
                 if (run == 63)
                     break;
+                COTERIE_ASSERT(
+                    run < static_cast<std::uint64_t>(kBlock * kBlock - i),
+                    "corrupt AC run");
                 i += static_cast<int>(run);
-                COTERIE_ASSERT(i < kBlock * kBlock, "corrupt AC run");
                 q[i] = unzz(getVarint(in, pos));
                 ++i;
             }

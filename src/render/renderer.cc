@@ -84,6 +84,8 @@ batchedFrame(const world::VirtualWorld &world, Vec3 origin,
                 world::Terrain::takeThreadStats();
             COTERIE_COUNT_N("terrain.march_samples", march.marchSamples);
             COTERIE_COUNT_N("terrain.height_evals", march.heightEvals);
+            COTERIE_COUNT_N("terrain.height_evals_off_grid",
+                            march.offGridEvals);
         },
         opts.threads);
 }
@@ -103,7 +105,8 @@ traceRenderCounters()
     obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
     for (const char *name : {"bvh.nodes_visited", "bvh.leaf_tests",
                              "terrain.march_samples",
-                             "terrain.height_evals"})
+                             "terrain.height_evals",
+                             "terrain.height_evals_off_grid"})
         recorder.counter(name,
                          static_cast<double>(registry.counter(name).value()));
 }

@@ -6,29 +6,6 @@
 
 namespace coterie {
 
-std::uint64_t
-splitmix64(std::uint64_t &state)
-{
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
-hashMix(std::uint64_t value)
-{
-    std::uint64_t state = value;
-    return splitmix64(state);
-}
-
-std::uint64_t
-hashCombine(std::uint64_t a, std::uint64_t b)
-{
-    // Boost-style combine lifted to 64 bits.
-    return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4));
-}
-
 namespace {
 
 inline std::uint64_t

@@ -14,13 +14,30 @@
 namespace coterie {
 
 /** SplitMix64 step; used standalone for hashing and for seeding Rng. */
-std::uint64_t splitmix64(std::uint64_t &state);
+inline std::uint64_t
+splitmix64(std::uint64_t &state)
+{
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
 
 /** Mix an arbitrary 64-bit value into a well-distributed hash. */
-std::uint64_t hashMix(std::uint64_t value);
+inline std::uint64_t
+hashMix(std::uint64_t value)
+{
+    std::uint64_t state = value;
+    return splitmix64(state);
+}
 
 /** Combine two hashes (order-sensitive). */
-std::uint64_t hashCombine(std::uint64_t a, std::uint64_t b);
+inline std::uint64_t
+hashCombine(std::uint64_t a, std::uint64_t b)
+{
+    // Boost-style combine lifted to 64 bits.
+    return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4));
+}
 
 /**
  * xoshiro256++ PRNG. Small, fast, and good enough for simulation;

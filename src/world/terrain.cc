@@ -24,8 +24,22 @@ thread_local Terrain::MarchStats tlsStats;
  */
 constexpr double kSlack = 1e-9;
 
-/** Cell count above which no grid is built (2 MiB of bounds). */
+/** Cell count above which no grid is built (2 MiB of bounds); also
+ *  the entry count above which a layer gets no lattice table. */
 constexpr double kMaxCells = 1 << 18;
+
+/** Horizontal scale (m) of `colorAt`'s moisture noise. */
+constexpr double kMoistureScale = 37.0;
+
+/** Noise layers: `colorAt`'s moisture layer, then one per octave. */
+constexpr std::size_t kMoistureLayer = 0;
+
+/** The hash salt each noise layer has always used. */
+constexpr std::uint64_t
+layerSalt(std::size_t layer)
+{
+    return layer == kMoistureLayer ? 0x5151ULL : 0x5eedULL + (layer - 1);
+}
 
 constexpr float kInfF = std::numeric_limits<float>::infinity();
 
@@ -55,22 +69,26 @@ blend(double v00, double v10, double v01, double v11, double u, double v)
     return a + (b - a) * v;
 }
 
+std::int64_t
+lattice(double v)
+{
+    return static_cast<std::int64_t>(std::floor(v));
+}
+
 /**
  * Range of one noise octave over the scaled rectangle [x0, x1] x
- * [y0, y1]. Within a lattice square the noise is bilinear in
+ * [y0, y1], reading each lattice square's values through
+ * @p corners(ix, iy). Within a lattice square the noise is bilinear in
  * (fade(tx), fade(ty)) and fade is monotone on [0, 1], so its extremes
  * over the square's clamped sub-rectangle sit at the sub-rectangle's
  * four faded corners.
  */
+template <typename CornersFn>
 Terrain::HeightBounds
-noiseRange(double x0, double x1, double y0, double y1, std::uint64_t seed,
-           std::uint64_t salt)
+noiseRange(double x0, double x1, double y0, double y1, CornersFn &&corners)
 {
     Terrain::HeightBounds r{std::numeric_limits<double>::infinity(),
                             -std::numeric_limits<double>::infinity()};
-    const auto lattice = [](double v) {
-        return static_cast<std::int64_t>(std::floor(v));
-    };
     for (std::int64_t iy = lattice(y0); iy <= lattice(y1); ++iy) {
         const auto fy = static_cast<double>(iy);
         const double v[2] = {fade(std::max(y0, fy) - fy),
@@ -79,13 +97,11 @@ noiseRange(double x0, double x1, double y0, double y1, std::uint64_t seed,
             const auto fx = static_cast<double>(ix);
             const double u[2] = {fade(std::max(x0, fx) - fx),
                                  fade(std::min(x1, fx + 1.0) - fx)};
-            const double c00 = latticeValue(ix, iy, seed, salt);
-            const double c10 = latticeValue(ix + 1, iy, seed, salt);
-            const double c01 = latticeValue(ix, iy + 1, seed, salt);
-            const double c11 = latticeValue(ix + 1, iy + 1, seed, salt);
+            const auto c = corners(ix, iy);
             for (double uu : u)
                 for (double vv : v) {
-                    const double n = blend(c00, c10, c01, c11, uu, vv);
+                    const double n =
+                        blend(c.v00, c.v10, c.v01, c.v11, uu, vv);
                     r.lo = std::min(r.lo, n);
                     r.hi = std::max(r.hi, n);
                 }
@@ -95,7 +111,7 @@ noiseRange(double x0, double x1, double y0, double y1, std::uint64_t seed,
 }
 
 /**
- * Walk `fractal`'s octaves, calling @p fn(weight, frequency, salt) for
+ * Walk `fractal`'s octaves, calling @p fn(weight, frequency, layer) for
  * each; returns the weight sum that normalizes them.
  */
 template <typename Fn>
@@ -106,7 +122,7 @@ forEachOctave(const TerrainParams &params, Fn &&fn)
     double freq = 1.0 / params.featureScale;
     double norm = 0.0;
     for (int o = 0; o < params.octaves; ++o) {
-        fn(amp, freq, 0x5eedULL + static_cast<std::uint64_t>(o));
+        fn(amp, freq, kMoistureLayer + 1 + static_cast<std::size_t>(o));
         norm += amp;
         amp *= 0.5;
         freq *= 2.0;
@@ -130,7 +146,8 @@ Terrain::Terrain(const TerrainParams &params, Rect extent) : params_(params)
     // to the coarse lattice, so each cell sits inside one lattice
     // square per octave up to the edge epsilon below.
     const double fs = params_.featureScale;
-    const double cell = std::ldexp(fs, -std::max(params_.octaves, 0));
+    const int octaves = std::max(params_.octaves, 0);
+    const double cell = std::ldexp(fs, -octaves);
     const Vec2 origin{std::floor((extent.lo.x - fs) / fs) * fs,
                       std::floor((extent.lo.y - fs) / fs) * fs};
     const double cols = std::ceil((extent.hi.x + fs - origin.x) / cell);
@@ -141,6 +158,40 @@ Terrain::Terrain(const TerrainParams &params, Rect extent) : params_(params)
     grid_ = {origin, cell, static_cast<int>(cols), static_cast<int>(rows)};
     invCell_ = 1.0 / cell;
     cellBounds_.resize(2 * static_cast<std::size_t>(cols * rows));
+
+    // One lattice table per noise layer (frequency f), over the corners
+    // the grid's extent reaches plus one corner of border, filled with
+    // the values `corners` would otherwise hash. A layer whose table
+    // would exceed kMaxCells entries (moisture under a very coarse
+    // grid) keeps hashing.
+    const Vec2 end{origin.x + cols * cell, origin.y + rows * cell};
+    std::size_t entries = 0;
+    const auto addTable = [&](double f) {
+        LatticeTable t;
+        t.ix0 = lattice(origin.x * f) - 1;
+        t.iy0 = lattice(origin.y * f) - 1;
+        t.cols = lattice(end.x * f) + 3 - t.ix0;
+        t.rows = lattice(end.y * f) + 3 - t.iy0;
+        if (static_cast<double>(t.cols) * static_cast<double>(t.rows) >
+            kMaxCells)
+            t = {};
+        t.offset = entries;
+        entries += static_cast<std::size_t>(t.cols * t.rows);
+        tables_.push_back(t);
+    };
+    tables_.reserve(1 + static_cast<std::size_t>(octaves));
+    addTable(1.0 / kMoistureScale);
+    forEachOctave(params_,
+                  [&](double, double f, std::size_t) { addTable(f); });
+    lattice_.resize(entries);
+    for (std::size_t layer = 0; layer < tables_.size(); ++layer) {
+        const LatticeTable &t = tables_[layer];
+        const std::uint64_t salt = layerSalt(layer);
+        double *v = lattice_.data() + t.offset;
+        for (std::int64_t j = 0; j < t.rows; ++j)
+            for (std::int64_t i = 0; i < t.cols; ++i)
+                *v++ = latticeValue(t.ix0 + i, t.iy0 + j, params_.seed, salt);
+    }
 
     // The lookup's index rounding can file a point up to ~1e-13 m
     // outside its nominal cell; bound each cell grown by far more.
@@ -158,9 +209,12 @@ Terrain::Terrain(const TerrainParams &params, Rect extent) : params_(params)
             double lo = 0.0;
             double hi = 0.0;
             const double norm = forEachOctave(
-                params_, [&](double w, double f, std::uint64_t salt) {
+                params_, [&](double w, double f, std::size_t layer) {
                     const HeightBounds n = noiseRange(
-                        x0 * f, x1 * f, y0 * f, y1 * f, params_.seed, salt);
+                        x0 * f, x1 * f, y0 * f, y1 * f,
+                        [&](std::int64_t ix, std::int64_t iy) {
+                            return corners(ix, iy, layer);
+                        });
                     lo += w * n.lo;
                     hi += w * n.hi;
                 });
@@ -179,21 +233,28 @@ Terrain::Terrain(const TerrainParams &params, Rect extent) : params_(params)
     }
 }
 
-Terrain::HeightBounds
-Terrain::heightBounds(Vec2 p) const
+std::ptrdiff_t
+Terrain::cellIndex(Vec2 p) const
 {
     const double cx = (p.x - grid_.origin.x) * invCell_;
     const double cy = (p.y - grid_.origin.y) * invCell_;
-    // Negated so NaN coordinates fall through to the global bound, as
-    // does every point of a terrain with no grid or a moved-from one.
+    // Negated so NaN coordinates fall outside, as does every point of a
+    // terrain with no grid or a moved-from one.
     if (!(cx >= 0.0 && cx < grid_.cols && cy >= 0.0 && cy < grid_.rows) ||
         cellBounds_.empty())
+        return -1;
+    return static_cast<std::ptrdiff_t>(cy) * grid_.cols +
+           static_cast<std::ptrdiff_t>(cx);
+}
+
+Terrain::HeightBounds
+Terrain::heightBounds(Vec2 p) const
+{
+    const std::ptrdiff_t k = cellIndex(p);
+    if (k < 0)
         return global_;
-    const std::size_t k =
-        2 * (static_cast<std::size_t>(cy) *
-                 static_cast<std::size_t>(grid_.cols) +
-             static_cast<std::size_t>(cx));
-    return {cellBounds_[k], cellBounds_[k + 1]};
+    const auto i = static_cast<std::size_t>(2 * k);
+    return {cellBounds_[i], cellBounds_[i + 1]};
 }
 
 Terrain::MarchStats
@@ -204,19 +265,38 @@ Terrain::takeThreadStats()
     return stats;
 }
 
+Terrain::Corners
+Terrain::corners(std::int64_t ix, std::int64_t iy, std::size_t layer) const
+{
+    if (layer < tables_.size()) {
+        const LatticeTable &t = tables_[layer];
+        // Compare with the corner range before forming an offset, so a
+        // far-away point's index never enters the arithmetic.
+        if (ix >= t.ix0 && ix < t.ix0 + t.cols - 1 && iy >= t.iy0 &&
+            iy < t.iy0 + t.rows - 1) {
+            const double *v =
+                lattice_.data() + t.offset +
+                static_cast<std::size_t>((iy - t.iy0) * t.cols + ix - t.ix0);
+            return {v[0], v[1], v[t.cols], v[t.cols + 1]};
+        }
+    }
+    const std::uint64_t salt = layerSalt(layer);
+    return {latticeValue(ix, iy, params_.seed, salt),
+            latticeValue(ix + 1, iy, params_.seed, salt),
+            latticeValue(ix, iy + 1, params_.seed, salt),
+            latticeValue(ix + 1, iy + 1, params_.seed, salt)};
+}
+
 double
-Terrain::noise2(double x, double y, std::uint64_t salt) const
+Terrain::noise2(double x, double y, std::size_t layer) const
 {
     const double fx = std::floor(x);
     const double fy = std::floor(y);
-    const auto ix = static_cast<std::int64_t>(fx);
-    const auto iy = static_cast<std::int64_t>(fy);
     const double tx = fade(x - fx);
     const double ty = fade(y - fy);
-    return blend(latticeValue(ix, iy, params_.seed, salt),
-                 latticeValue(ix + 1, iy, params_.seed, salt),
-                 latticeValue(ix, iy + 1, params_.seed, salt),
-                 latticeValue(ix + 1, iy + 1, params_.seed, salt), tx, ty);
+    const Corners c = corners(static_cast<std::int64_t>(fx),
+                              static_cast<std::int64_t>(fy), layer);
+    return blend(c.v00, c.v10, c.v01, c.v11, tx, ty);
 }
 
 double
@@ -224,8 +304,8 @@ Terrain::fractal(Vec2 p) const
 {
     double sum = 0.0;
     const double norm = forEachOctave(
-        params_, [&](double w, double f, std::uint64_t salt) {
-            sum += w * noise2(p.x * f, p.y * f, salt);
+        params_, [&](double w, double f, std::size_t layer) {
+            sum += w * noise2(p.x * f, p.y * f, layer);
         });
     return norm > 0.0 ? sum / norm : 0.0;
 }
@@ -275,6 +355,8 @@ Terrain::intersect(const Ray &ray, double maxDist, double abortBeyond) const
         if (y <= b.lo)
             return true;
         ++stats.heightEvals;
+        if (cellIndex(g) < 0)
+            ++stats.offGridEvals;
         return y - heightAt(g) <= 0.0;
     };
     const std::optional<double> hit = [&]() -> std::optional<double> {
@@ -329,6 +411,7 @@ Terrain::intersect(const Ray &ray, double maxDist, double abortBeyond) const
     }();
     tlsStats.marchSamples += stats.marchSamples;
     tlsStats.heightEvals += stats.heightEvals;
+    tlsStats.offGridEvals += stats.offGridEvals;
     return hit;
 }
 
@@ -339,7 +422,8 @@ Terrain::colorAt(Vec2 p) const
         return {96, 92, 88}; // indoor floor
     const double h = heightAt(p);
     const double moisture =
-        0.5 + 0.5 * noise2(p.x / 37.0, p.y / 37.0, 0x5151ULL);
+        0.5 + 0.5 * noise2(p.x / kMoistureScale, p.y / kMoistureScale,
+                           kMoistureLayer);
     // Grass -> dirt -> rock blend with elevation.
     const double rockiness =
         std::clamp((h / std::max(params_.amplitude, 1e-9)) * 0.5 + 0.3,

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -44,6 +45,10 @@ struct TerrainParams
  * @p extent grown by one `featureScale` (DESIGN §10): the ray march
  * consults it first and evaluates `heightAt` only where the bounds
  * cannot decide whether a sample is above or below the surface.
+ * Beside the grid it tabulates each value-noise layer's lattice values
+ * over the same extent, so `heightAt`, `normalAt` and `colorAt` read
+ * their corners there instead of hashing them; the values are the
+ * hashed ones, so every result is bit-identical.
  */
 class Terrain
 {
@@ -119,15 +124,18 @@ class Terrain
 
     /**
      * Per-thread march counters: schedule samples taken and `heightAt`
-     * calls made by `intersect` on the calling thread. Reading resets
-     * them; the renderer drains them per row chunk into
-     * `terrain.march_samples` / `terrain.height_evals`, like
-     * `Bvh::takeThreadStats`.
+     * calls made by `intersect` on the calling thread, and how many of
+     * those calls fell outside the grid, where the march has only the
+     * global bound and (past one corner of border) the noise hashes
+     * its corners. Reading resets them; the renderer drains them per
+     * row chunk into `terrain.march_samples` / `terrain.height_evals`
+     * / `terrain.height_evals_off_grid`, like `Bvh::takeThreadStats`.
      */
     struct MarchStats
     {
         std::uint64_t marchSamples = 0;
         std::uint64_t heightEvals = 0;
+        std::uint64_t offGridEvals = 0;
     };
     static MarchStats takeThreadStats();
 
@@ -138,7 +146,36 @@ class Terrain
     double trianglesWithin(geom::Vec2 p, double radius) const;
 
   private:
-    double noise2(double x, double y, std::uint64_t salt) const;
+    /** Values at the four corners of one lattice square. */
+    struct Corners
+    {
+        double v00, v10, v01, v11;
+    };
+
+    /**
+     * One noise layer's lattice values over a rectangle of corners:
+     * entry (i, j) holds corner (ix0 + i, iy0 + j), row-major.
+     */
+    struct LatticeTable
+    {
+        std::int64_t ix0 = 0;
+        std::int64_t iy0 = 0;
+        std::int64_t cols = 0;
+        std::int64_t rows = 0;
+        std::size_t offset = 0; ///< index of entry (0, 0) in `lattice_`
+    };
+
+    /** Index of the grid cell holding @p p, or -1 outside the grid. */
+    std::ptrdiff_t cellIndex(geom::Vec2 p) const;
+    /**
+     * Corners of lattice square (ix, iy) of noise @p layer: read from
+     * the layer's table when both (ix, iy) and (ix + 1, iy + 1) lie
+     * inside it, hashed otherwise.
+     */
+    Corners corners(std::int64_t ix, std::int64_t iy,
+                    std::size_t layer) const;
+    /** Value noise of @p layer at the lattice-scaled point (x, y). */
+    double noise2(double x, double y, std::size_t layer) const;
     double fractal(geom::Vec2 p) const;
 
     TerrainParams params_;
@@ -147,6 +184,11 @@ class Terrain
     HeightBounds global_;
     /** Per cell, row-major: lo then hi, rounded outward to float. */
     std::vector<float> cellBounds_;
+    /** Per noise layer (moisture, then each octave); empty without a
+     *  grid. A layer past the end, or with `cols == 0`, hashes. */
+    std::vector<LatticeTable> tables_;
+    /** Every table's entries, in one allocation. */
+    std::vector<double> lattice_;
 };
 
 } // namespace coterie::world

@@ -2,12 +2,18 @@
  * @file
  * Tests for the block-transform intra codec: round-trip quality,
  * quality/size monotonicity, content-dependent sizing (the property the
- * bandwidth experiments rely on), and determinism.
+ * bandwidth experiments rely on), determinism, and panics (not UB) on
+ * malformed plane bitstreams.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "image/codec.hh"
+#include "image/codec_internal.hh"
 #include "image/ssim.hh"
 #include "support/rng.hh"
 
@@ -123,6 +129,84 @@ TEST(Codec, OnePixelImage)
     Image src(1, 1, Rgb{200, 40, 90});
     const Image out = decode(encode(src));
     EXPECT_LT(src.meanAbsDiff(out), 8.0);
+}
+
+/** Append @p v as an unsigned LEB128 varint, as the encoder writes it. */
+void
+putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
+{
+    for (; v >= 0x80; v >>= 7)
+        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    out.push_back(static_cast<std::uint8_t>(v));
+}
+
+/** Decode one luma plane of @p w x 8 pixels from @p stream. */
+void
+decodeStream(const std::vector<std::uint8_t> &stream, int w)
+{
+    std::size_t pos = 0;
+    std::vector<double> plane;
+    detail::decodePlane(stream, pos, w, 8, 75, false, plane);
+}
+
+TEST(Codec, ValidPlaneStreamDecodes)
+{
+    // The crafted streams below differ from this one only in the field
+    // they corrupt: DC delta, (run, value) pairs, end-of-block 63.
+    std::vector<std::uint8_t> stream;
+    putVarint(stream, 2);  // DC delta +1
+    putVarint(stream, 62); // skip to the last coefficient
+    putVarint(stream, 4);  // value +2
+    putVarint(stream, 63); // end of block
+    std::size_t pos = 0;
+    std::vector<double> plane;
+    detail::decodePlane(stream, pos, 8, 8, 75, false, plane);
+    EXPECT_EQ(pos, stream.size());
+    EXPECT_EQ(plane.size(), 64u);
+}
+
+TEST(CodecDeathTest, OverlongVarintPanics)
+{
+    // Eleven continuation bytes: a 64-bit varint has at most ten.
+    std::vector<std::uint8_t> stream(11, 0x80);
+    stream.push_back(0x00);
+    EXPECT_DEATH(decodeStream(stream, 8), "varint longer than 10 bytes");
+}
+
+TEST(CodecDeathTest, NegativeRunPanics)
+{
+    // A run of 0xFFFFFFFE used to wrap i to -1 and write q[-1].
+    std::vector<std::uint8_t> stream;
+    putVarint(stream, 0);
+    putVarint(stream, 0xFFFFFFFEULL);
+    putVarint(stream, 2);
+    putVarint(stream, 63);
+    EXPECT_DEATH(decodeStream(stream, 8), "corrupt AC run");
+}
+
+TEST(CodecDeathTest, RunPastLastCoefficientPanics)
+{
+    // A value in the last slot leaves no room for even a zero run.
+    std::vector<std::uint8_t> stream;
+    putVarint(stream, 0);
+    putVarint(stream, 62);
+    putVarint(stream, 2);
+    putVarint(stream, 0);
+    putVarint(stream, 2);
+    putVarint(stream, 63);
+    EXPECT_DEATH(decodeStream(stream, 8), "corrupt AC run");
+}
+
+TEST(CodecDeathTest, DcSumOverflowPanics)
+{
+    // Two blocks: DC delta INT64_MAX, then +1 would overflow the sum.
+    std::vector<std::uint8_t> stream;
+    putVarint(stream, 2 * static_cast<std::uint64_t>(
+                              std::numeric_limits<std::int64_t>::max()));
+    putVarint(stream, 63);
+    putVarint(stream, 2);
+    putVarint(stream, 63);
+    EXPECT_DEATH(decodeStream(stream, 16), "corrupt DC delta");
 }
 
 } // namespace

@@ -2,8 +2,9 @@
  * @file
  * Tests for the procedural terrain: determinism, continuity, flat
  * floors, ray-march/heightfield consistency, the soundness of the
- * min/max height grid, and the foothold query used to place the
- * player camera.
+ * min/max height grid, exact agreement of the table-read noise with
+ * hashed value noise, and the foothold query used to place the player
+ * camera.
  */
 
 #include <gtest/gtest.h>
@@ -248,6 +249,33 @@ TEST(Terrain, MarchMatchesReferenceOverRaySweep)
     }
 }
 
+TEST(Terrain, CountsOffGridHeightEvals)
+{
+    TerrainParams p;
+    p.amplitude = 4.0;
+    const Terrain t(p, kExtent);
+    const Terrain::GridShape &s = t.gridShape();
+    Terrain::takeThreadStats(); // drop what earlier tests left
+    // A level ray at mid-height, from past the grid's end and leading
+    // away from it: the global bound decides none of its tests, so
+    // every heightAt call it makes is off the grid.
+    Ray out;
+    out.origin = {s.origin.x + s.cols * s.cell + 10.0, 0.0, 0.0};
+    out.dir = {1.0, 0.0, 0.0};
+    t.intersect(out, 50.0);
+    const Terrain::MarchStats off = Terrain::takeThreadStats();
+    EXPECT_GT(off.offGridEvals, 0u);
+    EXPECT_EQ(off.offGridEvals, off.heightEvals);
+    // A ray dropping onto the grid's middle never leaves it.
+    Ray in;
+    in.origin = {0.0, 20.0, 0.0};
+    in.dir = {0.0, -1.0, 0.0};
+    EXPECT_TRUE(t.intersect(in, 100.0).has_value());
+    const Terrain::MarchStats on = Terrain::takeThreadStats();
+    EXPECT_GT(on.heightEvals, 0u);
+    EXPECT_EQ(on.offGridEvals, 0u);
+}
+
 TEST(Terrain, AbortBeyondPreservesAcceptedHits)
 {
     // Contract used by the renderer: capping the march at a known
@@ -362,11 +390,15 @@ TEST(Terrain, HeightBoundsHoldOverGameTerrains)
     }
 }
 
-TEST(Terrain, HeightBoundsHoldForEdgeParams)
+/** Extent for the edge-parameter terrains: straddles x = 0. */
+const Rect kEdgeExtent{{-13.3, 7.1}, {41.0, 52.5}};
+
+/** -1/0/1/5 octaves, negative amplitude and `featureScale` 7. */
+std::vector<TerrainParams>
+edgeParamSets()
 {
-    const Rect extent{{-13.3, 7.1}, {41.0, 52.5}};
     std::vector<TerrainParams> sets;
-    for (int octaves : {0, 1, 5}) {
+    for (int octaves : {-1, 0, 1, 5}) {
         TerrainParams p;
         p.seed = 11;
         p.octaves = octaves;
@@ -378,11 +410,98 @@ TEST(Terrain, HeightBoundsHoldForEdgeParams)
     TerrainParams fine;
     fine.featureScale = 7.0;
     sets.push_back(fine);
-    for (const TerrainParams &p : sets) {
-        SCOPED_TRACE(::testing::Message()
-                     << "octaves " << p.octaves << " amplitude "
-                     << p.amplitude << " featureScale " << p.featureScale);
-        expectBoundsHold(Terrain(p, extent), 3);
+    return sets;
+}
+
+::testing::Message
+describe(const TerrainParams &p)
+{
+    return ::testing::Message() << "octaves " << p.octaves << " amplitude "
+                                << p.amplitude << " featureScale "
+                                << p.featureScale;
+}
+
+TEST(Terrain, HeightBoundsHoldForEdgeParams)
+{
+    for (const TerrainParams &p : edgeParamSets()) {
+        SCOPED_TRACE(describe(p));
+        expectBoundsHold(Terrain(p, kEdgeExtent), 3);
+    }
+}
+
+/**
+ * Require `heightAt`, `normalAt` and `colorAt` to equal the hashed
+ * reference exactly over each noise layer's lattice table (moisture,
+ * then every octave): @p dense points per axis in every table square,
+ * the table's border corners and their nextafter neighbours, points
+ * half a square off the table, and points ±1e5 m away. A table spans
+ * the corners the grid's extent reaches plus one of border (DESIGN
+ * §10); the axes rebuild that span from `gridShape()`.
+ */
+void
+expectMatchesHashedReference(const Terrain &t, int dense)
+{
+    const Terrain::GridShape &s = t.gridShape();
+    ASSERT_GT(s.cols, 0);
+    const TerrainParams &p = t.params();
+    std::vector<double> freqs{1.0 / 37.0};
+    double freq = 1.0 / p.featureScale;
+    for (int o = 0; o < p.octaves; ++o, freq *= 2.0)
+        freqs.push_back(freq);
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto axis = [&](double origin, int cells, double f) {
+        const double c0 = std::floor(origin * f) - 1.0;
+        const double c1 = std::floor((origin + cells * s.cell) * f) + 2.0;
+        std::vector<double> v;
+        for (double c = c0; c < c1; ++c)
+            for (int k = 0; k < dense; ++k)
+                v.push_back((c + (k + 0.5) / dense) / f);
+        for (double c : {c0, c1}) {
+            v.push_back(std::nextafter(c / f, -inf));
+            v.push_back(c / f);
+            v.push_back(std::nextafter(c / f, inf));
+        }
+        for (double off : {(c0 - 0.5) / f, (c1 + 0.5) / f, -1.0e5, 1.0e5})
+            v.push_back(off);
+        return v;
+    };
+    int failures = 0;
+    for (double f : freqs) {
+        const std::vector<double> xs = axis(s.origin.x, s.cols, f);
+        const std::vector<double> ys = axis(s.origin.y, s.rows, f);
+        for (double y : ys)
+            for (double x : xs) {
+                const Vec2 at{x, y};
+                const double h = t.heightAt(at);
+                const Vec3 n = t.normalAt(at);
+                const image::Rgb c = t.colorAt(at);
+                const double refH = render::reference::heightAt(p, at);
+                const Vec3 refN = render::reference::normalAt(p, at);
+                const image::Rgb refC = render::reference::colorAt(p, at);
+                if ((h == refH && n == refN && c == refC) || ++failures > 3)
+                    continue;
+                SCOPED_TRACE(::testing::Message()
+                             << "at (" << x << ", " << y
+                             << "), lattice scale " << 1.0 / f);
+                EXPECT_EQ(h, refH);
+                EXPECT_EQ(n, refN);
+                EXPECT_EQ(c, refC);
+            }
+    }
+    EXPECT_EQ(failures, 0);
+}
+
+TEST(Terrain, HeightMatchesHashedReference)
+{
+    for (const gen::GameId id :
+         {gen::GameId::Racing, gen::GameId::CTS, gen::GameId::Viking}) {
+        const VirtualWorld world = gen::makeWorld(id, 42);
+        SCOPED_TRACE(world.name());
+        expectMatchesHashedReference(world.terrain(), 2);
+    }
+    for (const TerrainParams &p : edgeParamSets()) {
+        SCOPED_TRACE(describe(p));
+        expectMatchesHashedReference(Terrain(p, kEdgeExtent), 3);
     }
 }
 

@@ -460,6 +460,8 @@ main(int argc, char **argv)
     const double bvhLeafTests = lastCounter("bvh.leaf_tests");
     const double marchSamples = lastCounter("terrain.march_samples");
     const double heightEvals = lastCounter("terrain.height_evals");
+    const double offGridEvals =
+        lastCounter("terrain.height_evals_off_grid");
     const double panoHits = lastCounter("server.pano_cache.hits");
     const double panoMisses = lastCounter("server.pano_cache.misses");
     if (bvhNodes >= 0.0 || marchSamples >= 0.0 || panoHits >= 0.0 ||
@@ -485,6 +487,7 @@ main(int argc, char **argv)
         perFrame("bvh.leaf_tests", bvhLeafTests);
         perFrame("terrain.march_samples", marchSamples);
         perFrame("terrain.height_evals", heightEvals);
+        perFrame("terrain.height_evals_off_grid", offGridEvals);
         if (marchSamples > 0.0 && heightEvals >= 0.0)
             std::printf("  %-28s %14.3f heightAt calls / march sample\n",
                         "terrain.evals_per_sample",
