@@ -104,13 +104,19 @@ BENCHMARK(BM_PoolDispatch);
 void
 BM_CodecEncode(benchmark::State &state)
 {
-    const int side = static_cast<int>(state.range(0));
-    const auto img = noiseImage(side, side, 3);
+    const auto img = noiseImage(static_cast<int>(state.range(0)),
+                                static_cast<int>(state.range(1)), 3);
     for (auto _ : state)
         benchmark::DoNotOptimize(image::encode(img));
     state.SetBytesProcessed(state.iterations() * img.pixelCount() * 3);
 }
-BENCHMARK(BM_CodecEncode)->Arg(128)->Arg(256);
+// Block rows are coded on the shared pool, so time the wall clock; the
+// 512x256 case is the prerender panorama's shape.
+BENCHMARK(BM_CodecEncode)
+    ->Args({128, 128})
+    ->Args({256, 256})
+    ->Args({512, 256})
+    ->UseRealTime();
 
 void
 BM_CodecDecode(benchmark::State &state)

@@ -1,11 +1,12 @@
 /**
  * @file
  * Render hot-path benchmark: whole-frame panorama and perspective time
- * per world, the BVH raycast alone, a per-stage panorama breakdown
- * (direction gen / raycast / terrain / shade / composite) from the
- * pipeline's stage timers, the terrain march's `heightAt` calls per ray
- * on one fixed 160x80 far-BE panorama (a deterministic count, identical
- * with and without --smoke), those calls per ray that fall outside the
+ * per world, the codec's encode time for that panorama, the BVH raycast
+ * alone, a per-stage panorama breakdown (direction gen / raycast /
+ * terrain / shade / composite) from the pipeline's stage timers, the
+ * terrain march's `heightAt` calls per ray and the encoded size of one
+ * fixed 160x80 far-BE panorama (deterministic counts, identical with
+ * and without --smoke), those calls per ray that fall outside the
  * min/max grid on the whole-frame panorama (recorded, not gated), and
  * the coterie-wide far-BE render de-dup scenario (8 clients, pano-cache
  * hit ratio and renders per frame).
@@ -36,8 +37,10 @@
 #include "bench_util.hh"
 #include "core/partitioner.hh"
 #include "core/server.hh"
+#include "image/codec.hh"
 #include "obs/metrics.hh"
 #include "render/renderer.hh"
+#include "support/stats.hh"
 #include "world/gen/generators.hh"
 
 namespace {
@@ -59,13 +62,15 @@ struct FrameTimes
 {
     double panoMs = 0.0; ///< per panorama frame
     double perspMs = 0.0; ///< per perspective frame
+    double encodeMs = 0.0; ///< image::encode of the panorama, median
     double panoRaysPerSec = 0.0;
     /** Terrain `heightAt` calls per panorama ray at points outside the
      *  min/max grid (read from `terrain.height_evals_off_grid`). */
     double offGridEvalsPerRay = 0.0;
 };
 
-/** Time panorama + perspective frames from the world's center. */
+/** Time panorama + perspective frames from the world's center, and the
+ *  encode of the panorama (the server's prerender step). */
 FrameTimes
 timeRenders(const world::VirtualWorld &world, int panoW, int panoH,
             int perspW, int perspH, int reps)
@@ -86,14 +91,23 @@ timeRenders(const world::VirtualWorld &world, int panoW, int panoH,
     obs::Counter &off_grid = obs::MetricsRegistry::global().counter(
         "terrain.height_evals_off_grid");
     const std::uint64_t off_grid_before = off_grid.value();
+    image::Image pano;
     const double pano_s = seconds([&] {
         for (int i = 0; i < reps; ++i) {
-            const auto frame =
-                renderer.renderPanorama(eye, panoW, panoH, opts);
-            if (frame.empty())
+            pano = renderer.renderPanorama(eye, panoW, panoH, opts);
+            if (pano.empty())
                 std::abort(); // keep the optimizer honest
         }
     });
+    SampleSet encode_ms;
+    for (int i = -1; i < reps; ++i) { // i = -1 warms up, untimed
+        const double ms = 1000.0 * seconds([&] {
+            if (image::encode(pano).bytes.empty())
+                std::abort();
+        });
+        if (i >= 0)
+            encode_ms.add(ms);
+    }
     const double persp_s = seconds([&] {
         for (int i = 0; i < reps; ++i) {
             const auto frame =
@@ -104,6 +118,7 @@ timeRenders(const world::VirtualWorld &world, int panoW, int panoH,
     });
     out.panoMs = pano_s * 1000.0 / reps;
     out.perspMs = persp_s * 1000.0 / reps;
+    out.encodeMs = encode_ms.median();
     out.panoRaysPerSec =
         static_cast<double>(panoW) * panoH * reps / pano_s;
     out.offGridEvalsPerRay =
@@ -150,15 +165,23 @@ stageBreakdown(const world::VirtualWorld &world, int panoW, int panoH,
                  reps;
 }
 
+/** Deterministic work and size counts of the fixed far-BE panorama. */
+struct FarBeCounts
+{
+    double heightEvalsPerRay = 0.0;
+    std::size_t encodedBytes = 0;
+};
+
 /**
- * Terrain `heightAt` calls per ray on one fixed 160x80 far-BE panorama
- * (20 m cutoff, the server's prerender shape) from the world's center,
- * read from the renderer's `terrain.height_evals` counter. The ray set
- * does not depend on the bench mode, so the count is deterministic and
- * comparable between smoke and full runs.
+ * One fixed 160x80 far-BE panorama (20 m cutoff, the server's
+ * prerender shape) from the world's center: the terrain `heightAt`
+ * calls per ray, read from the renderer's `terrain.height_evals`
+ * counter, and the panorama's encoded size at the default codec
+ * parameters. The ray set does not depend on the bench mode, so both
+ * counts are deterministic and comparable between smoke and full runs.
  */
-double
-heightEvalsPerRay(const world::VirtualWorld &world)
+FarBeCounts
+farBeCounts(const world::VirtualWorld &world)
 {
     constexpr int kW = 160;
     constexpr int kH = 80;
@@ -169,9 +192,14 @@ heightEvalsPerRay(const world::VirtualWorld &world)
     obs::Counter &evals =
         obs::MetricsRegistry::global().counter("terrain.height_evals");
     const std::uint64_t before = evals.value();
-    if (renderer.renderPanorama(eye, kW, kH, opts).empty())
+    const image::Image pano = renderer.renderPanorama(eye, kW, kH, opts);
+    if (pano.empty())
         std::abort();
-    return static_cast<double>(evals.value() - before) / (kW * kH);
+    FarBeCounts out;
+    out.heightEvalsPerRay =
+        static_cast<double>(evals.value() - before) / (kW * kH);
+    out.encodedBytes = image::encode(pano).sizeBytes();
+    return out;
 }
 
 /**
@@ -317,11 +345,14 @@ main(int argc, char **argv)
         double stage_ms[kStageCount];
         stageBreakdown(world, pano_w, pano_h, stages_mode ? reps : 1,
                        stage_ms);
-        const double evals_per_ray = heightEvalsPerRay(world);
+        const FarBeCounts far_be = farBeCounts(world);
 
         std::printf("    pano   %7.2f ms  persp %7.2f ms  rays/s %.2fM\n",
                     frame.panoMs, frame.perspMs,
                     frame.panoRaysPerSec / 1e6);
+        std::printf("    pano encode %7.2f ms; far-BE 160x80 encodes to "
+                    "%zu bytes\n",
+                    frame.encodeMs, far_be.encodedBytes);
         std::printf("    pano raycast %7.2f ms\n", ray_s * 1000.0 / reps);
         std::printf("    stages ");
         for (int i = 0; i < kStageCount; ++i)
@@ -329,7 +360,7 @@ main(int argc, char **argv)
                         i + 1 < kStageCount ? "," : "\n");
         std::printf("    terrain heightAt calls/ray %.4f (far-BE), "
                     "%.4f off the grid (full depth)\n",
-                    evals_per_ray, frame.offGridEvalsPerRay);
+                    far_be.heightEvalsPerRay, frame.offGridEvalsPerRay);
 
         // Key names continue the tracked record's columns for the same
         // measurements (the packet pipeline on the SAH tree).
@@ -340,12 +371,16 @@ main(int argc, char **argv)
         w.set("persp_ms_sah", obs::Json(frame.perspMs));
         w.set("pano_rays_per_s_sah", obs::Json(frame.panoRaysPerSec));
         w.set("pano_raycast_ms_new", obs::Json(ray_s * 1000.0 / reps));
+        w.set("encode_ms", obs::Json(frame.encodeMs));
+        w.set("encoded_bytes", obs::Json(static_cast<std::uint64_t>(
+                                   far_be.encodedBytes)));
         obs::Json stages = obs::Json::object();
         for (int i = 0; i < kStageCount; ++i)
             stages.set(kStageLabels[i], obs::Json(stage_ms[i]));
         w.set("pano_stage_ms", std::move(stages));
 #if COTERIE_TELEMETRY_ENABLED // the count is drained through telemetry
-        w.set("terrain_height_evals_per_ray", obs::Json(evals_per_ray));
+        w.set("terrain_height_evals_per_ray",
+              obs::Json(far_be.heightEvalsPerRay));
         w.set("terrain_off_grid_evals_per_ray",
               obs::Json(frame.offGridEvalsPerRay));
 #endif

@@ -7,13 +7,6 @@
 
 namespace coterie::image {
 
-using detail::decodePlane;
-using detail::encodePlane;
-using detail::rgbToYcocg;
-using detail::subsample2;
-using detail::upsample2;
-using detail::ycocgToRgb;
-
 EncodedFrame
 encode(const Image &frame, const CodecParams &params)
 {
@@ -25,26 +18,7 @@ encode(const Image &frame, const CodecParams &params)
     out.width = frame.width();
     out.height = frame.height();
     out.params = params;
-
-    std::vector<double> yp, co, cg;
-    rgbToYcocg(frame, yp, co, cg);
-
-    encodePlane(yp, frame.width(), frame.height(), params.quality, false,
-                out.bytes);
-    if (params.chromaSubsample) {
-        int sw = 0, sh = 0;
-        const auto co_s = subsample2(co, frame.width(), frame.height(),
-                                     sw, sh);
-        const auto cg_s = subsample2(cg, frame.width(), frame.height(),
-                                     sw, sh);
-        encodePlane(co_s, sw, sh, params.quality, true, out.bytes);
-        encodePlane(cg_s, sw, sh, params.quality, true, out.bytes);
-    } else {
-        encodePlane(co, frame.width(), frame.height(), params.quality, true,
-                    out.bytes);
-        encodePlane(cg, frame.width(), frame.height(), params.quality, true,
-                    out.bytes);
-    }
+    detail::encodeRgb(frame, params, out.bytes);
     COTERIE_COUNT_N("codec.encoded_bytes", out.bytes.size());
     return out;
 }
@@ -58,26 +32,8 @@ decode(const EncodedFrame &encoded)
     COTERIE_SPAN("codec.decode", "image");
     COTERIE_TIMER_SCOPE("codec.decode_ms");
     COTERIE_COUNT("codec.decodes");
-    std::size_t pos = 0;
-    std::vector<double> yp, co, cg;
-    decodePlane(encoded.bytes, pos, w, h, encoded.params.quality, false, yp);
-    if (encoded.params.chromaSubsample) {
-        const int sw = (w + 1) / 2;
-        const int sh = (h + 1) / 2;
-        std::vector<double> co_s, cg_s;
-        decodePlane(encoded.bytes, pos, sw, sh, encoded.params.quality, true,
-                    co_s);
-        decodePlane(encoded.bytes, pos, sw, sh, encoded.params.quality, true,
-                    cg_s);
-        co = upsample2(co_s, sw, sh, w, h);
-        cg = upsample2(cg_s, sw, sh, w, h);
-    } else {
-        decodePlane(encoded.bytes, pos, w, h, encoded.params.quality, true,
-                    co);
-        decodePlane(encoded.bytes, pos, w, h, encoded.params.quality, true,
-                    cg);
-    }
-    return ycocgToRgb(yp, co, cg, w, h);
+    return detail::ycocgToRgb(
+        detail::decodePlanes(encoded.bytes, w, h, encoded.params), w, h);
 }
 
 } // namespace coterie::image

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "support/logging.hh"
+#include "support/parallel.hh"
 #include "support/simd.hh"
 
 namespace coterie::image::detail {
@@ -15,6 +16,7 @@ namespace {
 using support::simd::F64x4;
 
 constexpr int kBlock = 8;
+constexpr int kCoeffs = kBlock * kBlock;
 
 /** Zigzag scan order for an 8x8 block. */
 const std::array<int, 64> &
@@ -156,6 +158,18 @@ quantStep(int zigzag_index, int quality, bool chroma)
     return base * freq;
 }
 
+/** quantStep of every zigzag slot of one plane, computed once. */
+using QuantTable = std::array<double, kCoeffs>;
+
+QuantTable
+quantTable(int quality, bool chroma)
+{
+    QuantTable steps{};
+    for (int i = 0; i < kCoeffs; ++i)
+        steps[i] = quantStep(i, quality, chroma);
+    return steps;
+}
+
 /** Append an unsigned varint (LEB128). */
 void
 putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
@@ -201,57 +215,176 @@ unzz(std::uint64_t v)
            -static_cast<std::int64_t>(v & 1);
 }
 
-} // namespace
+/** One pixel in YCoCg (lossy in integer domain; we work in doubles). */
+struct Ycocg
+{
+    double y, co, cg;
+};
+
+Ycocg
+toYcocg(Rgb px)
+{
+    const double r = px.r, g = px.g, b = px.b;
+    const double co = r - b;
+    const double tmp = b + co * 0.5;
+    const double cg = g - tmp;
+    return {tmp + cg * 0.5, co, cg};
+}
 
 /**
- * Encode one plane: per 8x8 block, Haar, quantise, zigzag, then emit
- * (runOfZeros, value) pairs with an end-of-block marker. DC coefficients
- * are delta-coded across blocks.
+ * Mean of the in-bounds samples of the 2x2 cell at (x, y) of a w x h
+ * source, summed in (dy, dx) order: the one definition of a subsampled
+ * chroma sample, for planes and for RGB pixels alike.
  */
+template <typename Sample>
+double
+mean2x2(const Sample &sample, int x, int y, int w, int h)
+{
+    double sum = 0.0;
+    int n = 0;
+    for (int dy = 0; dy < 2; ++dy) {
+        for (int dx = 0; dx < 2; ++dx) {
+            const int sx = 2 * x + dx;
+            const int sy = 2 * y + dy;
+            if (sx < w && sy < h) {
+                sum += sample(sx, sy);
+                ++n;
+            }
+        }
+    }
+    return sum / n;
+}
+
+/** One block row's stream, its first block's DC delta left out. */
+struct RowRun
+{
+    std::vector<std::uint8_t> bytes;
+    std::int64_t firstDc = 0;
+    std::int64_t lastDc = 0;
+};
+
+/**
+ * Code the block row at @p by of a w x h plane whose sample (x, y) is
+ * @p sample(x, y): per 8x8 block (edge samples clamped), Haar,
+ * quantise, zigzag, then (runOfZeros, value) pairs with an end-of-block
+ * marker. DC coefficients are delta-coded along the row; the first
+ * block's delta depends on the previous row, so the splice writes it.
+ */
+template <typename Sample>
+void
+encodeRow(const Sample &sample, int w, int h, int by,
+          const QuantTable &steps, RowRun &run)
+{
+    const auto &order = zigzagOrder();
+    int sy[kBlock];
+    for (int y = 0; y < kBlock; ++y)
+        sy[y] = std::min(by + y, h - 1);
+    for (int bx = 0; bx < w; bx += kBlock) {
+        double block[kCoeffs];
+        for (int y = 0; y < kBlock; ++y)
+            for (int x = 0; x < kBlock; ++x)
+                block[y * kBlock + x] =
+                    sample(std::min(bx + x, w - 1), sy[y]);
+        haar2d(block, false);
+
+        std::int64_t q[kCoeffs];
+        for (int i = 0; i < kCoeffs; ++i)
+            q[i] = static_cast<std::int64_t>(
+                std::llround(block[order[i]] / steps[i]));
+
+        // DC delta.
+        if (bx == 0)
+            run.firstDc = q[0];
+        else
+            putVarint(run.bytes, zz(q[0] - run.lastDc));
+        run.lastDc = q[0];
+
+        // AC: run-length of zeros then value; 0-run 63 acts as EOB.
+        int zeros = 0;
+        for (int i = 1; i < kCoeffs; ++i) {
+            if (q[i] == 0) {
+                ++zeros;
+                continue;
+            }
+            putVarint(run.bytes, static_cast<std::uint64_t>(zeros));
+            putVarint(run.bytes, zz(q[i]));
+            zeros = 0;
+        }
+        putVarint(run.bytes, 63); // EOB
+    }
+}
+
+/**
+ * Encode a w x h plane read through @p sample: its block rows are
+ * chunks of one parallelFor (grain 1, so chunk boundaries never depend
+ * on the worker count), each coded into its own run; the serial splice
+ * then writes each row's first DC delta against the previous row's
+ * last DC and appends the runs in row order. The bytes are those of a
+ * serial block-by-block pass over the plane.
+ */
+template <typename Sample>
+void
+encodeRows(const Sample &sample, int w, int h, int quality, bool chroma,
+           std::vector<std::uint8_t> &out)
+{
+    if (w <= 0 || h <= 0)
+        return; // no blocks, so no DC delta to splice either
+    const QuantTable steps = quantTable(quality, chroma);
+    std::vector<RowRun> runs(static_cast<std::size_t>((h + kBlock - 1) /
+                                                      kBlock));
+    support::parallelFor(
+        0, static_cast<std::int64_t>(runs.size()), 1,
+        [&](std::int64_t b, std::int64_t e) {
+            for (std::int64_t r = b; r < e; ++r)
+                encodeRow(sample, w, h, static_cast<int>(r) * kBlock,
+                          steps, runs[static_cast<std::size_t>(r)]);
+        });
+    std::int64_t prev_dc = 0;
+    for (const RowRun &run : runs) {
+        putVarint(out, zz(run.firstDc - prev_dc));
+        out.insert(out.end(), run.bytes.begin(), run.bytes.end());
+        prev_dc = run.lastDc;
+    }
+}
+
+} // namespace
+
+void
+encodeRgb(const Image &frame, const CodecParams &params,
+          std::vector<std::uint8_t> &out)
+{
+    const int w = frame.width();
+    const int h = frame.height();
+    const Rgb *px = frame.pixels().data();
+    const auto at = [px, w](int x, int y) {
+        return toYcocg(px[static_cast<std::size_t>(y) * w + x]);
+    };
+    const auto co = [&](int x, int y) { return at(x, y).co; };
+    const auto cg = [&](int x, int y) { return at(x, y).cg; };
+    encodeRows([&](int x, int y) { return at(x, y).y; }, w, h,
+               params.quality, false, out);
+    if (params.chromaSubsample) {
+        const int sw = (w + 1) / 2;
+        const int sh = (h + 1) / 2;
+        encodeRows([&](int x, int y) { return mean2x2(co, x, y, w, h); },
+                   sw, sh, params.quality, true, out);
+        encodeRows([&](int x, int y) { return mean2x2(cg, x, y, w, h); },
+                   sw, sh, params.quality, true, out);
+    } else {
+        encodeRows(co, w, h, params.quality, true, out);
+        encodeRows(cg, w, h, params.quality, true, out);
+    }
+}
+
 void
 encodePlane(const std::vector<double> &plane, int w, int h, int quality,
             bool chroma, std::vector<std::uint8_t> &out)
 {
-    const auto &order = zigzagOrder();
-    std::int64_t prev_dc = 0;
-    for (int by = 0; by < h; by += kBlock) {
-        for (int bx = 0; bx < w; bx += kBlock) {
-            double block[kBlock * kBlock];
-            for (int y = 0; y < kBlock; ++y) {
-                for (int x = 0; x < kBlock; ++x) {
-                    const int sx = std::min(bx + x, w - 1);
-                    const int sy = std::min(by + y, h - 1);
-                    block[y * kBlock + x] =
-                        plane[static_cast<std::size_t>(sy) * w + sx];
-                }
-            }
-            haar2d(block, false);
-
-            std::int64_t q[kBlock * kBlock];
-            for (int i = 0; i < kBlock * kBlock; ++i) {
-                const double step = quantStep(i, quality, chroma);
-                q[i] = static_cast<std::int64_t>(
-                    std::llround(block[order[i]] / step));
-            }
-
-            // DC delta.
-            putVarint(out, zz(q[0] - prev_dc));
-            prev_dc = q[0];
-
-            // AC: run-length of zeros then value; 0-run 63 acts as EOB.
-            int run = 0;
-            for (int i = 1; i < kBlock * kBlock; ++i) {
-                if (q[i] == 0) {
-                    ++run;
-                    continue;
-                }
-                putVarint(out, static_cast<std::uint64_t>(run));
-                putVarint(out, zz(q[i]));
-                run = 0;
-            }
-            putVarint(out, 63); // EOB
-        }
-    }
+    encodeRows(
+        [&](int x, int y) {
+            return plane[static_cast<std::size_t>(y) * w + x];
+        },
+        w, h, quality, chroma, out);
 }
 
 void
@@ -261,11 +394,12 @@ decodePlane(const std::vector<std::uint8_t> &in, std::size_t &pos, int w,
     constexpr std::int64_t kMinDc = std::numeric_limits<std::int64_t>::min();
     constexpr std::int64_t kMaxDc = std::numeric_limits<std::int64_t>::max();
     const auto &order = zigzagOrder();
+    const QuantTable steps = quantTable(quality, chroma);
     plane.assign(static_cast<std::size_t>(w) * h, 0.0);
     std::int64_t prev_dc = 0;
     for (int by = 0; by < h; by += kBlock) {
         for (int bx = 0; bx < w; bx += kBlock) {
-            std::int64_t q[kBlock * kBlock] = {};
+            std::int64_t q[kCoeffs] = {};
             const std::int64_t dc_delta = unzz(getVarint(in, pos));
             COTERIE_ASSERT(dc_delta < 0 ? prev_dc >= kMinDc - dc_delta
                                         : prev_dc <= kMaxDc - dc_delta,
@@ -281,18 +415,16 @@ decodePlane(const std::vector<std::uint8_t> &in, std::size_t &pos, int w,
                 const std::uint64_t run = getVarint(in, pos);
                 if (run == 63)
                     break;
-                COTERIE_ASSERT(
-                    run < static_cast<std::uint64_t>(kBlock * kBlock - i),
-                    "corrupt AC run");
+                COTERIE_ASSERT(run < static_cast<std::uint64_t>(kCoeffs - i),
+                               "corrupt AC run");
                 i += static_cast<int>(run);
                 q[i] = unzz(getVarint(in, pos));
                 ++i;
             }
 
-            double block[kBlock * kBlock];
-            for (int j = 0; j < kBlock * kBlock; ++j)
-                block[order[j]] =
-                    static_cast<double>(q[j]) * quantStep(j, quality, chroma);
+            double block[kCoeffs];
+            for (int j = 0; j < kCoeffs; ++j)
+                block[order[j]] = static_cast<double>(q[j]) * steps[j];
             haar2d(block, true);
 
             for (int y = 0; y < kBlock && by + y < h; ++y)
@@ -303,23 +435,45 @@ decodePlane(const std::vector<std::uint8_t> &in, std::size_t &pos, int w,
     }
 }
 
-/** RGB -> YCoCg (lossy in integer domain; we work in doubles). */
-void
-rgbToYcocg(const Image &img, std::vector<double> &yp, std::vector<double> &co,
-           std::vector<double> &cg)
+Planes
+decodePlanes(const std::vector<std::uint8_t> &bytes, int w, int h,
+             const CodecParams &params)
+{
+    Planes p;
+    std::size_t pos = 0;
+    decodePlane(bytes, pos, w, h, params.quality, false, p.y);
+    if (params.chromaSubsample) {
+        const int sw = (w + 1) / 2;
+        const int sh = (h + 1) / 2;
+        std::vector<double> co_s, cg_s;
+        decodePlane(bytes, pos, sw, sh, params.quality, true, co_s);
+        decodePlane(bytes, pos, sw, sh, params.quality, true, cg_s);
+        p.co = upsample2(co_s, sw, sh, w, h);
+        p.cg = upsample2(cg_s, sw, sh, w, h);
+    } else {
+        decodePlane(bytes, pos, w, h, params.quality, true, p.co);
+        decodePlane(bytes, pos, w, h, params.quality, true, p.cg);
+    }
+    COTERIE_ASSERT(pos == bytes.size(), "trailing bytes after the last plane");
+    return p;
+}
+
+Planes
+rgbToYcocg(const Image &img)
 {
     const auto n = img.pixelCount();
-    yp.resize(n);
-    co.resize(n);
-    cg.resize(n);
+    Planes p;
+    p.y.resize(n);
+    p.co.resize(n);
+    p.cg.resize(n);
     const auto &px = img.pixels();
     for (std::size_t i = 0; i < n; ++i) {
-        const double r = px[i].r, g = px[i].g, b = px[i].b;
-        co[i] = r - b;
-        const double tmp = b + co[i] * 0.5;
-        cg[i] = g - tmp;
-        yp[i] = tmp + cg[i] * 0.5;
+        const Ycocg c = toYcocg(px[i]);
+        p.y[i] = c.y;
+        p.co[i] = c.co;
+        p.cg[i] = c.cg;
     }
+    return p;
 }
 
 std::uint8_t
@@ -329,16 +483,15 @@ clamp255(double v)
 }
 
 Image
-ycocgToRgb(const std::vector<double> &yp, const std::vector<double> &co,
-           const std::vector<double> &cg, int w, int h)
+ycocgToRgb(const Planes &planes, int w, int h)
 {
     Image out(w, h);
     auto &px = out.pixels();
     for (std::size_t i = 0; i < px.size(); ++i) {
-        const double tmp = yp[i] - cg[i] * 0.5;
-        const double g = cg[i] + tmp;
-        const double b = tmp - co[i] * 0.5;
-        const double r = b + co[i];
+        const double tmp = planes.y[i] - planes.cg[i] * 0.5;
+        const double g = planes.cg[i] + tmp;
+        const double b = tmp - planes.co[i] * 0.5;
+        const double r = b + planes.co[i];
         px[i] = Rgb{clamp255(r + 0.5), clamp255(g + 0.5), clamp255(b + 0.5)};
     }
     return out;
@@ -349,24 +502,14 @@ subsample2(const std::vector<double> &plane, int w, int h, int &sw, int &sh)
 {
     sw = (w + 1) / 2;
     sh = (h + 1) / 2;
+    const auto at = [&](int x, int y) {
+        return plane[static_cast<std::size_t>(y) * w + x];
+    };
     std::vector<double> out(static_cast<std::size_t>(sw) * sh);
-    for (int y = 0; y < sh; ++y) {
-        for (int x = 0; x < sw; ++x) {
-            double sum = 0.0;
-            int n = 0;
-            for (int dy = 0; dy < 2; ++dy) {
-                for (int dx = 0; dx < 2; ++dx) {
-                    const int sx = 2 * x + dx;
-                    const int sy = 2 * y + dy;
-                    if (sx < w && sy < h) {
-                        sum += plane[static_cast<std::size_t>(sy) * w + sx];
-                        ++n;
-                    }
-                }
-            }
-            out[static_cast<std::size_t>(y) * sw + x] = sum / n;
-        }
-    }
+    for (int y = 0; y < sh; ++y)
+        for (int x = 0; x < sw; ++x)
+            out[static_cast<std::size_t>(y) * sw + x] =
+                mean2x2(at, x, y, w, h);
     return out;
 }
 
@@ -384,6 +527,5 @@ upsample2(const std::vector<double> &plane, int sw, int sh, int w, int h)
     }
     return out;
 }
-
 
 } // namespace coterie::image::detail

@@ -1,8 +1,9 @@
 /**
  * @file
- * Internal plane-level coding primitives shared by the still-frame
- * codec (codec.cc) and the video codec (video.cc): Haar transform,
- * quantisation, zigzag RLE/varint entropy coding, YCoCg conversion and
+ * Internal plane-level coding shared by the still-frame codec
+ * (codec.cc) and the video codec (video.cc): the one block-row coder
+ * (Haar transform, quantisation, zigzag RLE/varint entropy coding), the
+ * one Y/Co/Cg plane sequence in both directions, YCoCg conversion and
  * chroma resampling. Not part of the public API.
  */
 
@@ -11,9 +12,25 @@
 #include <cstdint>
 #include <vector>
 
+#include "image/codec.hh"
 #include "image/image.hh"
 
 namespace coterie::image::detail {
+
+/** The three YCoCg planes of a frame, chroma at full resolution. */
+struct Planes
+{
+    std::vector<double> y, co, cg;
+};
+
+/**
+ * Encode @p frame's Y, Co and Cg planes (chroma subsampled if
+ * configured) straight from its RGB pixels: each plane's block rows
+ * are coded in parallel on the shared pool, and no full-frame plane is
+ * allocated.
+ */
+void encodeRgb(const Image &frame, const CodecParams &params,
+               std::vector<std::uint8_t> &out);
 
 /** Encode one plane into the byte stream (8x8 Haar blocks). */
 void encodePlane(const std::vector<double> &plane, int w, int h,
@@ -24,12 +41,16 @@ void decodePlane(const std::vector<std::uint8_t> &in, std::size_t &pos,
                  int w, int h, int quality, bool chroma,
                  std::vector<double> &plane);
 
+/**
+ * Decode a frame's Y, Co and Cg planes, chroma upsampled to full
+ * resolution; panics unless the stream ends right after the last plane.
+ */
+Planes decodePlanes(const std::vector<std::uint8_t> &bytes, int w, int h,
+                    const CodecParams &params);
+
 /** RGB <-> YCoCg plane conversion. */
-void rgbToYcocg(const Image &img, std::vector<double> &yp,
-                std::vector<double> &co, std::vector<double> &cg);
-Image ycocgToRgb(const std::vector<double> &yp,
-                 const std::vector<double> &co,
-                 const std::vector<double> &cg, int w, int h);
+Planes rgbToYcocg(const Image &img);
+Image ycocgToRgb(const Planes &planes, int w, int h);
 
 /** 2x chroma down/up sampling. */
 std::vector<double> subsample2(const std::vector<double> &plane, int w,
@@ -38,4 +59,3 @@ std::vector<double> upsample2(const std::vector<double> &plane, int sw,
                               int sh, int w, int h);
 
 } // namespace coterie::image::detail
-

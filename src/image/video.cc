@@ -7,24 +7,12 @@ namespace coterie::image {
 
 namespace {
 
-/** The three YCoCg planes of a frame, chroma at full resolution. */
-struct Planes
-{
-    std::vector<double> y, co, cg;
-};
+using detail::Planes;
 
-Planes
-toPlanes(const Image &frame)
-{
-    Planes p;
-    detail::rgbToYcocg(frame, p.y, p.co, p.cg);
-    return p;
-}
-
-/** Encode (cur - ref) per plane; chroma subsampled if configured. */
+/** Encode P-frame residual planes; chroma subsampled if configured. */
 void
-encodePlanes(const Planes &planes, int w, int h, const CodecParams &params,
-             std::vector<std::uint8_t> &out)
+encodeResidual(const Planes &planes, int w, int h, const CodecParams &params,
+               std::vector<std::uint8_t> &out)
 {
     detail::encodePlane(planes.y, w, h, params.quality, false, out);
     if (params.chromaSubsample) {
@@ -39,40 +27,14 @@ encodePlanes(const Planes &planes, int w, int h, const CodecParams &params,
     }
 }
 
-Planes
-decodePlanes(const std::vector<std::uint8_t> &bytes, int w, int h,
-             const CodecParams &params)
+void
+subtractInPlace(Planes &a, const Planes &b)
 {
-    Planes p;
-    std::size_t pos = 0;
-    detail::decodePlane(bytes, pos, w, h, params.quality, false, p.y);
-    if (params.chromaSubsample) {
-        const int sw = (w + 1) / 2;
-        const int sh = (h + 1) / 2;
-        std::vector<double> co_s, cg_s;
-        detail::decodePlane(bytes, pos, sw, sh, params.quality, true,
-                            co_s);
-        detail::decodePlane(bytes, pos, sw, sh, params.quality, true,
-                            cg_s);
-        p.co = detail::upsample2(co_s, sw, sh, w, h);
-        p.cg = detail::upsample2(cg_s, sw, sh, w, h);
-    } else {
-        detail::decodePlane(bytes, pos, w, h, params.quality, true, p.co);
-        detail::decodePlane(bytes, pos, w, h, params.quality, true, p.cg);
+    for (std::size_t i = 0; i < a.y.size(); ++i) {
+        a.y[i] -= b.y[i];
+        a.co[i] -= b.co[i];
+        a.cg[i] -= b.cg[i];
     }
-    return p;
-}
-
-Planes
-subtract(const Planes &a, const Planes &b)
-{
-    Planes out = a;
-    for (std::size_t i = 0; i < out.y.size(); ++i) {
-        out.y[i] -= b.y[i];
-        out.co[i] -= b.co[i];
-        out.cg[i] -= b.cg[i];
-    }
-    return out;
 }
 
 void
@@ -115,22 +77,21 @@ encodeVideo(const std::vector<Image> &frames, const VideoParams &params)
                        frame.height() == video.height,
                        "sequence frames must share dimensions");
         EncodedVideoFrame out;
-        const Planes cur = toPlanes(frame);
         const bool intra =
             i % static_cast<std::size_t>(video.gopLength) == 0;
         if (intra) {
             out.type = FrameType::Intra;
-            encodePlanes(cur, video.width, video.height, video.params,
-                         out.bytes);
-            reference = decodePlanes(out.bytes, video.width, video.height,
-                                     video.params);
+            detail::encodeRgb(frame, video.params, out.bytes);
+            reference = detail::decodePlanes(out.bytes, video.width,
+                                             video.height, video.params);
         } else {
             out.type = FrameType::Predicted;
-            const Planes delta = subtract(cur, reference);
-            encodePlanes(delta, video.width, video.height, video.params,
-                         out.bytes);
-            Planes recon = decodePlanes(out.bytes, video.width,
-                                        video.height, video.params);
+            Planes delta = detail::rgbToYcocg(frame);
+            subtractInPlace(delta, reference);
+            encodeResidual(delta, video.width, video.height, video.params,
+                           out.bytes);
+            Planes recon = detail::decodePlanes(out.bytes, video.width,
+                                                video.height, video.params);
             addInPlace(recon, reference);
             reference = std::move(recon);
         }
@@ -146,16 +107,16 @@ decodeVideo(const EncodedVideo &video)
     out.reserve(video.frames.size());
     Planes reference;
     for (const EncodedVideoFrame &frame : video.frames) {
-        Planes planes = decodePlanes(frame.bytes, video.width,
-                                     video.height, video.params);
+        Planes planes = detail::decodePlanes(frame.bytes, video.width,
+                                             video.height, video.params);
         if (frame.type == FrameType::Predicted) {
             COTERIE_ASSERT(!reference.y.empty(),
                            "P-frame before any I-frame");
             addInPlace(planes, reference);
         }
         reference = planes;
-        out.push_back(detail::ycocgToRgb(planes.y, planes.co, planes.cg,
-                                         video.width, video.height));
+        out.push_back(
+            detail::ycocgToRgb(planes, video.width, video.height));
     }
     return out;
 }

@@ -2,14 +2,17 @@
  * @file
  * Tests for the block-transform intra codec: round-trip quality,
  * quality/size monotonicity, content-dependent sizing (the property the
- * bandwidth experiments rely on), determinism, and panics (not UB) on
- * malformed plane bitstreams.
+ * bandwidth experiments rely on), determinism, encoded bytes pinned
+ * against a recorded digest table, and panics (not UB) on malformed
+ * plane bitstreams.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "image/codec.hh"
@@ -42,6 +45,150 @@ noiseImage(int w, int h, std::uint64_t seed)
                 static_cast<std::uint8_t>(rng.uniformInt(0, 255)),
                 static_cast<std::uint8_t>(rng.uniformInt(0, 255))};
     return img;
+}
+
+/**
+ * Integer-only synthetic content for the recorded-bytes tables: a
+ * gradient with seeded noise, every third 8x8 cell flat, so streams
+ * hold busy blocks, smooth blocks and end-of-block-only blocks.
+ */
+Image
+goldenImage(int w, int h)
+{
+    Image img(w, h);
+    Rng rng(hashCombine(static_cast<std::uint64_t>(w),
+                        static_cast<std::uint64_t>(h)));
+    for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+            const int n = static_cast<int>(rng.uniformInt(0, 63));
+            if ((x / 8 + y / 8) % 3 == 0) {
+                img.at(x, y) = Rgb{90, 160, 40};
+                continue;
+            }
+            img.at(x, y) =
+                Rgb{static_cast<std::uint8_t>(x * 191 / w + n),
+                    static_cast<std::uint8_t>(y * 191 / h + (n * 7) % 64),
+                    static_cast<std::uint8_t>((x + 2 * y) % 192 + n / 2)};
+        }
+    }
+    return img;
+}
+
+/** Order-sensitive digest of an encoded stream. */
+std::uint64_t
+digest(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = hashMix(bytes.size());
+    for (const std::uint8_t b : bytes)
+        h = hashCombine(h, b);
+    return h;
+}
+
+struct RecordedStream
+{
+    int w, h;
+    bool chroma;
+    int quality;
+    std::size_t size;
+    std::uint64_t digest;
+
+    bool operator==(const RecordedStream &) const = default;
+};
+
+/** Sizes and digests of goldenImage streams, recorded from the serial
+ *  whole-plane encoder that the block-row encoder replaced. */
+constexpr RecordedStream kRecorded[] = {
+    {1, 1, true, 1, 6, 0x7365b67de1113854ULL},
+    {1, 1, true, 60, 7, 0x3ef1de4ca08abab2ULL},
+    {1, 1, true, 100, 8, 0xcff8b277eaa12e8cULL},
+    {1, 1, false, 1, 6, 0x7365b67de1113854ULL},
+    {1, 1, false, 60, 7, 0x3ef1de4ca08abab2ULL},
+    {1, 1, false, 100, 8, 0xcff8b277eaa12e8cULL},
+    {1, 17, true, 1, 14, 0x6881d3c9e882723aULL},
+    {1, 17, true, 60, 35, 0x6f20437d8cb2b39eULL},
+    {1, 17, true, 100, 38, 0xf9853aa319b4c91eULL},
+    {1, 17, false, 1, 18, 0x101d744287f5eb68ULL},
+    {1, 17, false, 60, 49, 0x802d5ab67cd55220ULL},
+    {1, 17, false, 100, 58, 0x969a3ad768ad3a3eULL},
+    {7, 9, true, 1, 8, 0x623ef0359828a1f1ULL},
+    {7, 9, true, 60, 51, 0x1e7f2475650616ddULL},
+    {7, 9, true, 100, 52, 0xbce35b477745728eULL},
+    {7, 9, false, 1, 14, 0x24e25b7ae279b981ULL},
+    {7, 9, false, 60, 49, 0x367b9bd4f02040a3ULL},
+    {7, 9, false, 100, 50, 0x67313f7b9f6cd22dULL},
+    {8, 8, true, 1, 6, 0x7365b67de1113854ULL},
+    {8, 8, true, 60, 7, 0x3ef1de4ca08abab2ULL},
+    {8, 8, true, 100, 8, 0xcff8b277eaa12e8cULL},
+    {8, 8, false, 1, 6, 0x7365b67de1113854ULL},
+    {8, 8, false, 60, 7, 0x3ef1de4ca08abab2ULL},
+    {8, 8, false, 100, 8, 0xcff8b277eaa12e8cULL},
+    {9, 16, true, 1, 16, 0xecd70acc98043713ULL},
+    {9, 16, true, 60, 107, 0x56dd797837ed35c1ULL},
+    {9, 16, true, 100, 150, 0xbeeae3764bf44777ULL},
+    {9, 16, false, 1, 26, 0x55dc882c5ac1b35bULL},
+    {9, 16, false, 60, 153, 0xbf17734b50bd66caULL},
+    {9, 16, false, 100, 224, 0xa70f9506a07e89bULL},
+    {16, 9, true, 1, 20, 0xe4ac7179c469e83dULL},
+    {16, 9, true, 60, 127, 0xe1ff3829d2013973ULL},
+    {16, 9, true, 100, 173, 0x70fb55d6241b86baULL},
+    {16, 9, false, 1, 28, 0xe912c619a8db3d7dULL},
+    {16, 9, false, 60, 163, 0x77cf7741cc7cc111ULL},
+    {16, 9, false, 100, 245, 0x3a998ba10258d2f4ULL},
+    {17, 33, true, 1, 64, 0x2c7eb08104861a71ULL},
+    {17, 33, true, 60, 387, 0xd41c3cc04d0760b1ULL},
+    {17, 33, true, 100, 570, 0xba4974def8327d42ULL},
+    {17, 33, false, 1, 90, 0x1bd4791533c5da4cULL},
+    {17, 33, false, 60, 597, 0xd34f184d970056faULL},
+    {17, 33, false, 100, 935, 0xcfc6bbc6e3645577ULL},
+    {33, 17, true, 1, 56, 0x2336f10a2f8b6af2ULL},
+    {33, 17, true, 60, 354, 0x7ba6c35662275784ULL},
+    {33, 17, true, 100, 537, 0xa531b3b080d8db10ULL},
+    {33, 17, false, 1, 92, 0x1a1c330cc4731a62ULL},
+    {33, 17, false, 60, 592, 0xf11fad059e667ff8ULL},
+    {33, 17, false, 100, 943, 0xb1fcb986b8c4fab3ULL},
+    {31, 7, true, 1, 20, 0x9d02c1991be9d37cULL},
+    {31, 7, true, 60, 139, 0x8764ba543b2e8485ULL},
+    {31, 7, true, 100, 212, 0x87f8760ab126ba5bULL},
+    {31, 7, false, 1, 32, 0x953b4e4da86c1f2ULL},
+    {31, 7, false, 60, 199, 0xb20605c9b46892b5ULL},
+    {31, 7, false, 100, 286, 0x68761a42edba41afULL},
+    {512, 256, true, 1, 7046, 0x2716c1ec19911181ULL},
+    {512, 256, true, 60, 53639, 0x2fd1f0342aacc535ULL},
+    {512, 256, true, 100, 96344, 0xdb2a1d8820ebd257ULL},
+    {512, 256, false, 1, 12514, 0xc192df36b1da6a82ULL},
+    {512, 256, false, 60, 96770, 0x8f94ac28858258b9ULL},
+    {512, 256, false, 100, 181180, 0xfe1bec6ea47d21e0ULL},
+};
+
+TEST(Codec, EncodeMatchesRecordedBytes)
+{
+    std::size_t i = 0;
+    for (const auto &[w, h] : {std::pair{1, 1}, {1, 17}, {7, 9}, {8, 8},
+                              {9, 16}, {16, 9}, {17, 33}, {33, 17},
+                              {31, 7}, {512, 256}}) {
+        const Image src = goldenImage(w, h);
+        for (const bool chroma : {true, false}) {
+            for (const int quality : {1, 60, 100}) {
+                CodecParams params;
+                params.quality = quality;
+                params.chromaSubsample = chroma;
+                const EncodedFrame enc = encode(src, params);
+                const RecordedStream got{w, h, chroma, quality,
+                                         enc.sizeBytes(),
+                                         digest(enc.bytes)};
+                const RecordedStream want =
+                    i < std::size(kRecorded) ? kRecorded[i]
+                                             : RecordedStream{};
+                ++i;
+                EXPECT_TRUE(got == want)
+                    << "    {" << got.w << ", " << got.h << ", "
+                    << (got.chroma ? "true" : "false") << ", "
+                    << got.quality << ", " << got.size << ", 0x"
+                    << std::hex << got.digest << std::dec << "ULL},";
+            }
+        }
+    }
+    EXPECT_EQ(i, std::size(kRecorded));
 }
 
 TEST(Codec, RoundTripPreservesDimensions)
@@ -207,6 +354,18 @@ TEST(CodecDeathTest, DcSumOverflowPanics)
     putVarint(stream, 2);
     putVarint(stream, 63);
     EXPECT_DEATH(decodeStream(stream, 16), "corrupt DC delta");
+}
+
+TEST(CodecDeathTest, TrailingBytesPanic)
+{
+    // The encode before the fork may have started pool workers.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EncodedFrame enc = encode(goldenImage(17, 33));
+    const Image out = decode(enc); // the stream as encoded is valid
+    EXPECT_EQ(out.width(), 17);
+    EXPECT_EQ(out.height(), 33);
+    enc.bytes.push_back(0);
+    EXPECT_DEATH(decode(enc), "trailing bytes after the last plane");
 }
 
 } // namespace

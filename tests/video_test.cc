@@ -2,7 +2,8 @@
  * @file
  * Tests for the sequence (I/P-frame) codec: round-trip fidelity, the
  * compression advantage of P-frames on similar frames (the far-BE
- * premise), GOP structure, and drift-free reconstruction.
+ * premise), GOP structure, drift-free reconstruction, and encoded bytes
+ * pinned against a recorded digest table.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include "image/ssim.hh"
 #include "image/video.hh"
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 
 #include "support/rng.hh"
 
@@ -46,6 +49,97 @@ slowPan(int frames)
     for (int i = 0; i < frames; ++i)
         out.push_back(texturedFrame(96, 64, i * 0.4, 7));
     return out;
+}
+
+/**
+ * Integer-only panning content for the recorded-bytes table: frame
+ * @p i is a seeded noisy gradient shifted @p i pixels right, with a
+ * flat band, so P-frames code small non-zero residuals.
+ */
+Image
+goldenFrame(int w, int h, int i)
+{
+    Image img(w, h);
+    Rng rng(0x5EED);
+    for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+            const int n = static_cast<int>(rng.uniformInt(0, 31));
+            const int u = x + 2 * w - i;
+            img.at(x, y) =
+                y % 16 < 4
+                    ? Rgb{30, 200, 90}
+                    : Rgb{static_cast<std::uint8_t>(u * 7 % 200 + n),
+                          static_cast<std::uint8_t>(y * 5 % 180 + n),
+                          static_cast<std::uint8_t>((u + y) % 150 + 40)};
+        }
+    }
+    return img;
+}
+
+/** Order-sensitive digest of an encoded frame. */
+std::uint64_t
+digest(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = hashMix(bytes.size());
+    for (const std::uint8_t b : bytes)
+        h = hashCombine(h, b);
+    return h;
+}
+
+struct RecordedFrame
+{
+    bool chroma;
+    FrameType type;
+    std::size_t size;
+    std::uint64_t digest;
+
+    bool operator==(const RecordedFrame &) const = default;
+};
+
+/** Per-frame sizes and digests of the goldenFrame sequence, recorded
+ *  from the serial whole-plane encoder that the block-row encoder
+ *  replaced. */
+constexpr RecordedFrame kRecorded[] = {
+    {true, FrameType::Intra, 399, 0xbb79a198b1dfc114ULL},
+    {true, FrameType::Predicted, 182, 0x45e30f7d5d3e4a53ULL},
+    {true, FrameType::Predicted, 164, 0x89ee985c3e546b9dULL},
+    {true, FrameType::Predicted, 178, 0x7676e95b282bbac5ULL},
+    {true, FrameType::Intra, 393, 0x7314ab1d1f212f02ULL},
+    {true, FrameType::Predicted, 176, 0xf787ed81bb5d5888ULL},
+    {false, FrameType::Intra, 540, 0x347150499d64c243ULL},
+    {false, FrameType::Predicted, 218, 0xbb5b7e80ca839b0aULL},
+    {false, FrameType::Predicted, 224, 0xbf82506643f0eeb0ULL},
+    {false, FrameType::Predicted, 224, 0xc41ab3931fa8b8cdULL},
+    {false, FrameType::Intra, 536, 0xada81e6cefee687fULL},
+    {false, FrameType::Predicted, 226, 0x7dd4414cf0488468ULL},
+};
+
+TEST(Video, EncodeMatchesRecordedBytes)
+{
+    std::vector<Image> frames;
+    for (int i = 0; i < 6; ++i)
+        frames.push_back(goldenFrame(37, 21, i));
+    std::size_t k = 0;
+    for (const bool chroma : {true, false}) {
+        VideoParams params;
+        params.gopLength = 4;
+        params.codec.chromaSubsample = chroma;
+        const EncodedVideo video = encodeVideo(frames, params);
+        for (const EncodedVideoFrame &frame : video.frames) {
+            const RecordedFrame got{chroma, frame.type, frame.sizeBytes(),
+                                    digest(frame.bytes)};
+            const RecordedFrame want =
+                k < std::size(kRecorded) ? kRecorded[k] : RecordedFrame{};
+            ++k;
+            EXPECT_TRUE(got == want)
+                << "    {" << (got.chroma ? "true" : "false") << ", "
+                << (got.type == FrameType::Intra ? "FrameType::Intra"
+                                                 : "FrameType::Predicted")
+                << ", " << got.size << ", 0x" << std::hex << got.digest
+                << std::dec << "ULL},";
+        }
+    }
+    EXPECT_EQ(k, std::size(kRecorded));
 }
 
 TEST(Video, RoundTripFidelity)
@@ -137,6 +231,16 @@ TEST(Video, StaticSceneCompressesExtremely)
 TEST(VideoDeath, EmptySequencePanics)
 {
     EXPECT_DEATH(encodeVideo({}), "empty");
+}
+
+TEST(VideoDeath, TrailingBytesPanic)
+{
+    // The encode before the fork may have started pool workers.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EncodedVideo video = encodeVideo(slowPan(3));
+    EXPECT_EQ(decodeVideo(video).size(), 3u); // valid as encoded
+    video.frames[1].bytes.push_back(0);
+    EXPECT_DEATH(decodeVideo(video), "trailing bytes after the last plane");
 }
 
 } // namespace
