@@ -8,7 +8,6 @@
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "net/endpoints.hh"
 #include "net/resilience.hh"
@@ -50,7 +49,6 @@ struct ClientState
      * tail beyond that.
      */
     std::deque<FrameCache::Key> pipe;
-    std::unordered_set<std::uint64_t> requested; // queued or in flight
     bool wireBusy = false;
     std::unordered_map<std::uint64_t, TimeMs> arrived; // no-cache store
     GridPoint lastGrid{-1, -1};
@@ -58,14 +56,14 @@ struct ClientState
     bool hasLastPos = false;
     bool stalled = false;
     TimeMs stallStart = 0.0;
-    std::uint64_t deliveries = 0;      // total frames delivered
-    std::uint64_t stallBaseline = 0;   // deliveries when stall began
+    std::uint64_t stallBaseline = 0; // framesFetched when stall began
 
-    // Causal tracing: live fetch contexts by grid key, and the context
-    // of the most recent completed delivery (what a stalled frame
-    // links to when any fresh arrival unblocks it).
+    // Outstanding (queued or in-flight) fetches by grid key, with their
+    // causal contexts; and the dominant hop of the most recent
+    // completed delivery (what a stalled frame links to when any fresh
+    // arrival unblocks it).
     std::unordered_map<std::uint64_t, FetchTrace> fetchTraces;
-    obs::FrameTraceContext lastFetchDone;
+    obs::Hop lastFetchHop = obs::Hop::None;
 
     // Resilience / chaos state (inert on a clean run: fetcher null,
     // connected always true, every counter stays zero).
@@ -123,7 +121,7 @@ struct SplitSystemRun::Impl
     void pump(ClientState &c);
     void onDelivered(ClientState &c, const FrameCache::Key &key,
                      TimeMs issued, std::uint64_t deliveredKey, TimeMs at);
-    void onFailed(ClientState &c, std::uint64_t failedKey, TimeMs at);
+    void onFailed(ClientState &c, std::uint64_t failedKey);
     void requestFrame(ClientState &c, const FrameCache::Key &key,
                       bool urgent = false);
     void display(int pid, double frameTime, double latency, double render,
@@ -133,6 +131,7 @@ struct SplitSystemRun::Impl
     void start();
     SystemResult finish();
     void publishSlo();
+    void dropFetches(ClientState &c, TimeMs now);
     void quarantineAt(TimeMs now);
     void confineFault(const char *what);
 
@@ -330,7 +329,6 @@ SplitSystemRun::Impl::onDelivered(ClientState &c,
 {
     if (stopped)
         return;
-    c.requested.erase(delivered_key);
     c.wireBusy = false;
     const GridPoint g{
         static_cast<std::int64_t>(
@@ -343,11 +341,11 @@ SplitSystemRun::Impl::onDelivered(ClientState &c,
     c.fetchedKb.add(static_cast<double>(bytes) / 1024.0);
     c.bytesFetched += bytes;
     ++c.framesFetched;
-    ++c.deliveries;
     if (auto ft = c.fetchTraces.find(delivered_key);
         ft != c.fetchTraces.end()) {
-        tracer.complete(ft->second.ctx, at, at - ft->second.enqueuedAt);
-        c.lastFetchDone = ft->second.ctx;
+        c.lastFetchHop =
+            tracer.complete(ft->second.ctx, at, at - ft->second.enqueuedAt)
+                .hop;
         c.fetchTraces.erase(ft);
     }
     if (c.cache) {
@@ -371,19 +369,17 @@ SplitSystemRun::Impl::onDelivered(ClientState &c,
 }
 
 void
-SplitSystemRun::Impl::onFailed(ClientState &c, std::uint64_t failed_key,
-                               TimeMs at)
+SplitSystemRun::Impl::onFailed(ClientState &c, std::uint64_t failed_key)
 {
     if (stopped)
         return;
     // Give-up after maxAttempts: free the request pipe and move on —
     // the stall path degrades to the newest stale panorama and
     // re-requests later.
-    c.requested.erase(failed_key);
     c.wireBusy = false;
     if (auto ft = c.fetchTraces.find(failed_key);
         ft != c.fetchTraces.end()) {
-        tracer.abort(ft->second.ctx, at);
+        tracer.abort(ft->second.ctx);
         c.fetchTraces.erase(ft);
     }
     COTERIE_COUNT("client.fetch_giveups");
@@ -416,8 +412,8 @@ SplitSystemRun::Impl::pump(ClientState &c)
     if (c.fetcher) {
         c.fetcher->fetch(key.gridKey, fctx, std::move(on_delivered),
                          guardCb([this, &c](std::uint64_t failed_key,
-                                            TimeMs at) {
-                             onFailed(c, failed_key, at);
+                                            TimeMs) {
+                             onFailed(c, failed_key);
                          }));
     } else {
         net::RequestOptions ropts;
@@ -433,16 +429,15 @@ void
 SplitSystemRun::Impl::requestFrame(ClientState &c,
                                    const FrameCache::Key &key, bool urgent)
 {
-    if (c.requested.count(key.gridKey))
+    if (c.fetchTraces.count(key.gridKey))
         return;
-    c.requested.insert(key.gridKey);
     const TimeMs now = queue.now();
     // Mint the fetch's causal record at the moment of request; the
     // origin hop says why it exists (urgent on-demand request vs
     // speculative cover-set prefetch).
-    obs::FrameTraceContext ctx = tracer.mint(
-        obs::FrameTracer::Kind::Fetch,
-        static_cast<std::uint16_t>(c.playerId), key.gridKey, now);
+    obs::FrameTraceContext ctx =
+        tracer.mint(obs::FrameTracer::Kind::Fetch,
+                    static_cast<std::uint16_t>(c.playerId), key.gridKey);
     ctx.hop(urgent ? obs::Hop::Request : obs::Hop::Prefetch, now, now);
     c.fetchTraces[key.gridKey] = FetchTrace{ctx, now};
     if (urgent)
@@ -451,11 +446,9 @@ SplitSystemRun::Impl::requestFrame(ClientState &c,
         c.pipe.push_back(key);
     // Bound speculative backlog: drop the most speculative tail.
     while (c.pipe.size() > 6) {
-        const std::uint64_t dropped = c.pipe.back().gridKey;
-        c.requested.erase(dropped);
-        if (auto ft = c.fetchTraces.find(dropped);
+        if (auto ft = c.fetchTraces.find(c.pipe.back().gridKey);
             ft != c.fetchTraces.end()) {
-            tracer.abort(ft->second.ctx, now);
+            tracer.abort(ft->second.ctx);
             c.fetchTraces.erase(ft);
         }
         c.pipe.pop_back();
@@ -535,21 +528,7 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
             c.connected = false;
             ++c.disconnects;
             COTERIE_COUNT("client.disconnects");
-            if (c.fetcher)
-                c.fetcher->cancelAll();
-            // Cancelled fetches never call back: close out their
-            // causal records as aborted at the drop instant.
-            for (auto &[fk, ft] : c.fetchTraces)
-                tracer.abort(ft.ctx, now);
-            c.fetchTraces.clear();
-            c.pipe.clear();
-            c.requested.clear();
-            c.wireBusy = false;
-            if (c.stalled) {
-                // The abandoned stall's frozen time still counts.
-                c.stallMs += now - c.stallStart;
-                c.stalled = false;
-            }
+            dropFetches(c, now);
         }
         const TimeMs rejoin = faults->reconnectsAt(pid, now);
         // scheduleFrame revalidates via `stopped` on wake.
@@ -638,7 +617,7 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
     // freezing. The slight BE staleness is why its measured SSIM
     // trails Coterie's (Table 7).
     const bool was_stalled = c.stalled;
-    const bool unblocked = c.stalled && c.deliveries > c.stallBaseline;
+    const bool unblocked = c.stalled && c.framesFetched > c.stallBaseline;
     if (unblocked || frameAvailable(c, key)) {
         // A frame that stalled waiting for the network already ran
         // its parallel tasks during the wait; only the merge
@@ -660,10 +639,9 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
             // critical path can descend into the fetch.
             fctx = tracer.mint(obs::FrameTracer::Kind::Frame,
                                static_cast<std::uint16_t>(pid),
-                               c.frames.size(), c.stallStart);
+                               c.frames.size());
             fctx.hop(obs::Hop::StallWait, c.stallStart, now);
-            if (c.lastFetchDone.active())
-                tracer.link(fctx, c.lastFetchDone);
+            tracer.link(fctx, c.lastFetchHop);
             fctx.hop(obs::Hop::Merge, now, now + config.mergeMs);
             ready_at = now + config.mergeMs;
         } else {
@@ -674,7 +652,7 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
             // render, BE decode, FI sync) then the serial merge.
             fctx = tracer.mint(obs::FrameTracer::Kind::Frame,
                                static_cast<std::uint16_t>(pid),
-                               c.frames.size(), now);
+                               c.frames.size());
             fctx.hop(obs::Hop::Render, now, now + render);
             fctx.hop(obs::Hop::Decode, now, now + decodeMs);
             if (sync > 0.0)
@@ -690,7 +668,7 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
         if (!c.stalled) {
             c.stalled = true;
             c.stallStart = now;
-            c.stallBaseline = c.deliveries;
+            c.stallBaseline = c.framesFetched;
             ++c.stallCount;
             COTERIE_COUNT("client.stalls");
         }
@@ -733,10 +711,10 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
             // Degraded frame: waited, then merged a stale panorama
             // (no unblocking delivery to link — the urgent repair
             // fetch is still in flight).
-            obs::FrameTraceContext fctx = tracer.mint(
-                obs::FrameTracer::Kind::Frame,
-                static_cast<std::uint16_t>(pid), c.frames.size(),
-                c.stallStart);
+            obs::FrameTraceContext fctx =
+                tracer.mint(obs::FrameTracer::Kind::Frame,
+                            static_cast<std::uint16_t>(pid),
+                            c.frames.size());
             fctx.hop(obs::Hop::StallWait, c.stallStart, now);
             fctx.hop(obs::Hop::Merge, now, now + config.mergeMs);
             requestFrame(c, key, /*urgent=*/true);
@@ -763,6 +741,26 @@ SplitSystemRun::Impl::start()
     }
 }
 
+// Drop every outstanding fetch of client c at `now`: cancel the
+// fetcher (cancelled fetches never call back, so their causal records
+// are aborted here), clear the request pipe, and end a stall in
+// progress, whose frozen time still counts.
+void
+SplitSystemRun::Impl::dropFetches(ClientState &c, TimeMs now)
+{
+    if (c.fetcher)
+        c.fetcher->cancelAll();
+    for (auto &[fk, ft] : c.fetchTraces)
+        tracer.abort(ft.ctx);
+    c.fetchTraces.clear();
+    c.pipe.clear();
+    c.wireBusy = false;
+    if (c.stalled) {
+        c.stallMs += now - c.stallStart;
+        c.stalled = false;
+    }
+}
+
 void
 SplitSystemRun::Impl::quarantineAt(TimeMs now)
 {
@@ -770,20 +768,8 @@ SplitSystemRun::Impl::quarantineAt(TimeMs now)
         return;
     isQuarantined = true;
     stopped = true;
-    for (ClientState &c : clients) {
-        if (c.fetcher)
-            c.fetcher->cancelAll();
-        for (auto &[fk, ft] : c.fetchTraces)
-            tracer.abort(ft.ctx, now);
-        c.fetchTraces.clear();
-        c.pipe.clear();
-        c.requested.clear();
-        c.wireBusy = false;
-        if (c.stalled) {
-            c.stallMs += now - c.stallStart;
-            c.stalled = false;
-        }
-    }
+    for (ClientState &c : clients)
+        dropFetches(c, now);
     // Freeze the SLO label: publish the summary as of the quarantine
     // instant — later events in sibling sessions can no longer move it.
     publishSlo();

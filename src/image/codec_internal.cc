@@ -347,6 +347,57 @@ encodeRows(const Sample &sample, int w, int h, int quality, bool chroma,
     }
 }
 
+/**
+ * Decode a w x h plane from the stream at @p pos (advancing pos),
+ * handing each in-bounds sample to @p store(x, y, value).
+ */
+template <typename Store>
+void
+decodeRows(const std::vector<std::uint8_t> &in, std::size_t &pos, int w,
+           int h, int quality, bool chroma, const Store &store)
+{
+    constexpr std::int64_t kMinDc = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMaxDc = std::numeric_limits<std::int64_t>::max();
+    const auto &order = zigzagOrder();
+    const QuantTable steps = quantTable(quality, chroma);
+    std::int64_t prev_dc = 0;
+    for (int by = 0; by < h; by += kBlock) {
+        for (int bx = 0; bx < w; bx += kBlock) {
+            std::int64_t q[kCoeffs] = {};
+            const std::int64_t dc_delta = unzz(getVarint(in, pos));
+            COTERIE_ASSERT(dc_delta < 0 ? prev_dc >= kMinDc - dc_delta
+                                        : prev_dc <= kMaxDc - dc_delta,
+                           "corrupt DC delta");
+            prev_dc += dc_delta;
+            q[0] = prev_dc;
+            // Read (run, value) pairs until the end-of-block marker;
+            // the encoder always emits it, even after a value in the
+            // final coefficient slot. A run is checked before it moves
+            // i, so i stays within [1, 63] at every write.
+            int i = 1;
+            while (true) {
+                const std::uint64_t run = getVarint(in, pos);
+                if (run == 63)
+                    break;
+                COTERIE_ASSERT(run < static_cast<std::uint64_t>(kCoeffs - i),
+                               "corrupt AC run");
+                i += static_cast<int>(run);
+                q[i] = unzz(getVarint(in, pos));
+                ++i;
+            }
+
+            double block[kCoeffs];
+            for (int j = 0; j < kCoeffs; ++j)
+                block[order[j]] = static_cast<double>(q[j]) * steps[j];
+            haar2d(block, true);
+
+            for (int y = 0; y < kBlock && by + y < h; ++y)
+                for (int x = 0; x < kBlock && bx + x < w; ++x)
+                    store(bx + x, by + y, block[y * kBlock + x]);
+        }
+    }
+}
+
 } // namespace
 
 void
@@ -391,48 +442,10 @@ void
 decodePlane(const std::vector<std::uint8_t> &in, std::size_t &pos, int w,
             int h, int quality, bool chroma, std::vector<double> &plane)
 {
-    constexpr std::int64_t kMinDc = std::numeric_limits<std::int64_t>::min();
-    constexpr std::int64_t kMaxDc = std::numeric_limits<std::int64_t>::max();
-    const auto &order = zigzagOrder();
-    const QuantTable steps = quantTable(quality, chroma);
     plane.assign(static_cast<std::size_t>(w) * h, 0.0);
-    std::int64_t prev_dc = 0;
-    for (int by = 0; by < h; by += kBlock) {
-        for (int bx = 0; bx < w; bx += kBlock) {
-            std::int64_t q[kCoeffs] = {};
-            const std::int64_t dc_delta = unzz(getVarint(in, pos));
-            COTERIE_ASSERT(dc_delta < 0 ? prev_dc >= kMinDc - dc_delta
-                                        : prev_dc <= kMaxDc - dc_delta,
-                           "corrupt DC delta");
-            prev_dc += dc_delta;
-            q[0] = prev_dc;
-            // Read (run, value) pairs until the end-of-block marker;
-            // the encoder always emits it, even after a value in the
-            // final coefficient slot. A run is checked before it moves
-            // i, so i stays within [1, 63] at every write.
-            int i = 1;
-            while (true) {
-                const std::uint64_t run = getVarint(in, pos);
-                if (run == 63)
-                    break;
-                COTERIE_ASSERT(run < static_cast<std::uint64_t>(kCoeffs - i),
-                               "corrupt AC run");
-                i += static_cast<int>(run);
-                q[i] = unzz(getVarint(in, pos));
-                ++i;
-            }
-
-            double block[kCoeffs];
-            for (int j = 0; j < kCoeffs; ++j)
-                block[order[j]] = static_cast<double>(q[j]) * steps[j];
-            haar2d(block, true);
-
-            for (int y = 0; y < kBlock && by + y < h; ++y)
-                for (int x = 0; x < kBlock && bx + x < w; ++x)
-                    plane[static_cast<std::size_t>(by + y) * w + bx + x] =
-                        block[y * kBlock + x];
-        }
-    }
+    decodeRows(in, pos, w, h, quality, chroma, [&](int x, int y, double v) {
+        plane[static_cast<std::size_t>(y) * w + x] = v;
+    });
 }
 
 Planes
@@ -443,13 +456,20 @@ decodePlanes(const std::vector<std::uint8_t> &bytes, int w, int h,
     std::size_t pos = 0;
     decodePlane(bytes, pos, w, h, params.quality, false, p.y);
     if (params.chromaSubsample) {
+        // A subsampled chroma sample is stored into the in-bounds
+        // pixels of its 2x2 cell of the full-resolution plane.
+        const auto cells = [w, h](std::vector<double> &plane) {
+            plane.assign(static_cast<std::size_t>(w) * h, 0.0);
+            return [&plane, w, h](int x, int y, double v) {
+                for (int sy = 2 * y; sy < std::min(2 * y + 2, h); ++sy)
+                    for (int sx = 2 * x; sx < std::min(2 * x + 2, w); ++sx)
+                        plane[static_cast<std::size_t>(sy) * w + sx] = v;
+            };
+        };
         const int sw = (w + 1) / 2;
         const int sh = (h + 1) / 2;
-        std::vector<double> co_s, cg_s;
-        decodePlane(bytes, pos, sw, sh, params.quality, true, co_s);
-        decodePlane(bytes, pos, sw, sh, params.quality, true, cg_s);
-        p.co = upsample2(co_s, sw, sh, w, h);
-        p.cg = upsample2(cg_s, sw, sh, w, h);
+        decodeRows(bytes, pos, sw, sh, params.quality, true, cells(p.co));
+        decodeRows(bytes, pos, sw, sh, params.quality, true, cells(p.cg));
     } else {
         decodePlane(bytes, pos, w, h, params.quality, true, p.co);
         decodePlane(bytes, pos, w, h, params.quality, true, p.cg);
@@ -510,21 +530,6 @@ subsample2(const std::vector<double> &plane, int w, int h, int &sw, int &sh)
         for (int x = 0; x < sw; ++x)
             out[static_cast<std::size_t>(y) * sw + x] =
                 mean2x2(at, x, y, w, h);
-    return out;
-}
-
-std::vector<double>
-upsample2(const std::vector<double> &plane, int sw, int sh, int w, int h)
-{
-    std::vector<double> out(static_cast<std::size_t>(w) * h);
-    for (int y = 0; y < h; ++y) {
-        const int sy = std::min(y / 2, sh - 1);
-        for (int x = 0; x < w; ++x) {
-            const int sx = std::min(x / 2, sw - 1);
-            out[static_cast<std::size_t>(y) * w + x] =
-                plane[static_cast<std::size_t>(sy) * sw + sx];
-        }
-    }
     return out;
 }
 

@@ -4,7 +4,7 @@
  * (codec.cc) and the video codec (video.cc): the one block-row coder
  * (Haar transform, quantisation, zigzag RLE/varint entropy coding), the
  * one Y/Co/Cg plane sequence in both directions, YCoCg conversion and
- * chroma resampling. Not part of the public API.
+ * chroma subsampling. Not part of the public API.
  */
 
 #pragma once
@@ -42,8 +42,9 @@ void decodePlane(const std::vector<std::uint8_t> &in, std::size_t &pos,
                  std::vector<double> &plane);
 
 /**
- * Decode a frame's Y, Co and Cg planes, chroma upsampled to full
- * resolution; panics unless the stream ends right after the last plane.
+ * Decode a frame's Y, Co and Cg planes at full resolution (a
+ * subsampled chroma sample fills its 2x2 cell); panics unless the
+ * stream ends right after the last plane.
  */
 Planes decodePlanes(const std::vector<std::uint8_t> &bytes, int w, int h,
                     const CodecParams &params);
@@ -52,10 +53,8 @@ Planes decodePlanes(const std::vector<std::uint8_t> &bytes, int w, int h,
 Planes rgbToYcocg(const Image &img);
 Image ycocgToRgb(const Planes &planes, int w, int h);
 
-/** 2x chroma down/up sampling. */
+/** 2x chroma subsampling: each sample the mean of its 2x2 cell. */
 std::vector<double> subsample2(const std::vector<double> &plane, int w,
                                int h, int &sw, int &sh);
-std::vector<double> upsample2(const std::vector<double> &plane, int sw,
-                              int sh, int w, int h);
 
 } // namespace coterie::image::detail

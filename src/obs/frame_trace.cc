@@ -87,7 +87,7 @@ frameEvent(const FrameTraceContext &ctx, const char *label)
 } // namespace
 
 void
-FrameTraceContext::hop(Hop h, double beginMs, double endMs)
+FrameTraceContext::hop(Hop h, double beginMs, double endMs) const
 {
     if (tracer != nullptr)
         tracer->hop(*this, h, beginMs, endMs);
@@ -103,8 +103,7 @@ FrameTracer::FrameTracer(std::string label)
 }
 
 FrameTraceContext
-FrameTracer::mint(Kind kind, std::uint16_t client, std::uint64_t frame,
-                  double nowMs)
+FrameTracer::mint(Kind kind, std::uint16_t client, std::uint64_t frame)
 {
     FrameTraceContext ctx;
     ctx.tracer = this;
@@ -113,101 +112,73 @@ FrameTracer::mint(Kind kind, std::uint16_t client, std::uint64_t frame,
     ctx.frame = frame;
 
     support::MutexLock lock(mutex_);
-    ctx.recordId = static_cast<std::uint32_t>(records_.size());
-    FrameRecord rec;
-    rec.kind = kind;
-    rec.client = client;
-    rec.frame = frame;
-    rec.mintedMs = nowMs;
-    records_.push_back(std::move(rec));
+    ctx.recordId = nextRecordId_++;
+    inFlight_.emplace(ctx.recordId, InFlight{.kind = kind});
     return ctx;
 }
 
 void
-FrameTracer::hop(FrameTraceContext &ctx, Hop h, double beginMs,
+FrameTracer::hop(const FrameTraceContext &ctx, Hop h, double beginMs,
                  double endMs)
 {
     COTERIE_ASSERT(ctx.tracer == this, "context from another tracer");
     const double durMs = endMs >= beginMs ? endMs - beginMs : 0.0;
-    const std::uint64_t wallNs = monotonicNowNs();
     {
         support::MutexLock lock(mutex_);
-        COTERIE_ASSERT(ctx.recordId < records_.size(),
-                       "bad frame-trace record id ", ctx.recordId);
-        records_[ctx.recordId].hops.push_back(
-            HopRecord{h, beginMs, durMs, wallNs});
+        if (auto it = inFlight_.find(ctx.recordId); it != inFlight_.end())
+            it->second.totalMs[static_cast<std::size_t>(h)] += durMs;
     }
-    ++ctx.hops;
     TraceEvent e = frameEvent(ctx, eventLabel_);
     e.kind = TraceEventKind::FrameHop;
     e.name = hopEventName(h);
     e.simBeginMs = beginMs;
     e.simDurMs = durMs;
-    e.wallBeginNs = wallNs;
+    e.wallBeginNs = monotonicNowNs();
     emit(e);
 }
 
 void
-FrameTracer::link(const FrameTraceContext &frameCtx,
-                  const FrameTraceContext &fetchCtx)
+FrameTracer::link(const FrameTraceContext &frameCtx, Hop fetchHop)
 {
-    if (frameCtx.tracer != this || fetchCtx.tracer != this)
+    if (frameCtx.tracer != this)
         return;
     support::MutexLock lock(mutex_);
-    COTERIE_ASSERT(frameCtx.recordId < records_.size() &&
-                       fetchCtx.recordId < records_.size(),
-                   "bad frame-trace link");
-    records_[frameCtx.recordId].link = fetchCtx.recordId + 1;
+    const auto it = inFlight_.find(frameCtx.recordId);
+    COTERIE_ASSERT(it != inFlight_.end(), "bad frame-trace link");
+    it->second.via = fetchHop;
 }
 
 CriticalPath
-FrameTracer::criticalPathLocked(const FrameRecord &rec) const
-{
-    const auto dominant = [](const FrameRecord &r) {
-        std::array<double, kHopCount> totals{};
-        for (const HopRecord &h : r.hops)
-            totals[static_cast<std::size_t>(h.hop)] += h.simDurMs;
-        Hop best = Hop::None;
-        double bestTotal = 0.0;
-        for (std::size_t i = 0; i < kHopCount; ++i) {
-            // Strict '>' keeps the earliest pipeline stage on ties,
-            // which is stable across runs (totals are sim-derived).
-            if (totals[i] > bestTotal) {
-                bestTotal = totals[i];
-                best = static_cast<Hop>(i);
-            }
-        }
-        return best;
-    };
-
-    CriticalPath path{dominant(rec)};
-    // A frame that spent its budget waiting on a fetch descends into
-    // the linked fetch record to name the real bottleneck.
-    if (path.hop == Hop::StallWait && rec.link != 0)
-        path.via = dominant(records_[rec.link - 1]);
-    return path;
-}
-
-CriticalPath
-FrameTracer::complete(FrameTraceContext &ctx, double doneMs,
+FrameTracer::complete(const FrameTraceContext &ctx, double doneMs,
                       double latencyMs)
 {
     if (ctx.tracer != this)
         return {};
-    CriticalPath path;
-    Kind kind;
+    InFlight rec;
     {
         support::MutexLock lock(mutex_);
-        COTERIE_ASSERT(ctx.recordId < records_.size(),
+        const auto it = inFlight_.find(ctx.recordId);
+        COTERIE_ASSERT(it != inFlight_.end(),
                        "bad frame-trace record id ", ctx.recordId);
-        FrameRecord &rec = records_[ctx.recordId];
-        rec.doneMs = doneMs;
-        rec.latencyMs = latencyMs;
-        rec.completed = true;
-        rec.criticalPath = path = criticalPathLocked(rec);
-        kind = rec.kind;
+        rec = it->second;
+        inFlight_.erase(it);
     }
-    if (kind == Kind::Frame) {
+    // The hop family with the largest total; strict '>' keeps the
+    // earliest pipeline stage on ties, which is stable across runs
+    // (totals are sim-derived).
+    CriticalPath path;
+    double bestTotal = 0.0;
+    for (std::size_t i = 0; i < kHopCount; ++i) {
+        if (rec.totalMs[i] > bestTotal) {
+            bestTotal = rec.totalMs[i];
+            path.hop = static_cast<Hop>(i);
+        }
+    }
+    // A frame that spent its budget waiting on a fetch descends into
+    // the linked fetch to name the real bottleneck.
+    if (path.hop == Hop::StallWait)
+        path.via = rec.via;
+    if (rec.kind == Kind::Frame) {
         TraceEvent e = frameEvent(ctx, eventLabel_);
         e.kind = TraceEventKind::FrameDone;
         e.name = "frame.done";
@@ -220,45 +191,12 @@ FrameTracer::complete(FrameTraceContext &ctx, double doneMs,
 }
 
 void
-FrameTracer::abort(FrameTraceContext &ctx, double nowMs)
+FrameTracer::abort(const FrameTraceContext &ctx)
 {
     if (ctx.tracer != this)
         return;
     support::MutexLock lock(mutex_);
-    COTERIE_ASSERT(ctx.recordId < records_.size(),
-                   "bad frame-trace record id ", ctx.recordId);
-    FrameRecord &rec = records_[ctx.recordId];
-    rec.aborted = true;
-    rec.doneMs = nowMs;
-}
-
-const FrameTracer::FrameRecord *
-FrameTracer::find(Kind kind, std::uint16_t client,
-                  std::uint64_t frame) const
-{
-    support::MutexLock lock(mutex_);
-    return findLocked(kind, client, frame);
-}
-
-const FrameTracer::FrameRecord *
-FrameTracer::findLocked(Kind kind, std::uint16_t client,
-                        std::uint64_t frame) const
-{
-    // Latest match wins (a frame id can be re-fetched after expiry).
-    for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
-        if (it->kind == kind && it->client == client &&
-            it->frame == frame) {
-            return &*it;
-        }
-    }
-    return nullptr;
-}
-
-std::size_t
-FrameTracer::recordCount() const
-{
-    support::MutexLock lock(mutex_);
-    return records_.size();
+    inFlight_.erase(ctx.recordId);
 }
 
 } // namespace coterie::obs

@@ -1,20 +1,22 @@
 /**
  * @file
  * Frame-lifecycle causal tracing: every frame a client displays (and
- * every fetch that feeds one) yields one causal record tracing the
- * request end to end through the pipeline.
+ * every fetch that feeds one) is traced end to end through the
+ * pipeline while it is in flight.
  *
  * A `FrameTraceContext` is minted at the client's frame request and
  * travels by value with the work: `Prefetcher` cover-set misses,
  * `net::Channel` transfers, `FrameServer` fan-out and backlog,
- * delivery, decode, and merge/display. Each stage stamps a `Hop` — a
- * sim-time interval plus a wall-clock timestamp — into the record via
- * `FrameTracer::hop()`. When the frame completes with the latency its
- * caller computed, the tracer computes the critical path (the hop
- * family with the largest total sim-time; a frame dominated by
- * `StallWait` descends into its linked fetch record, yielding paths
- * like `"stall_wait/transfer"`) and returns it for the caller's frame
- * record.
+ * delivery, decode, and merge/display. Each stage stamps a `Hop` (a
+ * sim-time interval) via `FrameTracer::hop()`, which emits it and adds
+ * its duration to the record's per-family total. When the frame
+ * completes with the latency its caller computed, the tracer computes
+ * the critical path (the hop family with the largest total sim time; a
+ * frame dominated by `StallWait` descends into the dominant family of
+ * the fetch it was linked to, yielding paths like
+ * `"stall_wait/transfer"`), returns it for the caller's frame record,
+ * and forgets the record: nothing of it outlives `complete()` or
+ * `abort()`.
  *
  * Every hop and every displayed frame's `frame.done` is emitted as it
  * happens (`obs::emit`): into the flight ring always, and into the
@@ -24,17 +26,18 @@
  * either.
  *
  * Determinism: the tracer is observe-only and all exported values are
- * sim-time derived. Records are created and mutated exclusively from
- * the serial event loop; the mutex exists so concurrent readers
- * (snapshots) are safe, not to order writers.
+ * sim-time derived. Records are created and mutated only from the
+ * owning session's serial event loop, so the mutex that guards the
+ * in-flight map is never contended; it keeps the tracer safe to call
+ * from any thread.
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <vector>
+#include <unordered_map>
 
 #include "support/thread_annotations.hh"
 
@@ -87,10 +90,10 @@ class FrameTracer;
 
 /**
  * The causal identity that travels with a frame's work: which tracer
- * owns the record, which session/client/frame it is, and how many
- * hops have been stamped so far. Cheap to copy; a default-constructed
- * (or tracer-less) context is inert and every operation on it is a
- * no-op, so un-traced call paths need no branches.
+ * owns the record and which session/client/frame it is. Cheap to
+ * copy; a default-constructed (or tracer-less) context is inert and
+ * every operation on it is a no-op, so un-traced call paths need no
+ * branches.
  */
 struct FrameTraceContext
 {
@@ -99,16 +102,15 @@ struct FrameTraceContext
     std::uint16_t client = 0;
     std::uint64_t frame = 0;   ///< frame number (or fetch sequence)
     std::uint32_t recordId = 0;
-    std::uint8_t hops = 0;     ///< hop counter (stamped so far)
 
     bool active() const { return tracer != nullptr; }
 
     /** Stamp a hop spanning [beginMs, endMs] sim-time. */
-    void hop(Hop h, double beginMs, double endMs);
+    void hop(Hop h, double beginMs, double endMs) const;
 };
 
 /**
- * Per-session-run collector of causal frame records. One instance per
+ * Per-session-run tracer of causal frame records. One instance per
  * `runSplitSystem` invocation; `label` names the session in exported
  * events and keys its SLO summary (`<game>/<N>p/<system>`).
  */
@@ -121,29 +123,6 @@ class FrameTracer
         Frame, ///< one displayed frame: schedule -> display
     };
 
-    struct HopRecord
-    {
-        Hop hop;
-        double simBeginMs;
-        double simDurMs;
-        std::uint64_t wallNs; ///< wall clock at the stamp
-    };
-
-    struct FrameRecord
-    {
-        Kind kind;
-        std::uint16_t client;
-        std::uint64_t frame;
-        double mintedMs;
-        double doneMs = -1.0;
-        double latencyMs = 0.0;
-        bool completed = false;
-        bool aborted = false;
-        std::uint32_t link = 0; ///< 1 + linked fetch recordId; 0 none
-        CriticalPath criticalPath;
-        std::vector<HopRecord> hops;
-    };
-
     explicit FrameTracer(std::string label);
 
     FrameTracer(const FrameTracer &) = delete;
@@ -152,56 +131,53 @@ class FrameTracer
     const std::string &label() const { return label_; }
 
     /** Mint a new causal record; the returned context travels with
-     *  the work. @p nowMs is the sim time of the originating event. */
+     *  the work. */
     FrameTraceContext mint(Kind kind, std::uint16_t client,
-                           std::uint64_t frame, double nowMs);
+                           std::uint64_t frame);
 
-    /** Stamp a hop into @p ctx's record (sim interval + wall stamp)
-     *  and emit it; increments the context's hop counter. */
-    void hop(FrameTraceContext &ctx, Hop h, double beginMs,
+    /** Emit a hop of @p ctx's record (sim interval + wall stamp) and
+     *  add its duration to the record's totals. A hop that lands after
+     *  the record was released is still emitted but adds to nothing. */
+    void hop(const FrameTraceContext &ctx, Hop h, double beginMs,
              double endMs);
 
     /** Link a displayed frame to the fetch whose delivery unblocked
-     *  it, so critical paths can descend through the stall. */
-    void link(const FrameTraceContext &frameCtx,
-              const FrameTraceContext &fetchCtx);
+     *  it: @p fetchHop is the dominant hop that fetch's complete()
+     *  returned, which a stall-dominated frame's path descends into. */
+    void link(const FrameTraceContext &frameCtx, Hop fetchHop);
 
     /**
      * Complete the record at sim time @p doneMs with the caller's
      * @p latencyMs (for a displayed frame, its Equation-2 latency):
      * computes the critical path, emits `frame.done` for Frame
-     * records, and returns the path. An inert context returns the
-     * empty path.
+     * records, releases the record, and returns the path. An inert
+     * context returns the empty path.
      */
-    CriticalPath complete(FrameTraceContext &ctx, double doneMs,
+    CriticalPath complete(const FrameTraceContext &ctx, double doneMs,
                           double latencyMs);
 
-    /** Mark the record abandoned (expired fetch, disconnect). */
-    void abort(FrameTraceContext &ctx, double nowMs);
-
-    /** Completed-record lookup for tests; nullptr when absent. */
-    const FrameRecord *find(Kind kind, std::uint16_t client,
-                            std::uint64_t frame) const;
-
-    std::size_t recordCount() const;
+    /** Release the record unscored (expired fetch, disconnect). */
+    void abort(const FrameTraceContext &ctx);
 
   private:
-    const FrameRecord *findLocked(Kind kind, std::uint16_t client,
-                                  std::uint64_t frame) const
-        COTERIE_REQUIRES(mutex_);
-    CriticalPath criticalPathLocked(const FrameRecord &rec) const
-        COTERIE_REQUIRES(mutex_);
+    /** What the tracer keeps of a record while it is in flight. */
+    struct InFlight
+    {
+        std::array<double, kHopCount> totalMs{}; ///< sim ms per family
+        Kind kind = Kind::Fetch;
+        Hop via = Hop::None; ///< linked fetch's dominant hop
+    };
 
     std::string label_;
     const char *eventLabel_; ///< intern()-ed copy for trace events
     std::uint32_t sessionId_;
 
-    mutable support::Mutex mutex_{"FrameTracer::mutex_"};
-    // deque: records must not move — contexts hold indices and
-    // completion touches linked records. Grows by one record per
-    // mint() for the whole session run, which is the tracer's job, not
-    // a leak.
-    std::deque<FrameRecord> records_ // lint:allow(unbounded-queue)
+    support::Mutex mutex_{"FrameTracer::mutex_"};
+    std::uint32_t nextRecordId_ COTERIE_GUARDED_BY(mutex_) = 0;
+    // Minted, not yet completed or aborted. The client loop bounds it:
+    // per client, at most 7 queued and in-flight fetches (6 on the
+    // request pipe, 1 on the wire) plus 1 frame waiting for display.
+    std::unordered_map<std::uint32_t, InFlight> inFlight_
         COTERIE_GUARDED_BY(mutex_);
 };
 

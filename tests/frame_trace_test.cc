@@ -16,11 +16,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/client.hh"
 #include "core/session.hh"
+#include "core/systems/systems.hh"
 #include "obs/flight.hh"
 #include "obs/frame_trace.hh"
 #include "obs/json.hh"
@@ -28,6 +30,7 @@
 #include "obs/slo.hh"
 #include "obs/trace.hh"
 #include "sim/event_queue.hh"
+#include "sim/faults.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
 
@@ -42,20 +45,31 @@ class FrameTraceTest : public testing::Test
 };
 
 /** Stop the global recorder (started before the records were minted:
- *  frame events reach it live) and return the `frame.done` events it
- *  exported. */
+ *  frame events reach it live) and return the frame events it
+ *  exported: hops and `frame.done`s. */
 std::vector<Json>
-exportedFrameDones()
+exportedFrameEvents()
 {
     TraceRecorder &recorder = TraceRecorder::global();
     recorder.stop();
     const Json trace = recorder.toJson();
-    std::vector<Json> dones;
+    std::vector<Json> events;
     for (const Json &ev : trace.at("traceEvents").items())
-        if (ev.at("name").asString() == "frame.done")
-            dones.push_back(ev);
+        if (ev.at("cat").asString() == "frame")
+            events.push_back(ev);
     recorder.clear();
-    return dones;
+    return events;
+}
+
+/** The events of @p events named @p name. */
+std::vector<Json>
+named(const std::vector<Json> &events, const std::string &name)
+{
+    std::vector<Json> out;
+    for (const Json &ev : events)
+        if (ev.at("name").asString() == name)
+            out.push_back(ev);
+    return out;
 }
 
 TEST_F(FrameTraceTest, HopNamesCoverEveryEnumerator)
@@ -85,26 +99,25 @@ TEST_F(FrameTraceTest, HopNamesCoverEveryEnumerator)
 
 TEST_F(FrameTraceTest, CompletionKeepsLatencyAndComputesCriticalPath)
 {
+    TraceRecorder::global().start();
     FrameTracer tracer("t/hops");
-    FrameTraceContext ctx =
-        tracer.mint(FrameTracer::Kind::Frame, 3, 7, 100.0);
+    FrameTraceContext ctx = tracer.mint(FrameTracer::Kind::Frame, 3, 7);
     ASSERT_TRUE(ctx.active());
     ctx.hop(Hop::Render, 100.0, 110.0);
     ctx.hop(Hop::Decode, 110.0, 112.0);
-    // The caller owns the latency: the tracer keeps it as given
-    // rather than recomputing done - minted (12 ms here).
-    const CriticalPath path = tracer.complete(ctx, 112.0, 12.5);
+    // The caller owns the latency: the tracer exports it as given
+    // rather than recomputing it from the hops (12 ms here).
+    EXPECT_EQ(tracer.complete(ctx, 112.0, 12.5),
+              (CriticalPath{Hop::Render}));
 
-    const auto *rec =
-        tracer.find(FrameTracer::Kind::Frame, 3, 7);
-    ASSERT_NE(rec, nullptr);
-    EXPECT_TRUE(rec->completed);
-    EXPECT_FALSE(rec->aborted);
-    EXPECT_EQ(rec->latencyMs, 12.5);
-    EXPECT_EQ(rec->hops.size(), 2u);
-    EXPECT_EQ(path, (CriticalPath{Hop::Render}));
-    EXPECT_EQ(rec->criticalPath, path);
-    EXPECT_EQ(ctx.hops, 2);
+    const std::vector<Json> dones =
+        named(exportedFrameEvents(), "frame.done");
+    ASSERT_EQ(dones.size(), 1u);
+    const Json &args = dones[0].at("args");
+    EXPECT_EQ(args.at("client").asNumber(), 3.0);
+    EXPECT_EQ(args.at("frame").asNumber(), 7.0);
+    EXPECT_EQ(args.at("latency_ms").asNumber(), 12.5);
+    EXPECT_EQ(args.at("critical_path").asString(), "render");
 }
 
 TEST_F(FrameTraceTest, CriticalPathSumsHopFamilies)
@@ -112,51 +125,49 @@ TEST_F(FrameTraceTest, CriticalPathSumsHopFamilies)
     // Two transfer attempts (5 + 4 = 9 ms) outweigh one 6 ms render:
     // attribution is per hop *family*, not per single longest hop.
     FrameTracer tracer("t/families");
-    FrameTraceContext ctx =
-        tracer.mint(FrameTracer::Kind::Fetch, 0, 1, 0.0);
+    FrameTraceContext ctx = tracer.mint(FrameTracer::Kind::Fetch, 0, 1);
     ctx.hop(Hop::Transfer, 0.0, 5.0);
     ctx.hop(Hop::Render, 5.0, 11.0);
     ctx.hop(Hop::Transfer, 11.0, 15.0);
-    tracer.complete(ctx, 15.0, 15.0);
-    const auto *rec = tracer.find(FrameTracer::Kind::Fetch, 0, 1);
-    ASSERT_NE(rec, nullptr);
-    EXPECT_STREQ(criticalPathName(rec->criticalPath), "transfer");
+    EXPECT_STREQ(criticalPathName(tracer.complete(ctx, 15.0, 15.0)),
+                 "transfer");
 }
 
 TEST_F(FrameTraceTest, StallDescendsIntoLinkedFetch)
 {
+    TraceRecorder::global().start();
     FrameTracer tracer("t/stall");
     // The fetch whose delivery unblocks the frame: transfer-dominant.
-    FrameTraceContext fetch =
-        tracer.mint(FrameTracer::Kind::Fetch, 1, 42, 0.0);
+    FrameTraceContext fetch = tracer.mint(FrameTracer::Kind::Fetch, 1, 42);
     fetch.hop(Hop::Request, 0.0, 0.0);
     fetch.hop(Hop::Backlog, 0.0, 2.0);
     fetch.hop(Hop::Transfer, 2.0, 30.0);
-    tracer.complete(fetch, 30.0, 30.0);
+    const CriticalPath fetchPath = tracer.complete(fetch, 30.0, 30.0);
+    EXPECT_EQ(fetchPath, (CriticalPath{Hop::Transfer}));
 
     // The displayed frame spent almost all its time stalled on it.
-    FrameTraceContext frame =
-        tracer.mint(FrameTracer::Kind::Frame, 1, 5, 0.0);
+    FrameTraceContext frame = tracer.mint(FrameTracer::Kind::Frame, 1, 5);
     frame.hop(Hop::StallWait, 0.0, 30.0);
-    tracer.link(frame, fetch);
+    tracer.link(frame, fetchPath.hop);
     frame.hop(Hop::Merge, 30.0, 31.0);
     EXPECT_EQ(tracer.complete(frame, 31.0, 31.0),
               (CriticalPath{Hop::StallWait, Hop::Transfer}));
 
-    const auto *rec = tracer.find(FrameTracer::Kind::Frame, 1, 5);
-    ASSERT_NE(rec, nullptr);
-    EXPECT_STREQ(criticalPathName(rec->criticalPath),
-                 "stall_wait/transfer");
-
     // Without a link the path stays flat.
-    FrameTraceContext orphan =
-        tracer.mint(FrameTracer::Kind::Frame, 1, 6, 0.0);
+    FrameTraceContext orphan = tracer.mint(FrameTracer::Kind::Frame, 1, 6);
     orphan.hop(Hop::StallWait, 0.0, 20.0);
     orphan.hop(Hop::Merge, 20.0, 21.0);
-    tracer.complete(orphan, 21.0, 21.0);
-    const auto *orec = tracer.find(FrameTracer::Kind::Frame, 1, 6);
-    ASSERT_NE(orec, nullptr);
-    EXPECT_STREQ(criticalPathName(orec->criticalPath), "stall_wait");
+    EXPECT_EQ(tracer.complete(orphan, 21.0, 21.0),
+              (CriticalPath{Hop::StallWait}));
+
+    // The exported frame.done events carry the same paths.
+    const std::vector<Json> dones =
+        named(exportedFrameEvents(), "frame.done");
+    ASSERT_EQ(dones.size(), 2u);
+    EXPECT_EQ(dones[0].at("args").at("critical_path").asString(),
+              "stall_wait/transfer");
+    EXPECT_EQ(dones[1].at("args").at("critical_path").asString(),
+              "stall_wait");
 }
 
 TEST_F(FrameTraceTest, InertContextIsANoOpEverywhere)
@@ -166,40 +177,55 @@ TEST_F(FrameTraceTest, InertContextIsANoOpEverywhere)
     EXPECT_FALSE(inert.active());
     inert.hop(Hop::Render, 0.0, 1.0); // must not crash
     FrameTracer tracer("t/inert");
+    tracer.link(inert, Hop::Transfer);
     EXPECT_EQ(tracer.complete(inert, 1.0, 1.0), CriticalPath{});
-    tracer.abort(inert, 1.0);
-    EXPECT_EQ(tracer.recordCount(), 0u);
-    EXPECT_TRUE(exportedFrameDones().empty());
+    tracer.abort(inert);
+    EXPECT_TRUE(exportedFrameEvents().empty());
 }
 
 TEST_F(FrameTraceTest, AbortedRecordsAreNotScored)
 {
     TraceRecorder::global().start();
     FrameTracer tracer("t/abort");
-    FrameTraceContext ctx =
-        tracer.mint(FrameTracer::Kind::Frame, 0, 1, 0.0);
+    FrameTraceContext ctx = tracer.mint(FrameTracer::Kind::Frame, 0, 1);
     ctx.hop(Hop::Render, 0.0, 5.0);
-    tracer.abort(ctx, 5.0);
-    const auto *rec = tracer.find(FrameTracer::Kind::Frame, 0, 1);
-    ASSERT_NE(rec, nullptr);
-    EXPECT_TRUE(rec->aborted);
-    EXPECT_FALSE(rec->completed);
-    EXPECT_TRUE(exportedFrameDones().empty());
+    tracer.abort(ctx);
+    // A hop landing after the release (a transfer finishing after its
+    // fetch was cancelled) is still emitted.
+    ctx.hop(Hop::Render, 5.0, 7.0);
+    const std::vector<Json> events = exportedFrameEvents();
+    EXPECT_EQ(named(events, "frame.render").size(), 2u);
+    EXPECT_TRUE(named(events, "frame.done").empty());
 }
 
-TEST_F(FrameTraceTest, OnlyFrameRecordsExportFrameDone)
+TEST(FrameTraceDeathTest, ReleasedRecordsCannotComplete)
+{
+    // complete() and abort() both release the record: a second
+    // completion finds nothing to score.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    FrameTracer tracer("t/released");
+    FrameTraceContext done = tracer.mint(FrameTracer::Kind::Fetch, 0, 1);
+    tracer.complete(done, 5.0, 5.0);
+    EXPECT_DEATH(tracer.complete(done, 6.0, 6.0),
+                 "bad frame-trace record id");
+    FrameTraceContext aborted = tracer.mint(FrameTracer::Kind::Fetch, 0, 2);
+    tracer.abort(aborted);
+    EXPECT_DEATH(tracer.complete(aborted, 6.0, 6.0),
+                 "bad frame-trace record id");
+}
+
+TEST_F(FrameTraceTest, OnlyFrameKindExportsFrameDone)
 {
     TraceRecorder::global().start();
     FrameTracer tracer("t/kinds");
-    FrameTraceContext fetch =
-        tracer.mint(FrameTracer::Kind::Fetch, 0, 1, 0.0);
+    FrameTraceContext fetch = tracer.mint(FrameTracer::Kind::Fetch, 0, 1);
     fetch.hop(Hop::Transfer, 0.0, 40.0);
     tracer.complete(fetch, 40.0, 40.0); // slow, but not a frame
-    FrameTraceContext frame =
-        tracer.mint(FrameTracer::Kind::Frame, 0, 1, 0.0);
+    FrameTraceContext frame = tracer.mint(FrameTracer::Kind::Frame, 0, 1);
     frame.hop(Hop::Render, 0.0, 10.0);
     tracer.complete(frame, 10.0, 10.0);
-    const std::vector<Json> dones = exportedFrameDones();
+    const std::vector<Json> dones =
+        named(exportedFrameEvents(), "frame.done");
     ASSERT_EQ(dones.size(), 1u);
     const Json &args = dones[0].at("args");
     EXPECT_EQ(args.at("latency_ms").asNumber(), 10.0);
@@ -388,6 +414,58 @@ TEST_F(FrameTraceTest, OneRecordFeedsTraceSloAndGovernor)
     EXPECT_EQ(end.windowMisses, misses - midMisses);
 }
 
+/** "<critical path>=<frames>" over every frame record of @p result,
+ *  space-separated in name order. */
+std::string
+criticalPathCounts(const core::SystemResult &result)
+{
+    std::map<std::string, std::size_t> counts;
+    for (const std::vector<core::FrameLogEntry> &log : result.frameLogs)
+        for (const core::FrameLogEntry &e : log)
+            ++counts[criticalPathName(e.criticalPath)];
+    std::string out;
+    for (const auto &[name, frames] : counts)
+        out += (out.empty() ? "" : " ") + name + "=" +
+               std::to_string(frames);
+    return out;
+}
+
+TEST_F(FrameTraceTest, CriticalPathCountsMatchRecordedRuns)
+{
+    // Solo Viking 2-player 20 s runs: clean Coterie, Coterie through a
+    // disconnect and a loss burst (resilience off and on), and
+    // Multi-Furion, whose stalls wait on the pipe or on a transfer.
+    // Recorded from the tracer that kept every record's hop list.
+    core::SessionParams params;
+    params.players = 2;
+    params.durationS = 20.0;
+    params.seed = 42;
+    const auto session =
+        core::Session::create(world::gen::GameId::Viking, params);
+    core::SystemConfig config = session->systemConfig();
+    config.recordFrameLog = true;
+    EXPECT_EQ(criticalPathCounts(
+                  core::runCoterie(config, session->distThresholds())),
+              "decode=2362 display=3 render=30 stall_wait/transfer=3");
+
+    sim::FaultPlan plan;
+    plan.disconnect(5000.0, 8000.0, 1).lossBurst(9000.0, 12000.0, 0.3);
+    config.faults = &plan;
+    EXPECT_EQ(criticalPathCounts(
+                  core::runCoterie(config, session->distThresholds())),
+              "decode=2177 display=7 render=30 stall_wait/transfer=2 sync=2");
+    config.resilience.enabled = true;
+    EXPECT_EQ(criticalPathCounts(
+                  core::runCoterie(config, session->distThresholds())),
+              "decode=2177 display=7 render=30 stall_wait/transfer=2 sync=2");
+
+    config.faults = nullptr;
+    config.resilience = {};
+    EXPECT_EQ(criticalPathCounts(core::runMultiFurion(config)),
+              "decode=304 display=374 stall_wait/pipe_wait=799 "
+              "stall_wait/transfer=867");
+}
+
 TEST_F(FrameTraceTest, SloSnapshotDumpIsDeterministic)
 {
     // Same records -> byte-identical registry dump regardless of
@@ -470,8 +548,7 @@ TEST_F(FrameTraceTest, LiveTraceAndFlightDumpEncodeEveryEventAlike)
     }
     instant("test.both_sinks.instant", "test", 5.0);
     FrameTracer tracer(label);
-    FrameTraceContext ctx =
-        tracer.mint(FrameTracer::Kind::Frame, 1, 9, 10.0);
+    FrameTraceContext ctx = tracer.mint(FrameTracer::Kind::Frame, 1, 9);
     ctx.hop(Hop::Render, 10.0, 18.0);
     tracer.complete(ctx, 18.0, 8.0);
     recorder.stop();
@@ -591,8 +668,7 @@ TEST(FlightRecorder, TracerHopsLandInTheRing)
 {
     const std::size_t before = flight::eventCount();
     FrameTracer tracer("flight/tracer");
-    FrameTraceContext ctx =
-        tracer.mint(FrameTracer::Kind::Frame, 0, 1, 0.0);
+    FrameTraceContext ctx = tracer.mint(FrameTracer::Kind::Frame, 0, 1);
     ctx.hop(Hop::Render, 0.0, 10.0);
     tracer.complete(ctx, 10.0, 10.0);
     // One event per hop plus the completion marker — but a full ring

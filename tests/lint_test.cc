@@ -408,8 +408,8 @@ struct Table
 
 TEST(LintUnboundedQueue, AllowCommentSuppresses)
 {
-    // The tracer's session-lifetime record store: growth is the
-    // feature, justified with the escape hatch.
+    // A session-lifetime record store: growth is the feature,
+    // justified with the escape hatch.
     const auto findings = run("src/obs/records.hh", R"fx(
 #pragma once
 #include <deque>

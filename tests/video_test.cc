@@ -86,32 +86,55 @@ digest(const std::vector<std::uint8_t> &bytes)
     return h;
 }
 
+/** Order-sensitive digest of a decoded frame's pixels. */
+std::uint64_t
+digest(const Image &img)
+{
+    std::uint64_t h = hashMix(img.pixelCount());
+    for (const Rgb &p : img.pixels())
+        h = hashCombine(h, (std::uint64_t{p.r} << 16) |
+                               (std::uint64_t{p.g} << 8) | p.b);
+    return h;
+}
+
 struct RecordedFrame
 {
     bool chroma;
     FrameType type;
     std::size_t size;
     std::uint64_t digest;
+    std::uint64_t decoded; ///< digest of the decoded pixels
 
     bool operator==(const RecordedFrame &) const = default;
 };
 
 /** Per-frame sizes and digests of the goldenFrame sequence, recorded
  *  from the serial whole-plane encoder that the block-row encoder
- *  replaced. */
+ *  replaced, and digests of the decoded frames, recorded from the
+ *  decoder that upsampled half-resolution chroma planes. */
 constexpr RecordedFrame kRecorded[] = {
-    {true, FrameType::Intra, 399, 0xbb79a198b1dfc114ULL},
-    {true, FrameType::Predicted, 182, 0x45e30f7d5d3e4a53ULL},
-    {true, FrameType::Predicted, 164, 0x89ee985c3e546b9dULL},
-    {true, FrameType::Predicted, 178, 0x7676e95b282bbac5ULL},
-    {true, FrameType::Intra, 393, 0x7314ab1d1f212f02ULL},
-    {true, FrameType::Predicted, 176, 0xf787ed81bb5d5888ULL},
-    {false, FrameType::Intra, 540, 0x347150499d64c243ULL},
-    {false, FrameType::Predicted, 218, 0xbb5b7e80ca839b0aULL},
-    {false, FrameType::Predicted, 224, 0xbf82506643f0eeb0ULL},
-    {false, FrameType::Predicted, 224, 0xc41ab3931fa8b8cdULL},
-    {false, FrameType::Intra, 536, 0xada81e6cefee687fULL},
-    {false, FrameType::Predicted, 226, 0x7dd4414cf0488468ULL},
+    {true, FrameType::Intra, 399, 0xbb79a198b1dfc114ULL, 0x9ea31de4a5f94889ULL},
+    {true, FrameType::Predicted, 182, 0x45e30f7d5d3e4a53ULL,
+     0x81bd6531ec290b8eULL},
+    {true, FrameType::Predicted, 164, 0x89ee985c3e546b9dULL,
+     0xcebf797405069337ULL},
+    {true, FrameType::Predicted, 178, 0x7676e95b282bbac5ULL,
+     0x37a9a7c6170088d1ULL},
+    {true, FrameType::Intra, 393, 0x7314ab1d1f212f02ULL, 0xcb064461cfe599ccULL},
+    {true, FrameType::Predicted, 176, 0xf787ed81bb5d5888ULL,
+     0x7c6bcbba61eb4c77ULL},
+    {false, FrameType::Intra, 540, 0x347150499d64c243ULL,
+     0xdec008d0a85ff6d4ULL},
+    {false, FrameType::Predicted, 218, 0xbb5b7e80ca839b0aULL,
+     0x9658872c92d4cffdULL},
+    {false, FrameType::Predicted, 224, 0xbf82506643f0eeb0ULL,
+     0xdf384d0e31e59785ULL},
+    {false, FrameType::Predicted, 224, 0xc41ab3931fa8b8cdULL,
+     0xafb551cb9aafaa13ULL},
+    {false, FrameType::Intra, 536, 0xada81e6cefee687fULL,
+     0x7bb0e8f01e6ae7bcULL},
+    {false, FrameType::Predicted, 226, 0x7dd4414cf0488468ULL,
+     0xe7c420da55ed5026ULL},
 };
 
 TEST(Video, EncodeMatchesRecordedBytes)
@@ -125,9 +148,13 @@ TEST(Video, EncodeMatchesRecordedBytes)
         params.gopLength = 4;
         params.codec.chromaSubsample = chroma;
         const EncodedVideo video = encodeVideo(frames, params);
-        for (const EncodedVideoFrame &frame : video.frames) {
+        const std::vector<Image> decoded = decodeVideo(video);
+        ASSERT_EQ(decoded.size(), video.frames.size());
+        for (std::size_t i = 0; i < video.frames.size(); ++i) {
+            const EncodedVideoFrame &frame = video.frames[i];
             const RecordedFrame got{chroma, frame.type, frame.sizeBytes(),
-                                    digest(frame.bytes)};
+                                    digest(frame.bytes),
+                                    digest(decoded[i])};
             const RecordedFrame want =
                 k < std::size(kRecorded) ? kRecorded[k] : RecordedFrame{};
             ++k;
@@ -136,7 +163,7 @@ TEST(Video, EncodeMatchesRecordedBytes)
                 << (got.type == FrameType::Intra ? "FrameType::Intra"
                                                  : "FrameType::Predicted")
                 << ", " << got.size << ", 0x" << std::hex << got.digest
-                << std::dec << "ULL},";
+                << "ULL, 0x" << got.decoded << std::dec << "ULL},";
         }
     }
     EXPECT_EQ(k, std::size(kRecorded));
