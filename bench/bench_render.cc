@@ -1,15 +1,15 @@
 /**
  * @file
  * Render hot-path benchmark: whole-frame panorama and perspective time
- * per world, the codec's encode time for that panorama, the BVH raycast
- * alone, a per-stage panorama breakdown (direction gen / raycast /
- * terrain / shade / composite) from the pipeline's stage timers, the
- * terrain march's `heightAt` calls per ray and the encoded size of one
- * fixed 160x80 far-BE panorama (deterministic counts, identical with
- * and without --smoke), those calls per ray that fall outside the
- * min/max grid on the whole-frame panorama (recorded, not gated), and
- * the coterie-wide far-BE render de-dup scenario (8 clients, pano-cache
- * hit ratio and renders per frame).
+ * per world, the codec's encode and decode times for that panorama, the
+ * BVH raycast alone, a per-stage panorama breakdown (direction gen /
+ * raycast / terrain / shade / composite) from the pipeline's stage
+ * timers, the terrain march's `heightAt` calls per ray and the encoded
+ * size of one fixed 160x80 far-BE panorama (deterministic counts,
+ * identical with and without --smoke), those calls per ray that fall
+ * outside the min/max grid on the whole-frame panorama (recorded, not
+ * gated), and the coterie-wide far-BE render de-dup scenario (8
+ * clients, pano-cache hit ratio and renders per frame).
  *
  * Byte equality with the per-pixel reference renderer is pinned by
  * renderer_test and terrain_test, not here. The seed-path and median-
@@ -63,14 +63,29 @@ struct FrameTimes
     double panoMs = 0.0; ///< per panorama frame
     double perspMs = 0.0; ///< per perspective frame
     double encodeMs = 0.0; ///< image::encode of the panorama, median
+    double decodeMs = 0.0; ///< image::decode of its stream, median
     double panoRaysPerSec = 0.0;
     /** Terrain `heightAt` calls per panorama ray at points outside the
      *  min/max grid (read from `terrain.height_evals_off_grid`). */
     double offGridEvalsPerRay = 0.0;
 };
 
-/** Time panorama + perspective frames from the world's center, and the
- *  encode of the panorama (the server's prerender step). */
+/** Median wall ms of @p reps calls of @p fn, after one untimed call. */
+double
+medianMs(int reps, const std::function<void()> &fn)
+{
+    SampleSet ms;
+    for (int i = -1; i < reps; ++i) { // i = -1 warms up, untimed
+        const double t = 1000.0 * seconds(fn);
+        if (i >= 0)
+            ms.add(t);
+    }
+    return ms.median();
+}
+
+/** Time panorama + perspective frames from the world's center, the
+ *  encode of the panorama (the server's prerender step) and the decode
+ *  of its stream (the client's). */
 FrameTimes
 timeRenders(const world::VirtualWorld &world, int panoW, int panoH,
             int perspW, int perspH, int reps)
@@ -99,15 +114,15 @@ timeRenders(const world::VirtualWorld &world, int panoW, int panoH,
                 std::abort(); // keep the optimizer honest
         }
     });
-    SampleSet encode_ms;
-    for (int i = -1; i < reps; ++i) { // i = -1 warms up, untimed
-        const double ms = 1000.0 * seconds([&] {
-            if (image::encode(pano).bytes.empty())
-                std::abort();
-        });
-        if (i >= 0)
-            encode_ms.add(ms);
-    }
+    out.encodeMs = medianMs(reps, [&] {
+        if (image::encode(pano).bytes.empty())
+            std::abort();
+    });
+    const image::EncodedFrame encoded = image::encode(pano);
+    out.decodeMs = medianMs(reps, [&] {
+        if (image::decode(encoded).empty())
+            std::abort();
+    });
     const double persp_s = seconds([&] {
         for (int i = 0; i < reps; ++i) {
             const auto frame =
@@ -118,7 +133,6 @@ timeRenders(const world::VirtualWorld &world, int panoW, int panoH,
     });
     out.panoMs = pano_s * 1000.0 / reps;
     out.perspMs = persp_s * 1000.0 / reps;
-    out.encodeMs = encode_ms.median();
     out.panoRaysPerSec =
         static_cast<double>(panoW) * panoH * reps / pano_s;
     out.offGridEvalsPerRay =
@@ -350,9 +364,9 @@ main(int argc, char **argv)
         std::printf("    pano   %7.2f ms  persp %7.2f ms  rays/s %.2fM\n",
                     frame.panoMs, frame.perspMs,
                     frame.panoRaysPerSec / 1e6);
-        std::printf("    pano encode %7.2f ms; far-BE 160x80 encodes to "
-                    "%zu bytes\n",
-                    frame.encodeMs, far_be.encodedBytes);
+        std::printf("    pano encode %7.2f ms, decode %7.2f ms; far-BE "
+                    "160x80 encodes to %zu bytes\n",
+                    frame.encodeMs, frame.decodeMs, far_be.encodedBytes);
         std::printf("    pano raycast %7.2f ms\n", ray_s * 1000.0 / reps);
         std::printf("    stages ");
         for (int i = 0; i < kStageCount; ++i)
@@ -372,6 +386,7 @@ main(int argc, char **argv)
         w.set("pano_rays_per_s_sah", obs::Json(frame.panoRaysPerSec));
         w.set("pano_raycast_ms_new", obs::Json(ray_s * 1000.0 / reps));
         w.set("encode_ms", obs::Json(frame.encodeMs));
+        w.set("decode_ms", obs::Json(frame.decodeMs));
         w.set("encoded_bytes", obs::Json(static_cast<std::uint64_t>(
                                    far_be.encodedBytes)));
         obs::Json stages = obs::Json::object();

@@ -4,12 +4,14 @@
  *
  * The paper encodes pre-rendered panoramic frames with x264 (CRF 25,
  * fastdecode). We substitute a real — if much simpler — lossy intra
- * codec: YCoCg color transform, 8x8 block Haar transform, dead-zone
- * quantisation driven by a quality factor, zigzag scan, zero run-length
- * coding, and varint entropy coding. It produces genuinely
- * content-dependent byte sizes (flat far-BE frames compress harder than
- * busy whole-BE frames), which is the property the caching and
- * bandwidth experiments rely on.
+ * codec: YCoCg color transform with 2x2-subsampled (4:2:0) chroma, 8x8
+ * block Haar transform, dead-zone quantisation driven by a quality
+ * factor, zigzag scan, zero run-length coding, and varint entropy
+ * coding. It produces genuinely content-dependent byte sizes (flat
+ * far-BE frames compress harder than busy whole-BE frames), which is
+ * the property the caching and bandwidth experiments rely on. Every
+ * frame is coded on its own: clients fetch, cache and reuse frames
+ * one at a time and out of order.
  */
 
 #pragma once
@@ -30,8 +32,6 @@ struct CodecParams
      * our rendered content).
      */
     int quality = 60;
-    /** Subsample chroma 2x in each dimension (like 4:2:0). */
-    bool chromaSubsample = true;
 };
 
 /** An encoded frame: an opaque byte stream plus its dimensions. */
@@ -45,7 +45,11 @@ struct EncodedFrame
     std::size_t sizeBytes() const { return bytes.size(); }
 };
 
-/** Encode an RGB image. */
+/**
+ * Encode an RGB image: its Y plane, then its Co and Cg planes at
+ * ceil(w/2) x ceil(h/2). Block rows are coded in parallel on the shared
+ * pool; the bytes do not depend on the worker count.
+ */
 EncodedFrame encode(const Image &frame, const CodecParams &params = {});
 
 /** Decode back to RGB; panics on a corrupt stream. */

@@ -1,6 +1,5 @@
 #include "image/image.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -44,52 +43,6 @@ Image::lumaPlane() const
     out.reserve(pixels_.size());
     for (const Rgb &p : pixels_)
         out.push_back(luma(p));
-    return out;
-}
-
-Image
-Image::downsample(int factor) const
-{
-    COTERIE_ASSERT(factor >= 1, "bad downsample factor");
-    if (factor == 1)
-        return *this;
-    const int w = std::max(1, width_ / factor);
-    const int h = std::max(1, height_ / factor);
-    Image out(w, h);
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            long sr = 0, sg = 0, sb = 0;
-            int n = 0;
-            for (int dy = 0; dy < factor; ++dy) {
-                for (int dx = 0; dx < factor; ++dx) {
-                    const int sx = x * factor + dx;
-                    const int sy = y * factor + dy;
-                    if (sx < width_ && sy < height_) {
-                        const Rgb &p = at(sx, sy);
-                        sr += p.r; sg += p.g; sb += p.b;
-                        ++n;
-                    }
-                }
-            }
-            out.at(x, y) = Rgb{static_cast<std::uint8_t>(sr / n),
-                               static_cast<std::uint8_t>(sg / n),
-                               static_cast<std::uint8_t>(sb / n)};
-        }
-    }
-    return out;
-}
-
-Image
-Image::crop(int x0, int y0, int w, int h) const
-{
-    x0 = std::clamp(x0, 0, width_);
-    y0 = std::clamp(y0, 0, height_);
-    w = std::clamp(w, 0, width_ - x0);
-    h = std::clamp(h, 0, height_ - y0);
-    Image out(w, h);
-    for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x)
-            out.at(x, y) = at(x0 + x, y0 + y);
     return out;
 }
 

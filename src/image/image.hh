@@ -1,7 +1,7 @@
 /**
  * @file
  * RGB8 frame buffer plus the small set of pixel operations the
- * similarity experiments need (luma extraction, downsampling, PPM io).
+ * similarity experiments need (luma extraction, diffing, PPM output).
  */
 
 #pragma once
@@ -48,12 +48,6 @@ class Image
 
     /** Per-pixel luma plane as doubles (SSIM operates on this). */
     std::vector<double> lumaPlane() const;
-
-    /** Box-filter downsample by an integer factor. */
-    Image downsample(int factor) const;
-
-    /** Crop a sub-rectangle; clamps to bounds. */
-    Image crop(int x0, int y0, int w, int h) const;
 
     /** Mean absolute per-channel difference against another image. */
     double meanAbsDiff(const Image &other) const;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the Image frame buffer: pixel access, luma, downsampling,
- * cropping, diffing, and PPM output.
+ * Tests for the Image frame buffer: pixel access, luma, diffing, and
+ * PPM output.
  */
 
 #include <gtest/gtest.h>
@@ -48,31 +48,6 @@ TEST(Image, LumaPlaneMatchesPerPixelLuma)
     ASSERT_EQ(plane.size(), 2u);
     EXPECT_DOUBLE_EQ(plane[0], luma(img.at(0, 0)));
     EXPECT_DOUBLE_EQ(plane[1], luma(img.at(1, 0)));
-}
-
-TEST(Image, DownsampleAveragesBlocks)
-{
-    Image img(2, 2);
-    img.at(0, 0) = Rgb{0, 0, 0};
-    img.at(1, 0) = Rgb{100, 100, 100};
-    img.at(0, 1) = Rgb{100, 100, 100};
-    img.at(1, 1) = Rgb{200, 200, 200};
-    const Image small = img.downsample(2);
-    EXPECT_EQ(small.width(), 1);
-    EXPECT_EQ(small.height(), 1);
-    EXPECT_EQ(small.at(0, 0), (Rgb{100, 100, 100}));
-    // Factor 1 is the identity.
-    EXPECT_EQ(img.downsample(1), img);
-}
-
-TEST(Image, CropClampsToBounds)
-{
-    Image img(4, 4, Rgb{9, 9, 9});
-    img.at(2, 2) = Rgb{1, 2, 3};
-    const Image sub = img.crop(2, 2, 10, 10);
-    EXPECT_EQ(sub.width(), 2);
-    EXPECT_EQ(sub.height(), 2);
-    EXPECT_EQ(sub.at(0, 0), (Rgb{1, 2, 3}));
 }
 
 TEST(Image, MeanAbsDiff)

@@ -23,8 +23,8 @@ SANITIZERS=(thread address undefined)
 # lock_order_test rides every sanitizer leg: COTERIE_LOCK_ORDER=AUTO
 # resolves ON whenever COTERIE_SANITIZE is set, so the runtime
 # lock-order validator's death tests actually fire here.
-TEST_BINS=(parallel_test renderer_test ssim_test codec_test video_test
-           obs_test frame_trace_test bvh_test terrain_test pano_cache_test
+TEST_BINS=(parallel_test renderer_test ssim_test codec_test obs_test
+           frame_trace_test bvh_test terrain_test pano_cache_test
            lock_order_test fleet_test chaos_test lane_oracle_test)
 PREFIX=""
 
