@@ -8,8 +8,6 @@
 
 #pragma once
 
-#include <cmath>
-
 #include "geom/vec.hh"
 
 namespace coterie::render {
@@ -63,20 +61,14 @@ geom::Vec3 panoramaDirection(double u, double v);
 
 /**
  * Per-row constants of `panoramaDirection` for a fixed v: one pitch
- * sin/cos pair serves a whole texel row. `direction(u)` reproduces
+ * sin/cos pair serves a whole texel row. With the yaw's cos/sin,
+ * `{cp * cos(yaw), sp, cp * sin(yaw)}` reproduces
  * `panoramaDirection(u, v)` bit-for-bit.
  */
 struct PanoramaRowBasis
 {
     double cp = 1.0; ///< cos(pitch)
     double sp = 0.0; ///< sin(pitch)
-
-    geom::Vec3
-    direction(double u) const
-    {
-        const double yaw = u * 2.0 * M_PI;
-        return {cp * std::cos(yaw), sp, cp * std::sin(yaw)};
-    }
 };
 
 /** See PanoramaRowBasis. */

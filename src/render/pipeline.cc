@@ -73,17 +73,31 @@ RowBuffers::resize(int width)
     point.resize(n);
 }
 
+PanoramaYaw
+panoramaYaw(int width)
+{
+    PanoramaYaw out;
+    out.cosYaw.resize(static_cast<std::size_t>(width));
+    out.sinYaw.resize(static_cast<std::size_t>(width));
+    for (int x = 0; x < width; ++x) {
+        const double u = (x + 0.5) / width;
+        const double yaw = u * 2.0 * M_PI;
+        out.cosYaw[static_cast<std::size_t>(x)] = std::cos(yaw);
+        out.sinYaw[static_cast<std::size_t>(x)] = std::sin(yaw);
+    }
+    return out;
+}
+
 void
-panoramaRowDirs(int y, int width, int height, RowBuffers &rows)
+panoramaRowDirs(int y, int height, const PanoramaYaw &yaw,
+                RowBuffers &rows)
 {
     const double v = (y + 0.5) / height;
     const PanoramaRowBasis basis = panoramaRowBasis(v);
-    for (int x = 0; x < width; ++x) {
-        const double u = (x + 0.5) / width;
-        const Vec3 dir = basis.direction(u);
-        rows.dirX[static_cast<std::size_t>(x)] = dir.x;
-        rows.dirY[static_cast<std::size_t>(x)] = dir.y;
-        rows.dirZ[static_cast<std::size_t>(x)] = dir.z;
+    for (std::size_t x = 0; x < yaw.cosYaw.size(); ++x) {
+        rows.dirX[x] = basis.cp * yaw.cosYaw[x];
+        rows.dirY[x] = basis.sp;
+        rows.dirZ[x] = basis.cp * yaw.sinYaw[x];
     }
 }
 
@@ -238,6 +252,12 @@ void
 compositeRow(const world::VirtualWorld &world, const RenderOptions &opts,
              int width, const RowBuffers &rows, Rgb *out)
 {
+    // The sky color of the last sky pixel's dirY. NaN matches nothing,
+    // so the first sky pixel computes it; dirY values that compare
+    // equal but differ in bits are only +0 and -0, whose clamped
+    // pitch is +0 either way.
+    double skyDirY = std::numeric_limits<double>::quiet_NaN();
+    Rgb sky{};
     for (int x = 0; x < width; ++x) {
         const auto i = static_cast<std::size_t>(x);
         switch (rows.kind[i]) {
@@ -248,12 +268,15 @@ compositeRow(const world::VirtualWorld &world, const RenderOptions &opts,
         case PixelKind::ClipKey:
             out[x] = opts.clipKey;
             break;
-        case PixelKind::Sky: {
-            const double pitch =
-                std::asin(std::clamp(rows.dirY[i], -1.0, 1.0));
-            out[x] = world.skyColor(std::max(0.0, pitch));
+        case PixelKind::Sky:
+            if (!(rows.dirY[i] == skyDirY)) {
+                skyDirY = rows.dirY[i];
+                const double pitch =
+                    std::asin(std::clamp(skyDirY, -1.0, 1.0));
+                sky = world.skyColor(std::max(0.0, pitch));
+            }
+            out[x] = sky;
             break;
-        }
         }
     }
 }

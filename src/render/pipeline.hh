@@ -5,8 +5,9 @@
  * renderPanorama/renderPerspective split per-pixel ray shading into
  * four stages over row-sized buffers:
  *
- *   1. direction generation — per-row trig hoisted (camera row basis),
- *      unit directions written SoA;
+ *   1. direction generation — trig hoisted (a panorama frame's yaw
+ *      table, one pitch pair per row; one camera basis per perspective
+ *      row), unit directions written SoA;
  *   2. object raycast — 4-wide ray packets through the BVH
  *      (`Bvh::closestHitPacket`);
  *   3. terrain resolution — the march over the min/max height grid,
@@ -63,8 +64,25 @@ struct RowBuffers
     void resize(int width);
 };
 
-/** Stage 1, panorama: directions for row y of a width x height frame. */
-void panoramaRowDirs(int y, int width, int height, RowBuffers &rows);
+/**
+ * The yaw terms of `panoramaDirection` for every column of a
+ * width-wide panorama: `std::cos` / `std::sin` of `u * 2.0 * M_PI` at
+ * u = (x + 0.5) / width. They are the same in every row, so a frame
+ * builds them once.
+ */
+struct PanoramaYaw
+{
+    std::vector<double> cosYaw, sinYaw;
+};
+PanoramaYaw panoramaYaw(int width);
+
+/**
+ * Stage 1, panorama: directions for row y of a frame @p height rows
+ * high and `yaw.cosYaw.size()` columns wide, bit-identical to
+ * `panoramaDirection` at each texel center.
+ */
+void panoramaRowDirs(int y, int height, const PanoramaYaw &yaw,
+                     RowBuffers &rows);
 
 /** Stage 1, perspective: directions for row y through @p camera. */
 void perspectiveRowDirs(const Camera &camera, double aspect, int y,
@@ -82,7 +100,11 @@ void terrainRow(const world::VirtualWorld &world, geom::Vec3 origin,
 void shadeRow(const world::VirtualWorld &world, geom::Vec3 origin,
               const RenderOptions &opts, int width, RowBuffers &rows);
 
-/** Stage 4b: compositing — object/terrain color, clip key, sky. */
+/**
+ * Stage 4b: compositing — object/terrain color, clip key, sky. A sky
+ * pixel's color depends only on its dirY, so it is computed once per
+ * run of equal dirY (once per panorama row).
+ */
 void compositeRow(const world::VirtualWorld &world,
                   const RenderOptions &opts, int width,
                   const RowBuffers &rows, image::Rgb *out);

@@ -144,9 +144,10 @@ Renderer::renderPanorama(Vec3 eye, int width, int height,
     Image frame(width, height);
     RenderOptions local = opts;
     local.pixelAngleRad = M_PI / static_cast<double>(height);
+    const detail::PanoramaYaw yaw = detail::panoramaYaw(width);
     batchedFrame(world_, eye, local, width, height, frame,
                  [&](int y, detail::RowBuffers &rows) {
-                     detail::panoramaRowDirs(y, width, height, rows);
+                     detail::panoramaRowDirs(y, height, yaw, rows);
                  });
     traceRenderCounters();
     return frame;

@@ -64,6 +64,18 @@
 #define COTERIE_SIMD_CLONES
 #endif
 
+// Forced inlining for the lane helpers and the kernels' own helpers
+// that take or return lanes by value. Left out of line (GCC declines
+// to inline them under -fsanitize=undefined), a helper is compiled for
+// the baseline target, and a COTERIE_SIMD_CLONES clone calling it
+// passes its 32-byte vectors under a different calling convention:
+// the callee reads garbage lanes.
+#if defined(__GNUC__) || defined(__clang__)
+#define COTERIE_SIMD_INLINE inline __attribute__((always_inline))
+#else
+#define COTERIE_SIMD_INLINE inline
+#endif
+
 namespace coterie::support::simd {
 
 inline constexpr int kLanes = 4;
@@ -83,38 +95,58 @@ struct F64x4
 {
     V4dRaw v;
 
-    static F64x4 splat(double x) { return {V4dRaw{x, x, x, x}}; }
-    static F64x4
+    static COTERIE_SIMD_INLINE F64x4
+    splat(double x)
+    {
+        return {V4dRaw{x, x, x, x}};
+    }
+    static COTERIE_SIMD_INLINE F64x4
     load(const double *p)
     {
         F64x4 r;
         __builtin_memcpy(&r.v, p, sizeof(r.v));
         return r;
     }
-    void store(double *p) const { __builtin_memcpy(p, &v, sizeof(v)); }
-    double operator[](int i) const { return v[i]; }
+    COTERIE_SIMD_INLINE void
+    store(double *p) const
+    {
+        __builtin_memcpy(p, &v, sizeof(v));
+    }
+    COTERIE_SIMD_INLINE double operator[](int i) const { return v[i]; }
 
-    friend F64x4 operator+(F64x4 a, F64x4 b) { return {a.v + b.v}; }
-    friend F64x4 operator-(F64x4 a, F64x4 b) { return {a.v - b.v}; }
-    friend F64x4 operator*(F64x4 a, F64x4 b) { return {a.v * b.v}; }
+    friend COTERIE_SIMD_INLINE F64x4
+    operator+(F64x4 a, F64x4 b)
+    {
+        return {a.v + b.v};
+    }
+    friend COTERIE_SIMD_INLINE F64x4
+    operator-(F64x4 a, F64x4 b)
+    {
+        return {a.v - b.v};
+    }
+    friend COTERIE_SIMD_INLINE F64x4
+    operator*(F64x4 a, F64x4 b)
+    {
+        return {a.v * b.v};
+    }
 };
 
 /** Per-lane minimum with std::min semantics (b < a ? b : a). */
-inline F64x4
+COTERIE_SIMD_INLINE F64x4
 vmin(F64x4 a, F64x4 b)
 {
     return {b.v < a.v ? b.v : a.v};
 }
 
 /** Per-lane maximum with std::max semantics (a < b ? b : a). */
-inline F64x4
+COTERIE_SIMD_INLINE F64x4
 vmax(F64x4 a, F64x4 b)
 {
     return {a.v < b.v ? b.v : a.v};
 }
 
 /** Per-lane a <= b mask as lane bits (bit i set when lane i passes). */
-inline int
+COTERIE_SIMD_INLINE int
 lanesLessEqual(F64x4 a, F64x4 b)
 {
     const auto m = a.v <= b.v; // lanes are all-ones / all-zero int64

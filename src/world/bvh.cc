@@ -66,25 +66,23 @@ Bvh::Bvh(const std::vector<WorldObject> &objects) : objects_(objects)
     nodes_.reserve(2 * items.size());
     items_.reserve(items.size());
     build(items, 0, items.size(), 0);
-    // Leaf-slot SoA mirror for the packet traversal (same order as
-    // items_, so a leaf's [rightOrFirst, rightOrFirst + count) range
-    // indexes both).
-    leaf_.shape.resize(items_.size());
-    leaf_.px.resize(items_.size());
-    leaf_.py.resize(items_.size());
-    leaf_.pz.resize(items_.size());
-    leaf_.dx.resize(items_.size());
-    leaf_.dy.resize(items_.size());
-    leaf_.dz.resize(items_.size());
-    for (std::size_t s = 0; s < items_.size(); ++s) {
-        const WorldObject &obj = objects_[items_[s]];
-        leaf_.shape[s] = static_cast<std::uint8_t>(obj.shape);
-        leaf_.px[s] = obj.position.x;
-        leaf_.py[s] = obj.position.y;
-        leaf_.pz[s] = obj.position.z;
-        leaf_.dx[s] = obj.dims.x;
-        leaf_.dy[s] = obj.dims.y;
-        leaf_.dz[s] = obj.dims.z;
+    // Leaf primitives in items_ order, so a leaf's [rightOrFirst,
+    // rightOrFirst + count) range indexes both.
+    leaf_.reserve(items_.size());
+    for (const std::uint32_t obj_id : items_) {
+        const WorldObject &obj = objects_[obj_id];
+        LeafPrim &prim = leaf_.emplace_back();
+        prim.shape = obj.shape;
+        if (obj.shape == Shape::Box) {
+            // intersectObject's corners, evaluated here in uncloned
+            // code, so the packet kernel's clones contain no
+            // contractible multiply-add.
+            prim.a = obj.position - obj.dims * 0.5;
+            prim.b = obj.position + obj.dims * 0.5;
+        } else {
+            prim.a = obj.position;
+            prim.b = obj.dims;
+        }
     }
 }
 
@@ -221,36 +219,6 @@ Bvh::build(std::vector<BuildItem> &items, std::size_t begin,
 }
 
 bool
-Bvh::intersectObjectT(const Ray &ray, const WorldObject &obj,
-                      double &t) const
-{
-    // Distance-only variant for candidate testing: skips all normal
-    // work (the sphere's normalize() sqrt in particular). The winner's
-    // normal is recomputed once after traversal — intersection is a
-    // pure function of (ray, object), so the recomputed t and normal
-    // are bit-identical to what the inline computation produced.
-    std::optional<double> hit;
-    switch (obj.shape) {
-      case Shape::Sphere:
-        hit = geom::intersectSphere(ray, obj.position, obj.dims.x);
-        break;
-      case Shape::Box:
-        hit = geom::intersectBox(ray,
-                                 Aabb{obj.position - obj.dims * 0.5,
-                                      obj.position + obj.dims * 0.5});
-        break;
-      case Shape::CylinderY:
-        hit = geom::intersectCylinderY(ray, obj.position, obj.dims.x,
-                                       obj.dims.y);
-        break;
-    }
-    if (!hit)
-        return false;
-    t = *hit;
-    return true;
-}
-
-bool
 Bvh::intersectObject(const Ray &ray, const WorldObject &obj, double &t,
                      Vec3 &normal) const
 {
@@ -279,6 +247,38 @@ Bvh::intersectObject(const Ray &ray, const WorldObject &obj, double &t,
     return true;
 }
 
+namespace {
+
+/**
+ * Distance-only leaf test: the geom:: calls of Bvh::intersectObject on
+ * the same doubles, minus all normal work (the sphere's normalize()
+ * sqrt in particular). The winner's normal is recomputed once after
+ * traversal — intersection is a pure function of (ray, object), so
+ * the recomputed t is bit-identical to this one.
+ */
+bool
+leafHitT(const Ray &ray, const Bvh::LeafPrim &prim, double &t)
+{
+    std::optional<double> hit;
+    switch (prim.shape) {
+      case Shape::Sphere:
+        hit = geom::intersectSphere(ray, prim.a, prim.b.x);
+        break;
+      case Shape::Box:
+        hit = geom::intersectBox(ray, Aabb{prim.a, prim.b});
+        break;
+      case Shape::CylinderY:
+        hit = geom::intersectCylinderY(ray, prim.a, prim.b.x, prim.b.y);
+        break;
+    }
+    if (!hit)
+        return false;
+    t = *hit;
+    return true;
+}
+
+} // namespace
+
 Hit
 Bvh::closestHit(const Ray &ray) const
 {
@@ -301,11 +301,12 @@ Bvh::closestHit(const Ray &ray) const
         if (geom::slabRayHitsAabb(slab, node.box, best.t)) {
             if (node.count > 0) {
                 for (std::int32_t i = 0; i < node.count; ++i) {
-                    const std::uint32_t obj_id = items_[
-                        static_cast<std::size_t>(node.rightOrFirst + i)];
+                    const auto slot =
+                        static_cast<std::size_t>(node.rightOrFirst + i);
+                    const std::uint32_t obj_id = items_[slot];
                     ++leafTests;
                     double t;
-                    if (!intersectObjectT(ray, objects_[obj_id], t))
+                    if (!leafHitT(ray, leaf_[slot], t))
                         continue;
                     // Deterministic tie-break: equal t resolves to the
                     // lower object id. best.valid() keeps the legacy
@@ -351,34 +352,6 @@ Bvh::closestHit(const Ray &ray) const
     return best;
 }
 
-bool
-Bvh::intersectLeafSlotT(const Ray &ray, std::size_t slot, double &t) const
-{
-    // SoA twin of intersectObjectT: identical geom:: calls on the same
-    // position/dims doubles, so results match the AoS path bit for bit.
-    std::optional<double> hit;
-    const Vec3 pos{leaf_.px[slot], leaf_.py[slot], leaf_.pz[slot]};
-    switch (static_cast<Shape>(leaf_.shape[slot])) {
-      case Shape::Sphere:
-        hit = geom::intersectSphere(ray, pos, leaf_.dx[slot]);
-        break;
-      case Shape::Box: {
-        const Vec3 dims{leaf_.dx[slot], leaf_.dy[slot], leaf_.dz[slot]};
-        hit = geom::intersectBox(
-            ray, Aabb{pos - dims * 0.5, pos + dims * 0.5});
-        break;
-      }
-      case Shape::CylinderY:
-        hit = geom::intersectCylinderY(ray, pos, leaf_.dx[slot],
-                                       leaf_.dy[slot]);
-        break;
-    }
-    if (!hit)
-        return false;
-    t = *hit;
-    return true;
-}
-
 namespace {
 
 using support::simd::F64x4;
@@ -397,7 +370,7 @@ struct PacketSlab
  * Returns the lane mask (bit l set when lane l's slab interval is
  * non-empty — same strict `<=` as the scalar test).
  */
-inline int
+COTERIE_SIMD_INLINE int
 packetSlabMask(const PacketSlab &s, const geom::Aabb &box, F64x4 limit)
 {
     using support::simd::lanesLessEqual;
@@ -416,71 +389,69 @@ packetSlabMask(const PacketSlab &s, const geom::Aabb &box, F64x4 limit)
     return lanesLessEqual(tEnter, tExit);
 }
 
-} // namespace
+constexpr int kPacketLanes = geom::RayPacket::kLanes;
 
-void
-Bvh::closestHitPacket(const geom::RayPacket &pack,
-                      Hit out[geom::RayPacket::kLanes]) const
+/** What the packet kernel reads and writes; built by closestHitPacket. */
+struct PacketTraversal
 {
-    constexpr int kL = geom::RayPacket::kLanes;
-    for (int l = 0; l < kL; ++l) {
-        out[l] = Hit{}; // same defaults as the scalar miss result
-        out[l].t = pack.tMax;
-    }
-    if (nodes_.empty())
-        return;
-
+    // In: the tree and the packet.
+    const Bvh::Node *nodes = nullptr;
+    const std::uint32_t *items = nullptr;
+    const Bvh::LeafPrim *leaf = nullptr;
     PacketSlab slab;
-    slab.ox = F64x4::splat(pack.origin.x);
-    slab.oy = F64x4::splat(pack.origin.y);
-    slab.oz = F64x4::splat(pack.origin.z);
-    slab.invX = F64x4::load(pack.invX);
-    slab.invY = F64x4::load(pack.invY);
-    slab.invZ = F64x4::load(pack.invZ);
-    slab.tMin = F64x4::splat(pack.tMin);
-
-    Ray laneRays[kL];
-    double bestT[kL];
-    std::uint32_t bestId[kL];
-    for (int l = 0; l < kL; ++l) {
-        laneRays[l] = pack.lane(l);
-        bestT[l] = pack.tMax;
-        bestId[l] = UINT32_MAX;
-    }
-
+    Ray laneRays[kPacketLanes];
+    bool neg0[3] = {}; ///< lane-0 direction signs (orders child descent)
+    // In/out: each lane's best hit so far.
+    double bestT[kPacketLanes] = {};
+    std::uint32_t bestId[kPacketLanes] = {};
+    // Out: traversal counters.
     std::uint64_t visited = 0;
     std::uint64_t leafTests = 0;
+};
+
+/**
+ * The cloned half of Bvh::closestHitPacket: slab masks, leaf tests and
+ * the per-lane accept rule, writing each lane's best t and object id
+ * and the traversal counters. Its only arithmetic is the slab test's
+ * (lo - origin) * inv, which has no multiply-add to fuse, so every
+ * clone computes what the baseline code does; the winner refinement,
+ * whose Ray::at would contract, stays in the uncloned caller.
+ */
+COTERIE_SIMD_CLONES void
+traversePacket(PacketTraversal &st)
+{
     std::array<std::int32_t, 128> stack;
     int sp = 0;
     std::int32_t idx = 0;
     for (;;) {
-        const Node &node = nodes_[static_cast<std::size_t>(idx)];
-        ++visited;
+        const Bvh::Node &node = st.nodes[idx];
+        ++st.visited;
         // Per-lane strict prune against each lane's own best: the node
         // is entered when any lane still needs it, and the lane mask
         // gates the leaf tests below.
-        const int mask = packetSlabMask(slab, node.box, F64x4::load(bestT));
+        const int mask =
+            packetSlabMask(st.slab, node.box, F64x4::load(st.bestT));
         if (mask != 0) {
             if (node.count > 0) {
                 for (std::int32_t i = 0; i < node.count; ++i) {
-                    const auto slot =
-                        static_cast<std::size_t>(node.rightOrFirst + i);
-                    const std::uint32_t obj_id = items_[slot];
-                    for (int l = 0; l < kL; ++l) {
+                    const std::int32_t slot = node.rightOrFirst + i;
+                    const std::uint32_t obj_id = st.items[slot];
+                    for (int l = 0; l < kPacketLanes; ++l) {
                         if (!(mask & (1 << l)))
                             continue;
-                        ++leafTests;
+                        ++st.leafTests;
                         double t;
-                        if (!intersectLeafSlotT(laneRays[l], slot, t))
+                        if (!leafHitT(st.laneRays[l], st.leaf[slot], t))
                             continue;
                         // Scalar accept rule per lane: equal-t ties to
                         // the lower object id; a hit exactly at
                         // pack.tMax (the initial best) stays rejected.
-                        if (t < bestT[l] ||
-                            (t == bestT[l] && bestId[l] != UINT32_MAX &&
-                             obj_id < bestId[l])) {
-                            bestT[l] = t;
-                            bestId[l] = obj_id;
+                        if (t < st.bestT[l] ||
+                            (t == st.bestT[l] &&
+                             st.bestId[l] != UINT32_MAX &&
+                             obj_id < st.bestId[l])) {
+                            st.bestT[l] = t;
+                            st.bestId[l] = obj_id;
                         }
                     }
                 }
@@ -490,7 +461,7 @@ Bvh::closestHitPacket(const geom::RayPacket &pack,
                 // accept rule is traversal-order independent).
                 std::int32_t near = idx + 1;
                 std::int32_t far = node.rightOrFirst;
-                if (pack.neg0[node.axis])
+                if (st.neg0[node.axis])
                     std::swap(near, far);
                 COTERIE_ASSERT(sp < static_cast<int>(stack.size()),
                                "BVH traversal stack overflow");
@@ -503,22 +474,56 @@ Bvh::closestHitPacket(const geom::RayPacket &pack,
             break;
         idx = stack[static_cast<std::size_t>(--sp)];
     }
-    tlsStats.nodesVisited += visited;
-    tlsStats.leafTests += leafTests;
+}
 
-    for (int l = 0; l < kL; ++l) {
-        out[l].t = bestT[l];
-        out[l].objectId = bestId[l];
-        if (bestId[l] == UINT32_MAX)
+} // namespace
+
+void
+Bvh::closestHitPacket(const geom::RayPacket &pack,
+                      Hit out[geom::RayPacket::kLanes]) const
+{
+    for (int l = 0; l < kPacketLanes; ++l) {
+        out[l] = Hit{}; // same defaults as the scalar miss result
+        out[l].t = pack.tMax;
+    }
+    if (nodes_.empty())
+        return;
+
+    PacketTraversal st;
+    st.nodes = nodes_.data();
+    st.items = items_.data();
+    st.leaf = leaf_.data();
+    st.slab.ox = F64x4::splat(pack.origin.x);
+    st.slab.oy = F64x4::splat(pack.origin.y);
+    st.slab.oz = F64x4::splat(pack.origin.z);
+    st.slab.invX = F64x4::load(pack.invX);
+    st.slab.invY = F64x4::load(pack.invY);
+    st.slab.invZ = F64x4::load(pack.invZ);
+    st.slab.tMin = F64x4::splat(pack.tMin);
+    for (int a = 0; a < 3; ++a)
+        st.neg0[a] = pack.neg0[a];
+    for (int l = 0; l < kPacketLanes; ++l) {
+        st.laneRays[l] = pack.lane(l);
+        st.bestT[l] = pack.tMax;
+        st.bestId[l] = UINT32_MAX;
+    }
+    traversePacket(st);
+    tlsStats.nodesVisited += st.visited;
+    tlsStats.leafTests += st.leafTests;
+
+    for (int l = 0; l < kPacketLanes; ++l) {
+        out[l].t = st.bestT[l];
+        out[l].objectId = st.bestId[l];
+        if (st.bestId[l] == UINT32_MAX)
             continue;
         // One full intersection per winning lane fills point + normal.
         double t;
         Vec3 normal;
-        const bool ok =
-            intersectObject(laneRays[l], objects_[bestId[l]], t, normal);
-        COTERIE_ASSERT(ok && t == bestT[l],
+        const bool ok = intersectObject(st.laneRays[l],
+                                        objects_[st.bestId[l]], t, normal);
+        COTERIE_ASSERT(ok && t == st.bestT[l],
                        "packet winner re-intersection diverged");
-        out[l].point = laneRays[l].at(t);
+        out[l].point = st.laneRays[l].at(t);
         out[l].normal = normal;
     }
 }

@@ -53,10 +53,12 @@ class Bvh
      * interval, SoA directions): one traversal walks the tree for all
      * lanes, testing each node's slabs across lanes in one vector op
      * and pruning per lane against that lane's best hit. Leaf
-     * primitives are tested per active lane from the SoA leaf arrays
-     * with the exact scalar accept rule (equal-t ties to the lower
-     * object id), so every lane's Hit is bit-identical to
-     * `closestHit` on that lane's ray (asserted by tests/bvh_test.cc).
+     * primitives are tested per active lane with the exact scalar
+     * accept rule (equal-t ties to the lower object id), so every
+     * lane's Hit is bit-identical to `closestHit` on that lane's ray
+     * (asserted by tests/bvh_test.cc). The traversal runs on the
+     * AVX2 / x86-64-v4 clones (`traversePacket`); the winners' point
+     * and normal are filled in uncloned code.
      */
     void closestHitPacket(const geom::RayPacket &pack,
                           geom::Hit out[geom::RayPacket::kLanes]) const;
@@ -90,7 +92,11 @@ class Bvh
     };
     static TraversalStats takeThreadStats();
 
-  private:
+    /**
+     * The flattened layout both traversals read. It is public only so
+     * that bvh.cc's cloned packet kernel, a free function like the
+     * other `COTERIE_SIMD_CLONES` kernels, can name it.
+     */
     struct Node
     {
         geom::Aabb box;
@@ -98,7 +104,22 @@ class Bvh
         std::int32_t count = 0;         ///< leaf: item count; inner: 0
         std::uint8_t axis = 0;          ///< inner: split axis (orders children)
     };
+    /**
+     * A leaf primitive, stored per leaf slot in traversal order (the
+     * same order as `items_`). Spheres and cylinders keep their
+     * position and dims; boxes keep their lo/hi corners, computed once
+     * at build with `intersectObject`'s expression, so the leaf test
+     * does no arithmetic before calling geom::. Both traversals read
+     * these records instead of gathering whole WorldObjects by id.
+     */
+    struct LeafPrim
+    {
+        geom::Vec3 a; ///< position, or a box's lo corner
+        geom::Vec3 b; ///< dims, or a box's hi corner
+        Shape shape = Shape::Sphere;
+    };
 
+  private:
     /** Per-object build scratch: bounds + center, computed once. */
     struct BuildItem
     {
@@ -114,27 +135,11 @@ class Bvh
                           const geom::Aabb &box);
     bool intersectObject(const geom::Ray &ray, const WorldObject &obj,
                          double &t, geom::Vec3 &normal) const;
-    bool intersectObjectT(const geom::Ray &ray, const WorldObject &obj,
-                          double &t) const;
-    bool intersectLeafSlotT(const geom::Ray &ray, std::size_t slot,
-                            double &t) const;
 
     const std::vector<WorldObject> &objects_;
     std::vector<Node> nodes_;
     std::vector<std::uint32_t> items_;
-    /**
-     * Leaf-primitive SoA mirror of `items_`: shape tag, position, and
-     * dimensions per leaf slot in traversal order. The packet leaf loop
-     * reads these hot fields contiguously instead of gathering whole
-     * WorldObject records (color, mesh metadata, ...) by object id.
-     */
-    struct LeafSoa
-    {
-        std::vector<std::uint8_t> shape;
-        std::vector<double> px, py, pz;
-        std::vector<double> dx, dy, dz;
-    };
-    LeafSoa leaf_;
+    std::vector<LeafPrim> leaf_;
 };
 
 template <typename Fn>

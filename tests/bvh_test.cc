@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 
 #include "geom/intersect.hh"
+#include "render/camera.hh"
 #include "support/rng.hh"
 #include "world/bvh.hh"
 
@@ -233,6 +235,24 @@ TEST(Bvh, EmptyWorld)
     EXPECT_TRUE(bvh.queryDisc({0, 0}, 100.0).empty());
 }
 
+/** Every lane of @p pack equals closestHit on that lane's ray. */
+void
+expectPacketMatchesScalar(const Bvh &bvh, const geom::RayPacket &pack)
+{
+    Hit packet[geom::RayPacket::kLanes];
+    bvh.closestHitPacket(pack, packet);
+    for (int l = 0; l < geom::RayPacket::kLanes; ++l) {
+        const Hit scalar = bvh.closestHit(pack.lane(l));
+        EXPECT_EQ(packet[l].valid(), scalar.valid());
+        EXPECT_EQ(packet[l].objectId, scalar.objectId);
+        EXPECT_EQ(packet[l].t, scalar.t);
+        if (scalar.valid()) {
+            EXPECT_EQ(packet[l].point, scalar.point);
+            EXPECT_EQ(packet[l].normal, scalar.normal);
+        }
+    }
+}
+
 TEST_P(BvhProperty, PacketLanesMatchScalarClosestHit)
 {
     // The packet traversal must be bit-identical per lane to the
@@ -265,20 +285,33 @@ TEST_P(BvhProperty, PacketLanesMatchScalarClosestHit)
         // narrow clip window.
         const double t_min = i % 4 == 0 ? 5.0 : 1e-4;
         const double t_max = i % 4 == 0 ? 40.0 : 1e30;
-        const geom::RayPacket pack =
-            geom::makeRayPacket(origin, dx, dy, dz, t_min, t_max);
-        Hit packet[geom::RayPacket::kLanes];
-        bvh.closestHitPacket(pack, packet);
+        expectPacketMatchesScalar(
+            bvh, geom::makeRayPacket(origin, dx, dy, dz, t_min, t_max));
+    }
+    // The renderer's far-BE shape: four adjacent texels of one row of a
+    // 512x256 panorama from an eye inside the scene, clipped to
+    // [cutoff, +inf) as raycastRow clips DepthLayer::farBe.
+    constexpr int kW = 512;
+    constexpr int kH = 256;
+    for (int i = 0; i < 200; ++i) {
+        const Vec3 eye{rng.uniform(-40, 40), rng.uniform(0.5, 3.0),
+                       rng.uniform(-40, 40)};
+        const auto y = static_cast<int>(rng.uniformInt(0, kH - 1));
+        const auto x0 =
+            4 * static_cast<int>(rng.uniformInt(0, kW / 4 - 1));
+        double dx[geom::RayPacket::kLanes], dy[geom::RayPacket::kLanes],
+            dz[geom::RayPacket::kLanes];
         for (int l = 0; l < geom::RayPacket::kLanes; ++l) {
-            const Hit scalar = bvh.closestHit(pack.lane(l));
-            EXPECT_EQ(packet[l].valid(), scalar.valid());
-            EXPECT_EQ(packet[l].objectId, scalar.objectId);
-            EXPECT_EQ(packet[l].t, scalar.t);
-            if (scalar.valid()) {
-                EXPECT_EQ(packet[l].point, scalar.point);
-                EXPECT_EQ(packet[l].normal, scalar.normal);
-            }
+            const Vec3 dir = render::panoramaDirection(
+                (x0 + l + 0.5) / kW, (y + 0.5) / kH);
+            dx[l] = dir.x;
+            dy[l] = dir.y;
+            dz[l] = dir.z;
         }
+        const double cutoff = rng.uniform(2.0, 30.0);
+        const double inf = std::numeric_limits<double>::infinity();
+        expectPacketMatchesScalar(
+            bvh, geom::makeRayPacket(eye, dx, dy, dz, cutoff, inf));
     }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "world/gen/generators.hh"
 #include "world/grid.hh"
 
@@ -66,6 +68,15 @@ struct GridCountCase
     world::gen::GameId game;
     double paperMillions;
 };
+
+/** Prints the game and the paper's count: gtest's default prints the
+ *  raw bytes, padding included, into the ctest name. */
+void
+PrintTo(const GridCountCase &c, std::ostream *os)
+{
+    *os << world::gen::gameInfo(c.game).name << " paper "
+        << c.paperMillions << "M";
+}
 
 class Table3GridCounts : public testing::TestWithParam<GridCountCase>
 {

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "reference_render.hh"
+#include "render/pipeline.hh"
 #include "render/renderer.hh"
 #include "world/gen/generators.hh"
 
@@ -151,6 +155,40 @@ TEST(Renderer, PanoramaDirectionRoundTrip)
             directionToPanoramaUv(dir, u2, v2);
             EXPECT_NEAR(u2, u, 1e-9);
             EXPECT_NEAR(v2, v, 1e-9);
+        }
+    }
+}
+
+TEST(Renderer, PanoramaRowDirsMatchPanoramaDirection)
+{
+    // A frame's yaw table and a row's pitch basis rebuild
+    // panoramaDirection at every texel center bit for bit: odd widths
+    // and one past a power of two, on the pole rows (first and last)
+    // and the equator rows (the middle one or two).
+    const auto bits = [](double d) {
+        return std::bit_cast<std::uint64_t>(d);
+    };
+    for (const int width : {1, 3, 7, 513}) {
+        const detail::PanoramaYaw yaw = detail::panoramaYaw(width);
+        detail::RowBuffers rows;
+        rows.resize(width);
+        for (const int height : {1, 255, 256}) {
+            for (const int y :
+                 {0, (height - 1) / 2, height / 2, height - 1}) {
+                detail::panoramaRowDirs(y, height, yaw, rows);
+                const double v = (y + 0.5) / height;
+                for (int x = 0; x < width; ++x) {
+                    const auto i = static_cast<std::size_t>(x);
+                    const Vec3 dir =
+                        panoramaDirection((x + 0.5) / width, v);
+                    SCOPED_TRACE(testing::Message()
+                                 << width << "x" << height << " texel "
+                                 << x << "," << y);
+                    EXPECT_EQ(bits(rows.dirX[i]), bits(dir.x));
+                    EXPECT_EQ(bits(rows.dirY[i]), bits(dir.y));
+                    EXPECT_EQ(bits(rows.dirZ[i]), bits(dir.z));
+                }
+            }
         }
     }
 }
