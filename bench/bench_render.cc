@@ -2,14 +2,15 @@
  * @file
  * Render hot-path benchmark: whole-frame panorama and perspective time
  * per world, the codec's encode and decode times for that panorama, the
- * BVH raycast alone, a per-stage panorama breakdown (direction gen /
- * raycast / terrain / shade / composite) from the pipeline's stage
- * timers, the terrain march's `heightAt` calls per ray and the encoded
- * size of one fixed 160x80 far-BE panorama (deterministic counts,
- * identical with and without --smoke), those calls per ray that fall
- * outside the min/max grid on the whole-frame panorama (recorded, not
- * gated), and the coterie-wide far-BE render de-dup scenario (8
- * clients, pano-cache hit ratio and renders per frame).
+ * packet BVH raycast alone, a per-stage panorama breakdown (direction
+ * gen / raycast / terrain / shade / composite) from the pipeline's stage
+ * timers, the terrain march's schedule samples and `heightAt` calls per
+ * ray and the encoded size of one fixed 160x80 far-BE panorama
+ * (deterministic counts, identical with and without --smoke), the
+ * `heightAt` calls per ray that fall outside the min/max grid on the
+ * whole-frame panorama (recorded, not gated), and the coterie-wide
+ * far-BE render de-dup scenario (8 clients, pano-cache hit ratio and
+ * renders per frame).
  *
  * Byte equality with the per-pixel reference renderer is pinned by
  * renderer_test and terrain_test, not here. The seed-path and median-
@@ -39,6 +40,7 @@
 #include "core/server.hh"
 #include "image/codec.hh"
 #include "obs/metrics.hh"
+#include "render/pipeline.hh"
 #include "render/renderer.hh"
 #include "support/stats.hh"
 #include "world/gen/generators.hh"
@@ -183,16 +185,18 @@ stageBreakdown(const world::VirtualWorld &world, int panoW, int panoH,
 /** Deterministic work and size counts of the fixed far-BE panorama. */
 struct FarBeCounts
 {
+    double marchSamplesPerRay = 0.0;
     double heightEvalsPerRay = 0.0;
     std::size_t encodedBytes = 0;
 };
 
 /**
  * One fixed 160x80 far-BE panorama (20 m cutoff, the server's
- * prerender shape) from the world's center: the terrain `heightAt`
- * calls per ray, read from the renderer's `terrain.height_evals`
- * counter, and the panorama's encoded size at the default codec
- * parameters. The ray set does not depend on the bench mode, so both
+ * prerender shape) from the world's center: the terrain march's
+ * schedule samples and `heightAt` calls per ray, read from the
+ * renderer's `terrain.march_samples` and `terrain.height_evals`
+ * counters, and the panorama's encoded size at the default codec
+ * parameters. The ray set does not depend on the bench mode, so the
  * counts are deterministic and comparable between smoke and full runs.
  */
 FarBeCounts
@@ -204,45 +208,52 @@ farBeCounts(const world::VirtualWorld &world)
     const geom::Vec3 eye = world.eyePosition(world.bounds().center());
     render::RenderOptions opts;
     opts.layer = render::DepthLayer::farBe(20.0);
-    obs::Counter &evals =
-        obs::MetricsRegistry::global().counter("terrain.height_evals");
-    const std::uint64_t before = evals.value();
+    obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
+    obs::Counter &samples = registry.counter("terrain.march_samples");
+    obs::Counter &evals = registry.counter("terrain.height_evals");
+    const std::uint64_t samples_before = samples.value();
+    const std::uint64_t evals_before = evals.value();
     const image::Image pano = renderer.renderPanorama(eye, kW, kH, opts);
     if (pano.empty())
         std::abort();
     FarBeCounts out;
+    out.marchSamplesPerRay =
+        static_cast<double>(samples.value() - samples_before) / (kW * kH);
     out.heightEvalsPerRay =
-        static_cast<double>(evals.value() - before) / (kW * kH);
+        static_cast<double>(evals.value() - evals_before) / (kW * kH);
     out.encodedBytes = image::encode(pano).sizeBytes();
     return out;
 }
 
 /**
- * Cast the full panorama ray set through the BVH alone (no shading, no
- * terrain, serial): isolates the object-raycast layer.
+ * Cast the full panorama ray set through the BVH alone, serial and at
+ * full depth: each row's directions from `panoramaRowDirs`, then the
+ * 4-ray packets of `raycastRow`, the path frames take. Only the
+ * `raycastRow` calls are timed. Isolates the object-raycast layer.
  */
 double
 raycastSeconds(const world::VirtualWorld &world, geom::Vec3 eye, int w,
                int h, int reps)
 {
-    const world::Bvh &bvh = world.bvh();
+    const render::RenderOptions opts;
+    const render::detail::PanoramaYaw yaw = render::detail::panoramaYaw(w);
+    render::detail::RowBuffers rows;
+    rows.resize(w);
     double sink = 0.0;
-    const double s = seconds([&] {
-        for (int r = 0; r < reps; ++r) {
-            for (int y = 0; y < h; ++y) {
-                const double v = (y + 0.5) / h;
-                for (int x = 0; x < w; ++x) {
-                    const double u = (x + 0.5) / w;
-                    geom::Ray ray;
-                    ray.origin = eye;
-                    ray.dir = render::panoramaDirection(u, v);
-                    const geom::Hit hit = bvh.closestHit(ray);
-                    if (hit.valid())
-                        sink += hit.t;
-                }
+    double s = 0.0;
+    for (int r = 0; r < reps; ++r) {
+        for (int y = 0; y < h; ++y) {
+            render::detail::panoramaRowDirs(y, h, yaw, rows);
+            s += seconds([&] {
+                render::detail::raycastRow(world, eye, opts, w, rows);
+            });
+            for (int x = 0; x < w; ++x) {
+                const geom::Hit &hit = rows.objHit[static_cast<std::size_t>(x)];
+                if (hit.valid())
+                    sink += hit.t;
             }
         }
-    });
+    }
     if (sink < 0.0)
         std::abort(); // keep the optimizer honest
     return s;
@@ -370,14 +381,16 @@ main(int argc, char **argv)
         std::printf("    pano encode %7.2f ms, decode %7.2f ms; far-BE "
                     "160x80 encodes to %zu bytes\n",
                     frame.encodeMs, frame.decodeMs, far_be.encodedBytes);
-        std::printf("    pano raycast %7.2f ms\n", ray_s * 1000.0 / reps);
+        std::printf("    pano raycast (packets) %7.2f ms\n",
+                    ray_s * 1000.0 / reps);
         std::printf("    stages ");
         for (int i = 0; i < kStageCount; ++i)
             std::printf(" %s %.1f ms%s", kStageLabels[i], stage_ms[i],
                         i + 1 < kStageCount ? "," : "\n");
-        std::printf("    terrain heightAt calls/ray %.4f (far-BE), "
-                    "%.4f off the grid (full depth)\n",
-                    far_be.heightEvalsPerRay, frame.offGridEvalsPerRay);
+        std::printf("    terrain march samples/ray %.4f, heightAt calls/ray "
+                    "%.4f (far-BE), %.4f off the grid (full depth)\n",
+                    far_be.marchSamplesPerRay, far_be.heightEvalsPerRay,
+                    frame.offGridEvalsPerRay);
 
         // Key names continue the tracked record's columns for the same
         // measurements (the packet pipeline on the SAH tree).
@@ -387,7 +400,7 @@ main(int argc, char **argv)
         w.set("pano_ms_packet", obs::Json(frame.panoMs));
         w.set("persp_ms_sah", obs::Json(frame.perspMs));
         w.set("pano_rays_per_s_sah", obs::Json(frame.panoRaysPerSec));
-        w.set("pano_raycast_ms_new", obs::Json(ray_s * 1000.0 / reps));
+        w.set("pano_raycast_ms_packet", obs::Json(ray_s * 1000.0 / reps));
         w.set("encode_ms", obs::Json(frame.encodeMs));
         w.set("decode_ms", obs::Json(frame.decodeMs));
         w.set("encoded_bytes", obs::Json(static_cast<std::uint64_t>(
@@ -397,6 +410,8 @@ main(int argc, char **argv)
             stages.set(kStageLabels[i], obs::Json(stage_ms[i]));
         w.set("pano_stage_ms", std::move(stages));
 #if COTERIE_TELEMETRY_ENABLED // the count is drained through telemetry
+        w.set("terrain_march_samples_per_ray",
+              obs::Json(far_be.marchSamplesPerRay));
         w.set("terrain_height_evals_per_ray",
               obs::Json(far_be.heightEvalsPerRay));
         w.set("terrain_off_grid_evals_per_ray",

@@ -66,6 +66,7 @@ RowBuffers::resize(int width)
     dirY.resize(n);
     dirZ.resize(n);
     objHit.resize(n);
+    abortT.resize(n);
     terrainT.resize(n);
     kind.resize(n);
     base.resize(n);
@@ -159,32 +160,23 @@ terrainRow(const world::VirtualWorld &world, Vec3 origin,
     const double tMin = std::max(proto.tMin, opts.layer.nearClip);
     const double tMax = std::min(proto.tMax, opts.layer.farClip);
     const double inf = std::numeric_limits<double>::infinity();
+    const auto n = static_cast<std::size_t>(width);
     if (!(tMin < tMax)) {
-        std::fill(rows.terrainT.begin(), rows.terrainT.begin() + width,
-                  inf);
+        std::fill_n(rows.terrainT.begin(), n, inf);
         return;
     }
-    const world::Terrain &terrain = world.terrain();
-    for (int x = 0; x < width; ++x) {
-        const auto i = static_cast<std::size_t>(x);
-        Ray clipped;
-        clipped.origin = origin;
-        clipped.dir = {rows.dirX[i], rows.dirY[i], rows.dirZ[i]};
-        clipped.tMin = tMin;
-        clipped.tMax = tMax;
-        // Marching past the pixel's object hit cannot change the
-        // frame: shading discards any terrain t >= obj.t. The abort
-        // is result-identical (see Terrain::intersect).
+    // Marching past a pixel's object hit cannot change the frame:
+    // shading discards any terrain t >= obj.t. The abort is
+    // result-identical (see Terrain::intersect). A hit the march
+    // returns lies in [tMin, tMax] already.
+    for (std::size_t i = 0; i < n; ++i) {
         const Hit &obj = rows.objHit[i];
-        const double abortBeyond = obj.valid() ? obj.t : inf;
-        double terrain_t = inf;
-        if (auto t = terrain.intersect(clipped, opts.terrainMaxDist,
-                                       abortBeyond)) {
-            if (*t >= clipped.tMin && *t <= clipped.tMax)
-                terrain_t = *t;
-        }
-        rows.terrainT[i] = terrain_t;
+        rows.abortT[i] = obj.valid() ? obj.t : inf;
     }
+    world.terrain().intersectRow({origin, tMin, tMax, n, rows.dirX.data(),
+                                  rows.dirY.data(), rows.dirZ.data(),
+                                  rows.abortT.data()},
+                                 opts.terrainMaxDist, rows.terrainT.data());
 }
 
 void

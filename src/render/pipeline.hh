@@ -10,9 +10,10 @@
  *      row), unit directions written SoA;
  *   2. object raycast — 4-wide ray packets through the BVH
  *      (`Bvh::closestHitPacket`);
- *   3. terrain resolution — the march over the min/max height grid,
- *      aborted past the pixel's object hit (provably result-identical,
- *      see Terrain::intersect);
+ *   3. terrain resolution — one march per row over the min/max height
+ *      grid (`Terrain::intersectRow`), each ray aborted past its
+ *      pixel's object hit (provably result-identical, see
+ *      Terrain::intersect);
  *   4. shading — hit resolution, then the `opts.shading` /
  *      `opts.texture` passes with those branches hoisted out of the
  *      pixel loop, then compositing (clip key / sky).
@@ -53,8 +54,9 @@ struct RowBuffers
     std::vector<double> dirX, dirY, dirZ;
     // Stage 2: closest object hit per pixel.
     std::vector<geom::Hit> objHit;
-    // Stage 3: terrain hit distance (+inf = none in the clip interval).
-    std::vector<double> terrainT;
+    // Stage 3: the march's abort distance per pixel (its object hit),
+    // then the terrain hit distance (+inf = none in the clip interval).
+    std::vector<double> abortT, terrainT;
     // Stage 4 scratch.
     std::vector<PixelKind> kind;
     std::vector<image::Rgb> base;
@@ -92,7 +94,8 @@ void perspectiveRowDirs(const Camera &camera, double aspect, int y,
 void raycastRow(const world::VirtualWorld &world, geom::Vec3 origin,
                 const RenderOptions &opts, int width, RowBuffers &rows);
 
-/** Stage 3: terrain march per pixel, capped at the object hit. */
+/** Stage 3: one terrain march over the row, each ray capped at its
+ *  pixel's object hit (`Terrain::intersectRow`). */
 void terrainRow(const world::VirtualWorld &world, geom::Vec3 origin,
                 const RenderOptions &opts, int width, RowBuffers &rows);
 

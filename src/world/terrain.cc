@@ -1,6 +1,7 @@
 #include "world/terrain.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "support/rng.hh"
@@ -16,6 +17,35 @@ namespace {
 
 /** Thread-local march counters; drained by Terrain::takeThreadStats. */
 thread_local Terrain::MarchStats tlsStats;
+
+/** A ray of a row whose sample at `hi` proved a crossing after `lo`. */
+struct Crossing
+{
+    std::size_t ray;
+    double lo;
+    double hi;
+};
+
+/**
+ * Per-thread scratch of `Terrain::intersectRow`: the sample schedule of
+ * the last (tMin, limit) pair, `schedule[0] == tMin`, extended on
+ * demand; and the crossings of the row being marched.
+ */
+struct MarchScratch
+{
+    double tMin = std::numeric_limits<double>::quiet_NaN();
+    double limit = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> schedule;
+    std::vector<Crossing> crossings;
+};
+thread_local MarchScratch tlsScratch;
+
+/** Bitwise equality: the schedule key must not merge -0.0 and +0.0. */
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 /**
  * Bound slack per metre of |amplitude| (+1 m). `heightAt` and the
@@ -138,6 +168,10 @@ Terrain::Terrain(const TerrainParams &params, Rect extent) : params_(params)
         global_ = {0.0, 0.0};
         return;
     }
+    octaveNorm_ = forEachOctave(
+        params_, [&](double w, double f, std::size_t layer) {
+            octaves_.push_back({w, f, layer});
+        });
     const double amp = std::abs(params_.amplitude);
     const double slack = kSlack * (amp + 1.0);
     global_ = {-(amp + slack), amp + slack};
@@ -181,8 +215,8 @@ Terrain::Terrain(const TerrainParams &params, Rect extent) : params_(params)
     };
     tables_.reserve(1 + static_cast<std::size_t>(octaves));
     addTable(1.0 / kMoistureScale);
-    forEachOctave(params_,
-                  [&](double, double f, std::size_t) { addTable(f); });
+    for (const Octave &o : octaves_)
+        addTable(o.freq);
     lattice_.resize(entries);
     for (std::size_t layer = 0; layer < tables_.size(); ++layer) {
         const LatticeTable &t = tables_[layer];
@@ -208,17 +242,18 @@ Terrain::Terrain(const TerrainParams &params, Rect extent) : params_(params)
             // scaled ranges hold every noise argument in the cell.
             double lo = 0.0;
             double hi = 0.0;
-            const double norm = forEachOctave(
-                params_, [&](double w, double f, std::size_t layer) {
-                    const HeightBounds n = noiseRange(
-                        x0 * f, x1 * f, y0 * f, y1 * f,
-                        [&](std::int64_t ix, std::int64_t iy) {
-                            return corners(ix, iy, layer);
-                        });
-                    lo += w * n.lo;
-                    hi += w * n.hi;
-                });
-            const double scale = norm > 0.0 ? params_.amplitude / norm : 0.0;
+            for (const Octave &o : octaves_) {
+                const double f = o.freq;
+                const HeightBounds n = noiseRange(
+                    x0 * f, x1 * f, y0 * f, y1 * f,
+                    [&](std::int64_t ix, std::int64_t iy) {
+                        return corners(ix, iy, o.layer);
+                    });
+                lo += o.weight * n.lo;
+                hi += o.weight * n.hi;
+            }
+            const double scale =
+                octaveNorm_ > 0.0 ? params_.amplitude / octaveNorm_ : 0.0;
             lo *= scale;
             hi *= scale;
             if (lo > hi)
@@ -233,7 +268,7 @@ Terrain::Terrain(const TerrainParams &params, Rect extent) : params_(params)
     }
 }
 
-std::ptrdiff_t
+inline std::ptrdiff_t
 Terrain::cellIndex(Vec2 p) const
 {
     const double cx = (p.x - grid_.origin.x) * invCell_;
@@ -247,14 +282,19 @@ Terrain::cellIndex(Vec2 p) const
            static_cast<std::ptrdiff_t>(cx);
 }
 
-Terrain::HeightBounds
-Terrain::heightBounds(Vec2 p) const
+inline Terrain::HeightBounds
+Terrain::cellBounds(std::ptrdiff_t k) const
 {
-    const std::ptrdiff_t k = cellIndex(p);
     if (k < 0)
         return global_;
     const auto i = static_cast<std::size_t>(2 * k);
     return {cellBounds_[i], cellBounds_[i + 1]};
+}
+
+Terrain::HeightBounds
+Terrain::heightBounds(Vec2 p) const
+{
+    return cellBounds(cellIndex(p));
 }
 
 Terrain::MarchStats
@@ -265,7 +305,7 @@ Terrain::takeThreadStats()
     return stats;
 }
 
-Terrain::Corners
+inline Terrain::Corners
 Terrain::corners(std::int64_t ix, std::int64_t iy, std::size_t layer) const
 {
     if (layer < tables_.size()) {
@@ -280,6 +320,13 @@ Terrain::corners(std::int64_t ix, std::int64_t iy, std::size_t layer) const
             return {v[0], v[1], v[t.cols], v[t.cols + 1]};
         }
     }
+    return hashedCorners(ix, iy, layer);
+}
+
+Terrain::Corners
+Terrain::hashedCorners(std::int64_t ix, std::int64_t iy,
+                       std::size_t layer) const
+{
     const std::uint64_t salt = layerSalt(layer);
     return {latticeValue(ix, iy, params_.seed, salt),
             latticeValue(ix + 1, iy, params_.seed, salt),
@@ -287,7 +334,7 @@ Terrain::corners(std::int64_t ix, std::int64_t iy, std::size_t layer) const
             latticeValue(ix + 1, iy + 1, params_.seed, salt)};
 }
 
-double
+inline double
 Terrain::noise2(double x, double y, std::size_t layer) const
 {
     const double fx = std::floor(x);
@@ -299,15 +346,13 @@ Terrain::noise2(double x, double y, std::size_t layer) const
     return blend(c.v00, c.v10, c.v01, c.v11, tx, ty);
 }
 
-double
+inline double
 Terrain::fractal(Vec2 p) const
 {
     double sum = 0.0;
-    const double norm = forEachOctave(
-        params_, [&](double w, double f, std::size_t layer) {
-            sum += w * noise2(p.x * f, p.y * f, layer);
-        });
-    return norm > 0.0 ? sum / norm : 0.0;
+    for (const Octave &o : octaves_)
+        sum += o.weight * noise2(p.x * o.freq, p.y * o.freq, o.layer);
+    return octaveNorm_ > 0.0 ? sum / octaveNorm_ : 0.0;
 }
 
 double
@@ -334,14 +379,33 @@ Terrain::normalAt(Vec2 p) const
 std::optional<double>
 Terrain::intersect(const Ray &ray, double maxDist, double abortBeyond) const
 {
+    double hit = 0.0;
+    intersectRow({ray.origin, ray.tMin, ray.tMax, 1, &ray.dir.x, &ray.dir.y,
+                  &ray.dir.z, &abortBeyond},
+                 maxDist, &hit);
+    if (hit == std::numeric_limits<double>::infinity())
+        return std::nullopt;
+    return hit;
+}
+
+void
+Terrain::intersectRow(const RayRow &rays, double maxDist, double *hitT) const
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const Vec3 origin = rays.origin;
+    const double limit = std::min(rays.tMax, maxDist);
     if (params_.flat) {
         // Plane y = 0: exact solve, nothing to march or abort.
-        if (std::abs(ray.dir.y) < 1e-12)
-            return std::nullopt;
-        const double t = -ray.origin.y / ray.dir.y;
-        if (t < ray.tMin || t > std::min(ray.tMax, maxDist))
-            return std::nullopt;
-        return t;
+        for (std::size_t i = 0; i < rays.count; ++i) {
+            const double dirY = rays.dirY[i];
+            hitT[i] = inf;
+            if (std::abs(dirY) < 1e-12)
+                continue;
+            const double t = -origin.y / dirY;
+            if (!(t < rays.tMin || t > limit))
+                hitT[i] = t;
+        }
+        return;
     }
     MarchStats stats;
     // The crossing test `y - heightAt(g) <= 0.0`. For finite doubles
@@ -349,70 +413,107 @@ Terrain::intersect(const Ray &ray, double maxDist, double abortBeyond) const
     // proves it false and y at or below the cell's min proves it true;
     // only the band between pays for heightAt.
     const auto below = [&](double y, Vec2 g) {
-        const HeightBounds b = heightBounds(g);
+        const std::ptrdiff_t cell = cellIndex(g);
+        const HeightBounds b = cellBounds(cell);
         if (y > b.hi)
             return false;
         if (y <= b.lo)
             return true;
         ++stats.heightEvals;
-        if (cellIndex(g) < 0)
+        if (cell < 0)
             ++stats.offGridEvals;
         return y - heightAt(g) <= 0.0;
     };
-    const std::optional<double> hit = [&]() -> std::optional<double> {
+    const auto at = [&](std::size_t i, double t) { // Ray::at
+        return origin + Vec3{rays.dirX[i], rays.dirY[i], rays.dirZ[i]} * t;
+    };
+
+    MarchScratch &scratch = tlsScratch;
+    std::vector<double> &schedule = scratch.schedule;
+    if (schedule.empty() || !sameBits(scratch.tMin, rays.tMin) ||
+        !sameBits(scratch.limit, limit)) {
+        scratch.tMin = rays.tMin;
+        scratch.limit = limit;
+        schedule.assign(1, rays.tMin);
+    }
+    std::vector<Crossing> &crossings = scratch.crossings;
+    crossings.clear();
+
+    // Early-escape threshold for climbing rays. The fractal is a
+    // normalized average of [-1, 1) noise, so |height| < |amplitude|
+    // everywhere: above |amplitude| a non-descending ray can never
+    // cross, making escape at |amplitude| result-identical to marching
+    // on. The min() with amplitude + 0.5 (the per-sample march's
+    // threshold) keeps the escape no later than that march's for any
+    // params.
+    const double escape =
+        std::min(params_.amplitude + 0.5, std::abs(params_.amplitude));
+    for (std::size_t i = 0; i < rays.count; ++i) {
+        hitT[i] = inf;
+        // A ray whose clipped start is already below the surface is
+        // treated as clipped out (no hit), matching depth-interval
+        // clipping semantics in the renderer.
+        const double dirY = rays.dirY[i];
+        if (below(origin.y + rays.tMin * dirY, at(i, rays.tMin).ground()))
+            continue;
+        const bool climbing = dirY >= 0.0;
+        const double abortBeyond = rays.abortBeyond[i];
         // Adaptive march (step grows with distance — angular error
-        // budget), then bisection refinement. A ray whose clipped start
-        // is already below the surface is treated as clipped out (no
-        // hit), matching depth-interval clipping semantics in the
-        // renderer.
-        double t_prev = ray.tMin;
-        if (below(ray.origin.y + t_prev * ray.dir.y,
-                  ray.at(t_prev).ground()))
-            return std::nullopt;
-        const double limit = std::min(ray.tMax, maxDist);
-        // Early-escape threshold for climbing rays. The fractal is a
-        // normalized average of [-1, 1) noise, so |height| < |amplitude|
-        // everywhere: above |amplitude| a non-descending ray can never
-        // cross, making escape at |amplitude| result-identical to
-        // marching on. The min() with amplitude + 0.5 (the per-sample
-        // march's threshold) keeps the escape no later than that
-        // march's for any params.
-        const double escape =
-            std::min(params_.amplitude + 0.5, std::abs(params_.amplitude));
-        const bool climbing = ray.dir.y >= 0.0;
-        double t = t_prev;
-        while (t < limit) {
-            t = std::min(limit, t + std::max(0.35, t * 0.025));
+        // budget); the crossing is bisected after the row's march.
+        for (std::size_t k = 1; schedule[k - 1] < limit; ++k) {
+            if (k == schedule.size()) {
+                const double t = schedule.back();
+                schedule.push_back(
+                    std::min(limit, t + std::max(0.35, t * 0.025)));
+            }
+            const double t = schedule[k];
             ++stats.marchSamples;
-            const Vec3 p = ray.at(t);
+            const Vec3 p = at(i, t);
             if (climbing && p.y > escape)
-                return std::nullopt;
+                break;
             if (below(p.y, p.ground())) {
-                double lo = t_prev;
-                double hi = t;
-                for (int i = 0; i < 16; ++i) {
-                    const double mid = 0.5 * (lo + hi);
-                    const Vec3 mp = ray.at(mid);
-                    if (below(mp.y, mp.ground()))
-                        hi = mid;
-                    else
-                        lo = mid;
-                }
-                return hi;
+                crossings.push_back({i, schedule[k - 1], t});
+                break;
             }
             // No crossing up to this sample: a later root would bisect
             // to hi > t > abortBeyond, which the caller has declared
             // irrelevant (occluded by a closer hit).
             if (t > abortBeyond)
-                return std::nullopt;
-            t_prev = t;
+                break;
         }
-        return std::nullopt;
-    }();
+    }
+
+    // 16 bisection steps per crossing, over N crossings in lockstep:
+    // each takes the midpoints it would take alone, and the N heightAt
+    // chains are independent, so they overlap.
+    const auto bisect = [&]<std::size_t N>(const Crossing *c) {
+        double lo[N];
+        double hi[N];
+        for (std::size_t j = 0; j < N; ++j) {
+            lo[j] = c[j].lo;
+            hi[j] = c[j].hi;
+        }
+        for (int step = 0; step < 16; ++step)
+            for (std::size_t j = 0; j < N; ++j) {
+                const double mid = 0.5 * (lo[j] + hi[j]);
+                const Vec3 mp = at(c[j].ray, mid);
+                if (below(mp.y, mp.ground()))
+                    hi[j] = mid;
+                else
+                    lo[j] = mid;
+            }
+        for (std::size_t j = 0; j < N; ++j)
+            hitT[c[j].ray] = hi[j];
+    };
+    std::size_t c = 0;
+    for (; c + 4 <= crossings.size(); c += 4)
+        bisect.operator()<4>(&crossings[c]);
+    for (; c < crossings.size(); ++c)
+        bisect.operator()<1>(&crossings[c]);
+
     tlsStats.marchSamples += stats.marchSamples;
     tlsStats.heightEvals += stats.heightEvals;
     tlsStats.offGridEvals += stats.offGridEvals;
-    return hit;
 }
 
 image::Rgb

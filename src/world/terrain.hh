@@ -97,17 +97,12 @@ class Terrain
     const GridShape &gridShape() const { return grid_; }
 
     /**
-     * March a ray against the heightfield; returns hit distance, or
-     * nullopt if the ray escapes. Step-marched with refinement: the
-     * adaptive sample schedule, then 16 bisection steps on the first
-     * crossing. Every crossing test first asks `heightBounds`; a sample
-     * above the cell's max or at/below its min is decided without
-     * calling `heightAt`, and the rest evaluate it exactly. For finite
-     * doubles `fl(y - h) <= 0` exactly when `y <= h`, so the decisions
-     * — and every hit — are bit-identical to the per-sample march in
-     * tests/reference_render.hh, which tests/terrain_test.cc asserts.
-     * A ray whose clipped start is already below the surface counts
-     * as clipped out (no hit).
+     * March one ray against the heightfield; returns the hit distance,
+     * or nullopt if the ray escapes. It is a one-ray `intersectRow`
+     * (the same march, schedule and counters), so everything said
+     * there holds for it: every hit is bit-identical to the per-sample
+     * march in tests/reference_render.hh, and a ray whose clipped start
+     * is already below the surface counts as clipped out (no hit).
      *
      * @p abortBeyond lets the renderer stop marching once the sample
      * distance exceeds a known closer object hit: the march aborts only
@@ -123,13 +118,57 @@ class Terrain
                   std::numeric_limits<double>::infinity()) const;
 
     /**
+     * The rays of one render row: a shared origin and clip interval
+     * [tMin, tMax], and per ray a direction (SoA) and the distance past
+     * which its march may stop (`intersect`'s @p abortBeyond).
+     */
+    struct RayRow
+    {
+        geom::Vec3 origin;
+        double tMin = 0.0;
+        double tMax = 0.0;
+        std::size_t count = 0;
+        const double *dirX = nullptr;
+        const double *dirY = nullptr;
+        const double *dirZ = nullptr;
+        const double *abortBeyond = nullptr;
+    };
+
+    /**
+     * The terrain march, over a row of rays: writes each ray's hit
+     * distance to `hitT[i]`, or +infinity when it escapes, is clipped
+     * out at its start, or aborts.
+     *
+     * Every ray samples the adaptive schedule t <- min(limit, t +
+     * max(0.35, 0.025 t)) from `tMin` to limit = min(tMax, @p maxDist),
+     * which depends only on that pair, so the row shares one array of
+     * it, extended only as far as its longest march reaches and kept
+     * per thread for the next call with the same pair. A ray stops at
+     * its first sample below the surface and records the crossing;
+     * after the row's march the crossings are refined by 16 bisection
+     * steps each, four rays in lockstep so their `heightAt` chains
+     * overlap. Every crossing test first asks `heightBounds`; a sample
+     * above the cell's max or at/below its min is decided without
+     * calling `heightAt`, and the rest evaluate it exactly. For finite
+     * doubles `fl(y - h) <= 0` exactly when `y <= h`, so the decisions
+     * — and every hit — are bit-identical to the per-sample march in
+     * tests/reference_render.hh, which tests/terrain_test.cc asserts.
+     * A bisected hit lies in (t_prev, t] within [tMin, limit]. Flat
+     * terrain solves its plane y = 0 exactly per ray instead.
+     */
+    void intersectRow(const RayRow &rays, double maxDist,
+                      double *hitT) const;
+
+    /**
      * Per-thread march counters: schedule samples taken and `heightAt`
-     * calls made by `intersect` on the calling thread, and how many of
-     * those calls fell outside the grid, where the march has only the
-     * global bound and (past one corner of border) the noise hashes
-     * its corners. Reading resets them; the renderer drains them per
-     * row chunk into `terrain.march_samples` / `terrain.height_evals`
-     * / `terrain.height_evals_off_grid`, like `Bvh::takeThreadStats`.
+     * calls made by `intersectRow` (and so `intersect`) on the calling
+     * thread, and how many of those calls fell outside the grid, where
+     * the march has only the global bound and (past one corner of
+     * border) the noise hashes its corners. Each call adds its counts
+     * once, at its end. Reading resets them; the renderer drains them
+     * per row chunk into `terrain.march_samples` /
+     * `terrain.height_evals` / `terrain.height_evals_off_grid`, like
+     * `Bvh::takeThreadStats`.
      */
     struct MarchStats
     {
@@ -165,20 +204,37 @@ class Terrain
         std::size_t offset = 0; ///< index of entry (0, 0) in `lattice_`
     };
 
+    /** One `fractal` octave: its weight, frequency and noise layer. */
+    struct Octave
+    {
+        double weight = 0.0;
+        double freq = 0.0;
+        std::size_t layer = 0;
+    };
+
     /** Index of the grid cell holding @p p, or -1 outside the grid. */
-    std::ptrdiff_t cellIndex(geom::Vec2 p) const;
+    inline std::ptrdiff_t cellIndex(geom::Vec2 p) const;
+    /** Bounds of cell @p k (from `cellIndex`); the global bound at -1. */
+    inline HeightBounds cellBounds(std::ptrdiff_t k) const;
     /**
      * Corners of lattice square (ix, iy) of noise @p layer: read from
      * the layer's table when both (ix, iy) and (ix + 1, iy + 1) lie
-     * inside it, hashed otherwise.
+     * inside it, hashed (`hashedCorners`) otherwise.
      */
-    Corners corners(std::int64_t ix, std::int64_t iy,
-                    std::size_t layer) const;
+    inline Corners corners(std::int64_t ix, std::int64_t iy,
+                           std::size_t layer) const;
+    Corners hashedCorners(std::int64_t ix, std::int64_t iy,
+                          std::size_t layer) const;
     /** Value noise of @p layer at the lattice-scaled point (x, y). */
-    double noise2(double x, double y, std::size_t layer) const;
-    double fractal(geom::Vec2 p) const;
+    inline double noise2(double x, double y, std::size_t layer) const;
+    /** The normalized octave sum over `octaves_`. */
+    inline double fractal(geom::Vec2 p) const;
 
     TerrainParams params_;
+    /** `fractal`'s octaves in order, and the weight sum normalizing
+     *  them; empty on flat terrain. */
+    std::vector<Octave> octaves_;
+    double octaveNorm_ = 0.0;
     GridShape grid_;
     double invCell_ = 0.0;
     HeightBounds global_;

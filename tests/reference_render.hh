@@ -3,10 +3,11 @@
  * Per-pixel reference renderer: the oracle the production pipeline is
  * pinned against.
  *
- * `render::Renderer` shades rows in stages — 4-wide BVH ray packets, a
- * SIMD terrain march that aborts past the pixel's object hit, branch-
- * hoisted shading passes (render/pipeline.hh). This header shades one
- * ray at a time with the plainest formulation of the same model: the
+ * `render::Renderer` shades rows in stages — 4-wide BVH ray packets,
+ * one grid-assisted terrain march per row that aborts each ray past its
+ * pixel's object hit, branch-hoisted shading passes
+ * (render/pipeline.hh). This header shades one ray at a time with the
+ * plainest formulation of the same model: the
  * scalar `Bvh::closestHit`, a per-sample terrain march with no abort,
  * and the object / terrain / clip-key / sky decision inline. Frames from
  * the two must be byte-identical; renderer_test and terrain_test assert

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -247,6 +249,181 @@ TEST(Terrain, MarchMatchesReferenceOverRaySweep)
         EXPECT_GT(start[o], 0) << "start outcome " << o;
         EXPECT_GT(sample[o], 0) << "sample outcome " << o;
     }
+}
+
+/** What the row-march oracle saw over every row it checked. */
+struct RowCoverage
+{
+    int hits = 0;
+    int misses = 0;
+    int finiteAborts = 0;
+    /** Rows whose crossings fill a four-wide group and leave a
+     *  remainder. */
+    int groupedWithRemainder = 0;
+    /** Rows in which a later ray marched past every earlier ray. */
+    int laterRayMarchedFarther = 0;
+};
+
+/**
+ * Send one row through `intersectRow` and check each ray against its
+ * oracle: the per-sample reference march where its abort is infinite,
+ * the one-ray `intersect` with the same abort where it is finite. The
+ * row's counters must be the sum of the one-ray calls'.
+ */
+void
+expectRowMatches(const Terrain &t, Vec3 origin, double tMin, double tMax,
+                 double maxDist, const std::vector<Vec3> &dirs,
+                 const std::vector<double> &aborts, RowCoverage &seen)
+{
+    const std::size_t n = dirs.size();
+    std::vector<double> dx(n), dy(n), dz(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        dx[i] = dirs[i].x;
+        dy[i] = dirs[i].y;
+        dz[i] = dirs[i].z;
+    }
+    const double inf = std::numeric_limits<double>::infinity();
+    Terrain::takeThreadStats();
+    std::vector<double> hit(n, std::numeric_limits<double>::quiet_NaN());
+    t.intersectRow({origin, tMin, tMax, n, dx.data(), dy.data(), dz.data(),
+                    aborts.data()},
+                   maxDist, hit.data());
+    const Terrain::MarchStats row = Terrain::takeThreadStats();
+
+    Terrain::MarchStats sum;
+    std::uint64_t farthest = 0;
+    bool later_farther = false;
+    int hits = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        SCOPED_TRACE(::testing::Message() << "ray " << i << " of " << n);
+        Ray ray;
+        ray.origin = origin;
+        ray.dir = dirs[i];
+        ray.tMin = tMin;
+        ray.tMax = tMax;
+        const auto one = t.intersect(ray, maxDist, aborts[i]);
+        const Terrain::MarchStats s = Terrain::takeThreadStats();
+        sum.marchSamples += s.marchSamples;
+        sum.heightEvals += s.heightEvals;
+        sum.offGridEvals += s.offGridEvals;
+        later_farther |= i > 0 && s.marchSamples > farthest;
+        farthest = std::max(farthest, s.marchSamples);
+        EXPECT_EQ(hit[i], one ? *one : inf);
+        if (std::isinf(aborts[i])) {
+            const auto ref =
+                render::reference::terrainIntersect(t, ray, maxDist);
+            EXPECT_EQ(hit[i], ref ? *ref : inf);
+        } else {
+            ++seen.finiteAborts;
+        }
+        if (std::isfinite(hit[i]))
+            ++hits;
+    }
+    EXPECT_EQ(row.marchSamples, sum.marchSamples);
+    EXPECT_EQ(row.heightEvals, sum.heightEvals);
+    EXPECT_EQ(row.offGridEvals, sum.offGridEvals);
+    seen.hits += hits;
+    seen.misses += static_cast<int>(n) - hits;
+    seen.groupedWithRemainder += hits > 4 && hits % 4 != 0;
+    seen.laterRayMarchedFarther += later_farther;
+}
+
+TEST(Terrain, RowMarchMatchesReference)
+{
+    TerrainParams p;
+    p.seed = 9;
+    p.amplitude = 4.0;
+    const double maxDist = 300.0;
+    const double inf = std::numeric_limits<double>::infinity();
+    const Terrain t(p, Rect{{-340.0, -340.0}, {340.0, 340.0}});
+    const Terrain::GridShape &s = t.gridShape();
+    const double gridEnd = s.origin.x + s.cols * s.cell;
+    Rng rng(23);
+    RowCoverage seen;
+    // Each row pair gets its own cutoff, so its first row's march
+    // starts from an empty schedule and a later, longer ray extends it
+    // mid-row; the second row reuses that schedule, or, with another
+    // far clip, must not.
+    double cutoff = 1.0;
+    const auto nextCutoff = [&] { return cutoff += 0.01; };
+    // Alternate infinite and finite aborts, or keep them all infinite.
+    const auto abortsFor = [&](std::size_t n, bool mixed) {
+        std::vector<double> a(n, inf);
+        for (std::size_t i = 1; mixed && i < n; i += 2)
+            a[i] = rng.uniform(0.5, 150.0);
+        return a;
+    };
+    for (const std::size_t n : {1, 3, 4, 5, 64, 513}) {
+        SCOPED_TRACE(::testing::Message() << n << " rays");
+        for (const double fx : {0.0, gridEnd + 40.0}) {
+            const Vec2 foot{fx, 0.3 * fx};
+            const double ground = t.heightAt(foot);
+            // Panorama rows: every ray of a row shares its dirY; rows
+            // climb, graze the horizon and descend.
+            for (const double v : {0.35, 0.49, 0.51, 0.56, 0.7, 0.9}) {
+                std::vector<Vec3> dirs;
+                for (std::size_t x = 0; x < n; ++x)
+                    dirs.push_back(render::panoramaDirection(
+                        (static_cast<double>(x) + 0.5) / n, v));
+                const double tMin = nextCutoff();
+                for (const bool mixed : {false, true})
+                    expectRowMatches(t, geom::lift(foot, ground + 1.7),
+                                     tMin, inf, maxDist, dirs,
+                                     abortsFor(n, mixed), seen);
+            }
+            // Perspective rows: a pitched camera gives each pixel its
+            // own dirY; a finite far clip caps the march below maxDist.
+            render::Camera camera;
+            camera.position = geom::lift(foot, ground + 6.0);
+            camera.yaw = 0.4;
+            camera.pitch = -0.35;
+            for (const double sy : {0.8, 0.1, -0.6}) {
+                std::vector<Vec3> dirs;
+                for (std::size_t x = 0; x < n; ++x)
+                    dirs.push_back(camera.rayDirection(
+                        2.0 * (static_cast<double>(x) + 0.5) / n - 1.0, sy,
+                        1.5));
+                const double tMin = nextCutoff();
+                for (const double tMax : {inf, 60.0})
+                    expectRowMatches(t, camera.position, tMin, tMax,
+                                     maxDist, dirs, abortsFor(n, true),
+                                     seen);
+            }
+            // Scattered rays from just above the ground with a cutoff
+            // past it: descending rays start below the surface, the
+            // rest climb or descend from above it.
+            std::vector<Vec3> dirs;
+            for (std::size_t x = 0; x < n; ++x)
+                dirs.push_back(Vec3{rng.normal(), rng.normal() * 0.3,
+                                    rng.normal()}
+                                   .normalized());
+            expectRowMatches(t, geom::lift(foot, ground + 0.2),
+                             4.0 + nextCutoff(), inf, maxDist, dirs,
+                             abortsFor(n, true), seen);
+        }
+    }
+    // Every outcome is reached, and so are rows whose crossings fill a
+    // four-wide group and leave a remainder, and rows in which a later
+    // ray marches past every earlier ray (on a first row of a pair,
+    // past the end of the schedule).
+    EXPECT_GT(seen.hits, 4000);
+    EXPECT_GT(seen.misses, 4000);
+    EXPECT_GT(seen.finiteAborts, 4000);
+    EXPECT_GT(seen.groupedWithRemainder, 10);
+    EXPECT_GT(seen.laterRayMarchedFarther, 10);
+
+    // Flat terrain: the exact plane solve per ray, inside and outside
+    // the clip interval, and level rays that never meet it.
+    TerrainParams flat;
+    flat.flat = true;
+    const Terrain flatFloor(flat, kExtent);
+    std::vector<Vec3> dirs;
+    for (const double dy : {-0.9, -0.3, -0.005, 0.0, 1e-13, 0.2})
+        dirs.push_back(Vec3{0.7, dy, 0.2}.normalized());
+    RowCoverage flat_seen;
+    expectRowMatches(flatFloor, {1.0, 2.0, -3.0}, 0.5, 150.0, maxDist, dirs,
+                     abortsFor(dirs.size(), true), flat_seen);
+    EXPECT_EQ(flat_seen.hits, 2);
 }
 
 TEST(Terrain, CountsOffGridHeightEvals)
