@@ -51,6 +51,16 @@ struct ClientState
     std::deque<FrameCache::Key> pipe;
     bool wireBusy = false;
     std::unordered_map<std::uint64_t, TimeMs> arrived; // no-cache store
+    /**
+     * The last trace pose scheduleFrame resolved, with its grid point,
+     * cache key and Equation-2 render time: pure functions of the pose,
+     * so a call that lands on the same pose (every 1 ms stall poll
+     * inside one display tick) reuses them.
+     */
+    const trace::TracePoint *resolvedPose = nullptr;
+    GridPoint poseGrid;
+    FrameCache::Key poseKey;
+    double poseRenderMs = 0.0;
     GridPoint lastGrid{-1, -1};
     geom::Vec2 lastPos;
     bool hasLastPos = false;
@@ -539,10 +549,24 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
     }
 
     const trace::TracePoint &pose = poseAt(*c.trace, t, traces.tickMs);
-    const GridPoint g = grid.snap(pose.position);
-    const FrameCache::Key key = prefetcher.keyFor(g);
-    if (c.cache)
-        c.cache->setPlayerPosition(pose.position);
+    if (&pose != c.resolvedPose) {
+        c.resolvedPose = &pose;
+        c.poseGrid = grid.snap(pose.position);
+        c.poseKey = prefetcher.keyFor(c.poseGrid);
+        // This frame's render term of Equation 2.
+        c.poseRenderMs =
+            variant.farBeMode
+                ? config.rtFiMs +
+                      render::renderTimeMs(world, pose.position, 0.0,
+                                           regions.cutoffAt(pose.position),
+                                           config.profile.cost)
+                : config.rtFiMs;
+        if (c.cache)
+            c.cache->setPlayerPosition(pose.position);
+    }
+    const GridPoint g = c.poseGrid;
+    const FrameCache::Key key = c.poseKey;
+    const double render = c.poseRenderMs;
 
     if (!c.connected) {
         // Back on the WLAN: before resuming the frame loop,
@@ -557,7 +581,7 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
         c.lastGrid = GridPoint{-1, -1};
         for (const PrefetchTarget &t : prefetcher.resyncTargets(
                  g, pose.position, c.cache.get(), distThresholds)) {
-            requestFrame(c, prefetcher.keyFor(t.point));
+            requestFrame(c, t.key);
         }
     }
 
@@ -578,26 +602,18 @@ SplitSystemRun::Impl::scheduleFrame(int pid)
         // Shed level 1 swaps in the conservative cover set (next
         // predicted point only) — fewer speculative fetches while the
         // fleet is overloaded.
-        const Prefetcher &pf =
-            throttled ? conservativePrefetcher : prefetcher;
+        Prefetcher &pf = throttled ? conservativePrefetcher : prefetcher;
         const auto targets = pf.misses(g, pose.position, heading,
                                        c.cache.get(), distThresholds);
         for (const PrefetchTarget &t : targets) {
-            if (!c.cache && c.arrived.count(t.gridKey))
+            if (!c.cache && c.arrived.count(t.key.gridKey))
                 continue; // already fetched earlier
-            requestFrame(c, prefetcher.keyFor(t.point));
+            requestFrame(c, t.key);
         }
     }
 
-    // Compute this frame's latency (Equation 2).
-    const double cutoff = regions.cutoffAt(pose.position);
-    const double render =
-        variant.farBeMode
-            ? config.rtFiMs + render::renderTimeMs(world, pose.position,
-                                                   0.0, cutoff,
-                                                   config.profile.cost)
-            : config.rtFiMs;
-    // FI sync rides the same WLAN: scripted loss bursts hit it too,
+    // Compute this frame's latency (Equation 2) from the pose's render
+    // term. FI sync rides the same WLAN: scripted loss bursts hit it too,
     // and an outage (bandwidth factor 0) loses every tick. With no
     // faults the 0-loss overload draws the identical rng stream.
     const double fi_loss =

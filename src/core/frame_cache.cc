@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/metrics.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 
@@ -61,11 +60,8 @@ FrameCache::findBest(const Key &key, double distThresh,
             const auto bit = buckets_.find(bucket);
             if (bit == buckets_.end())
                 continue;
-            for (std::uint64_t grid_key : bit->second) {
-                const auto eit = entries_.find(grid_key);
-                if (eit == entries_.end())
-                    continue;
-                const CachedFrame &frame = eit->second;
+            for (const CachedFrame *candidate : bit->second) {
+                const CachedFrame &frame = *candidate;
                 // Criterion 2: same leaf region.
                 if (frame.leafRegionId != key.leafRegionId) {
                     if (stats)
@@ -101,14 +97,10 @@ FrameCache::lookup(const Key &key, double distThresh)
     support::MutexLock lock(mutex_);
     ++clock_;
     ++stats_.lookups;
-    COTERIE_COUNT("cache.lookups");
     const CachedFrame *best = findBest(key, distThresh, &stats_);
-    if (!best) {
-        COTERIE_COUNT("cache.misses");
+    if (!best)
         return std::nullopt;
-    }
     ++stats_.hits;
-    COTERIE_COUNT("cache.hits");
     if (best->gridKey == key.gridKey)
         ++stats_.exactHits;
     // Touch for LRU.
@@ -152,12 +144,10 @@ FrameCache::insert(const Key &key, std::uint32_t sizeBytes)
     frame.sizeBytes = sizeBytes;
     frame.lastUseTick = clock_;
     frame.insertTick = clock_;
-    entries_.emplace(key.gridKey, frame);
-    buckets_[bucketOf(key.position)].push_back(key.gridKey);
+    const auto it = entries_.emplace(key.gridKey, frame).first;
+    buckets_[bucketOf(key.position)].push_back(&it->second);
     bytesUsed_ += sizeBytes;
     ++stats_.insertions;
-    COTERIE_COUNT("cache.insertions");
-    COTERIE_GAUGE_SET("cache.bytes_used", bytesUsed_);
 }
 
 void
@@ -200,12 +190,11 @@ FrameCache::evictOne()
     const auto it = entries_.find(victim);
     COTERIE_ASSERT(it != entries_.end(), "victim vanished");
     auto &bucket = buckets_[bucketOf(it->second.position)];
-    bucket.erase(std::remove(bucket.begin(), bucket.end(), victim),
+    bucket.erase(std::remove(bucket.begin(), bucket.end(), &it->second),
                  bucket.end());
     bytesUsed_ -= it->second.sizeBytes;
     entries_.erase(it);
     ++stats_.evictions;
-    COTERIE_COUNT("cache.evictions");
 }
 
 } // namespace coterie::core

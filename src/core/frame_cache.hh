@@ -169,8 +169,14 @@ class FrameCache
     /** Entries by gridKey. */
     std::unordered_map<std::uint64_t, CachedFrame>
         entries_ COTERIE_GUARDED_BY(mutex_);
-    /** Spatial hash: bucket id -> grid keys in bucket. */
-    std::unordered_map<std::int64_t, std::vector<std::uint64_t>>
+    /**
+     * Spatial hash: bucket id -> the bucket's entries in insertion
+     * order, which is the order lookups break distance ties in. The
+     * pointers are into entries_ (unordered_map nodes keep their
+     * address across a rehash); an eviction removes its pointer before
+     * it erases the entry.
+     */
+    std::unordered_map<std::int64_t, std::vector<const CachedFrame *>>
         buckets_ COTERIE_GUARDED_BY(mutex_);
     std::size_t bytesUsed_ COTERIE_GUARDED_BY(mutex_) = 0;
     std::uint64_t clock_ COTERIE_GUARDED_BY(mutex_) = 0;

@@ -193,26 +193,64 @@ RegionIndex::RegionIndex(Rect bounds, std::vector<LeafRegion> leaves)
             }
         }
     }
+
+    // Fallback candidates. A point q in a leaf's closed rect has
+    // lo <= q <= hi per axis, and the cell mapping is monotone, so q's
+    // cell lies in the block its corners map to. Appending each leaf to
+    // its block's cells in leaf order keeps every list in that order.
+    const std::size_t cells = lookup_.size();
+    candidateStart_.assign(cells + 1, 0);
+    const auto forEachCell = [&](const LeafRegion &leaf, auto &&fn) {
+        const int x1 = cellX(leaf.rect.hi.x);
+        const int y1 = cellY(leaf.rect.hi.y);
+        for (int y = cellY(leaf.rect.lo.y); y <= y1; ++y)
+            for (int x = cellX(leaf.rect.lo.x); x <= x1; ++x)
+                fn(static_cast<std::size_t>(y) * gridCols_ + x);
+    };
+    for (const LeafRegion &leaf : leaves_)
+        forEachCell(leaf, [&](std::size_t c) { ++candidateStart_[c + 1]; });
+    for (std::size_t c = 0; c < cells; ++c)
+        candidateStart_[c + 1] += candidateStart_[c];
+    candidates_.resize(candidateStart_[cells]);
+    std::vector<std::uint32_t> fill(candidateStart_.begin(),
+                                    candidateStart_.end() - 1);
+    for (std::uint32_t i = 0; i < leaves_.size(); ++i)
+        forEachCell(leaves_[i],
+                    [&](std::size_t c) { candidates_[fill[c]++] = i; });
+}
+
+int
+RegionIndex::cellX(double x) const
+{
+    return std::clamp(static_cast<int>((x - bounds_.lo.x) /
+                                       bounds_.width() * gridCols_),
+                      0, gridCols_ - 1);
+}
+
+int
+RegionIndex::cellY(double y) const
+{
+    return std::clamp(static_cast<int>((y - bounds_.lo.y) /
+                                       bounds_.height() * gridRows_),
+                      0, gridRows_ - 1);
 }
 
 const LeafRegion &
 RegionIndex::leafAt(Vec2 p) const
 {
     const Vec2 q = bounds_.clamp(p);
-    auto cx = static_cast<int>((q.x - bounds_.lo.x) / bounds_.width() *
-                               gridCols_);
-    auto cy = static_cast<int>((q.y - bounds_.lo.y) / bounds_.height() *
-                               gridRows_);
-    cx = std::clamp(cx, 0, gridCols_ - 1);
-    cy = std::clamp(cy, 0, gridRows_ - 1);
-    const LeafRegion &guess =
-        leaves_[lookup_[static_cast<std::size_t>(cy) * gridCols_ + cx]];
+    const std::size_t cell =
+        static_cast<std::size_t>(cellY(q.y)) * gridCols_ + cellX(q.x);
+    const LeafRegion &guess = leaves_[lookup_[cell]];
     if (guess.rect.containsClosed(q))
         return guess;
-    // Boundary cell: fall back to a scan (rare).
-    for (const LeafRegion &leaf : leaves_)
+    // Boundary cell: the first candidate in leaf order that holds q.
+    for (std::uint32_t i = candidateStart_[cell];
+         i < candidateStart_[cell + 1]; ++i) {
+        const LeafRegion &leaf = leaves_[candidates_[i]];
         if (leaf.rect.containsClosed(q))
             return leaf;
+    }
     return guess;
 }
 

@@ -98,13 +98,25 @@ struct PartitionResult
 /**
  * Spatial index over the leaves: maps a world position to its leaf
  * region (the frame-cache lookup's "same leaf region" criterion).
+ *
+ * A uniform guess grid at the finest leaf edge answers most points in
+ * one rect test. Its cells need not line up with the leaves (Viking's
+ * 2.01 m columns straddle its 2.92 m-wide finest leaves), so a point
+ * the guess does not hold falls back to the first leaf in `leaves()`
+ * order that holds it. That fallback scans only the cell's candidate
+ * list: every leaf whose closed rect maps into the cell, in `leaves()`
+ * order, so it returns the same leaf a scan of all leaves would. Points
+ * on shared leaf edges are common on the FI grid, and the answer order
+ * decides them.
  */
 class RegionIndex
 {
   public:
     RegionIndex(geom::Rect bounds, std::vector<LeafRegion> leaves);
 
-    /** Leaf containing @p p (bounds-clamped). */
+    /** Leaf containing @p p (bounds-clamped): the guess cell's leaf if
+     *  it holds the point, else the first leaf in order that does, else
+     *  the guess. */
     const LeafRegion &leafAt(geom::Vec2 p) const;
 
     const std::vector<LeafRegion> &leaves() const { return leaves_; }
@@ -113,12 +125,22 @@ class RegionIndex
     double cutoffAt(geom::Vec2 p) const { return leafAt(p).cutoffRadius; }
 
   private:
+    /** Guess-grid cell of a bounds-clamped point, clamped to the grid.
+     *  Monotone in each coordinate, which is what lets the constructor
+     *  build complete candidate lists from leaf corners alone. */
+    int cellX(double x) const;
+    int cellY(double y) const;
+
     geom::Rect bounds_;
     std::vector<LeafRegion> leaves_;
     // Uniform lookup grid of leaf ids for O(1) point location.
     int gridCols_ = 0;
     int gridRows_ = 0;
     std::vector<std::uint32_t> lookup_;
+    /** Per-cell fallback candidates in CSR form: cell c's leaf indices
+     *  are candidates_[candidateStart_[c] .. candidateStart_[c + 1]). */
+    std::vector<std::uint32_t> candidateStart_;
+    std::vector<std::uint32_t> candidates_;
 };
 
 /** Run the adaptive cutoff scheme over a world for a device. */

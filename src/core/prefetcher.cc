@@ -1,9 +1,11 @@
 #include "core/prefetcher.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "obs/trace.hh"
+#include "support/rng.hh"
 
 namespace coterie::core {
 
@@ -43,7 +45,7 @@ Prefetcher::coverSet(GridPoint at, Vec2 exactPos, double dirRadians) const
 }
 
 FrameCache::Key
-Prefetcher::keyFor(GridPoint g) const
+Prefetcher::keyFor(GridPoint g)
 {
     FrameCache::Key key;
     key.gridKey = grid_.key(g);
@@ -53,17 +55,28 @@ Prefetcher::keyFor(GridPoint g) const
     // Anchored signature: quantize the evaluation point so nearby grid
     // points agree on the (visually significant) near-BE object set.
     const double cell = params_.signatureCellM;
-    const geom::Vec2 anchor{
-        (std::floor(key.position.x / cell) + 0.5) * cell,
-        (std::floor(key.position.y / cell) + 0.5) * cell};
-    key.nearSetSignature =
-        world_.nearSetSignature(anchor, leaf.cutoffRadius);
+    const double fx = std::floor(key.position.x / cell);
+    const double fy = std::floor(key.position.y / cell);
+    const auto ix = static_cast<std::int64_t>(fx);
+    const auto iy = static_cast<std::int64_t>(fy);
+    const double cutoff = leaf.cutoffRadius;
+    SignatureSlot &slot =
+        signatures_[hashMix(hashCombine(
+                        hashCombine(static_cast<std::uint64_t>(ix),
+                                    static_cast<std::uint64_t>(iy)),
+                        std::bit_cast<std::uint64_t>(cutoff))) %
+                    kSignatureSlots];
+    if (slot.ix != ix || slot.iy != iy || slot.cutoff != cutoff) {
+        const geom::Vec2 anchor{(fx + 0.5) * cell, (fy + 0.5) * cell};
+        slot = {ix, iy, cutoff, world_.nearSetSignature(anchor, cutoff)};
+    }
+    key.nearSetSignature = slot.signature;
     return key;
 }
 
 std::vector<PrefetchTarget>
 Prefetcher::resyncTargets(GridPoint at, Vec2 exactPos, FrameCache *cache,
-                          const std::vector<double> &thresholds) const
+                          const std::vector<double> &thresholds)
 {
     std::vector<GridPoint> pts;
     pts.push_back(at); // the current frame is the most urgent
@@ -89,15 +102,14 @@ Prefetcher::resyncTargets(GridPoint at, Vec2 exactPos, FrameCache *cache,
             if (cache->lookup(key, thresh))
                 continue;
         }
-        out.push_back(PrefetchTarget{g, key.gridKey});
+        out.push_back(PrefetchTarget{g, key});
     }
     return out;
 }
 
 std::vector<PrefetchTarget>
 Prefetcher::misses(GridPoint at, Vec2 exactPos, double dirRadians,
-                   FrameCache *cache,
-                   const std::vector<double> &thresholds) const
+                   FrameCache *cache, const std::vector<double> &thresholds)
 {
     COTERIE_SPAN("client.prefetch_misses", "core");
     std::vector<PrefetchTarget> out;
@@ -111,7 +123,7 @@ Prefetcher::misses(GridPoint at, Vec2 exactPos, double dirRadians,
             if (cache->lookup(key, thresh))
                 continue;
         }
-        out.push_back(PrefetchTarget{g, key.gridKey});
+        out.push_back(PrefetchTarget{g, key});
     }
     return out;
 }

@@ -12,6 +12,9 @@
 
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/frame_cache.hh"
@@ -57,16 +60,19 @@ struct PrefetcherParams
     }
 };
 
-/** A frame the prefetcher wants fetched. */
+/** A frame the prefetcher wants fetched, with the cache key it was
+ *  checked under. */
 struct PrefetchTarget
 {
     world::GridPoint point;
-    std::uint64_t gridKey = 0;
+    FrameCache::Key key;
 };
 
 /**
- * Computes prefetch sets and consults the cache. Stateless apart from
- * configuration; owned by each client.
+ * Computes prefetch sets and consults the cache; owned by each
+ * session. A session's frame loop is its only user: keyFor() keeps a
+ * small table of near-set signatures, so one instance must not be
+ * shared across threads.
  */
 class Prefetcher
 {
@@ -90,8 +96,7 @@ class Prefetcher
     std::vector<PrefetchTarget> misses(world::GridPoint at,
                                        geom::Vec2 exactPos,
                                        double dirRadians, FrameCache *cache,
-                                       const std::vector<double> &thresholds)
-        const;
+                                       const std::vector<double> &thresholds);
 
     /**
      * Rejoin re-sync set: after a disconnect the movement heading is
@@ -102,16 +107,33 @@ class Prefetcher
      */
     std::vector<PrefetchTarget> resyncTargets(
         world::GridPoint at, geom::Vec2 exactPos, FrameCache *cache,
-        const std::vector<double> &thresholds) const;
+        const std::vector<double> &thresholds);
 
-    /** Build a cache key for a grid point (near-set signature etc). */
-    FrameCache::Key keyFor(world::GridPoint g) const;
+    /**
+     * Build a cache key for a grid point (near-set signature etc). The
+     * signature is a function of the point's anchor cell and its leaf's
+     * cutoff alone; it is computed on a table miss and reused after.
+     */
+    FrameCache::Key keyFor(world::GridPoint g);
 
   private:
+    /** One direct-mapped signature slot, keyed by exactly the inputs of
+     *  the signature: the anchor cell and the cutoff radius. An empty
+     *  slot's NaN cutoff matches no key. */
+    struct SignatureSlot
+    {
+        std::int64_t ix = 0;
+        std::int64_t iy = 0;
+        double cutoff = std::numeric_limits<double>::quiet_NaN();
+        std::uint64_t signature = 0;
+    };
+    static constexpr std::size_t kSignatureSlots = 64;
+
     const world::VirtualWorld &world_;
     const world::GridMap &grid_;
     const RegionIndex &regions_;
     PrefetcherParams params_;
+    std::array<SignatureSlot, kSignatureSlots> signatures_{};
 };
 
 } // namespace coterie::core

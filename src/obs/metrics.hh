@@ -26,7 +26,7 @@
  *    carries zero telemetry cost.
  *
  * Naming scheme (see DESIGN.md §8): `<layer>.<thing>[_<unit>]`, e.g.
- * `render.panorama_ms`, `cache.hits`, `net.transfer_sim_ms`. The
+ * `render.panorama_ms`, `client.stalls`, `net.transfer_sim_ms`. The
  * `_sim_ms` suffix marks simulated-time observations; `_ms` marks wall
  * time (always read through obs/clock).
  */

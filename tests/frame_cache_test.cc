@@ -2,12 +2,18 @@
  * @file
  * Tests for the frame cache: the three lookup criteria, closest-wins
  * tie breaking, exact-only mode (cache Versions 1/2), replacement
- * policies (LRU vs FLF vs Random), capacity enforcement, and stats.
+ * policies (LRU vs FLF vs Random), capacity enforcement, and stats;
+ * and lookups under eviction against a brute-force scan.
  */
+
+#include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/frame_cache.hh"
+#include "support/rng.hh"
 
 namespace coterie::core {
 namespace {
@@ -203,6 +209,170 @@ TEST(FrameCache, NegativeCoordinatesSupported)
     probe.gridKey = 424243;
     probe.position = {-15.2, -7.8};
     EXPECT_TRUE(cache.lookup(probe, 0.5).has_value());
+}
+
+/**
+ * Test-local model of the similar-frame lookup: the resident frames in
+ * insertion order, scanned bucket by bucket in the cache's order (rows
+ * of the (2 reach + 1)^2 neighbourhood, then insertion order within a
+ * bucket), closest strictly-nearer candidate winning. It learns
+ * evictions from the cache itself, so it checks lookups, ties and
+ * rejection counts, not the replacement policies.
+ */
+struct BruteForceCache
+{
+    struct Frame
+    {
+        FrameCache::Key key;
+        std::uint32_t size;
+    };
+    double bucketEdge;
+    std::vector<Frame> frames; // resident, in insertion order
+    CacheStats stats;
+
+    std::int64_t
+    cell(double v) const
+    {
+        return static_cast<std::int64_t>(std::floor(v / bucketEdge));
+    }
+
+    const Frame *
+    find(std::uint64_t gridKey) const
+    {
+        for (const Frame &f : frames)
+            if (f.key.gridKey == gridKey)
+                return &f;
+        return nullptr;
+    }
+
+    std::optional<std::uint64_t>
+    lookup(const FrameCache::Key &key, double thresh)
+    {
+        ++stats.lookups;
+        if (find(key.gridKey)) {
+            ++stats.hits;
+            ++stats.exactHits;
+            return key.gridKey;
+        }
+        const int reach = std::max(
+            1, static_cast<int>(std::ceil(thresh / bucketEdge)));
+        const Frame *best = nullptr;
+        double best_dist = std::numeric_limits<double>::infinity();
+        for (std::int64_t dy = -reach; dy <= reach; ++dy) {
+            for (std::int64_t dx = -reach; dx <= reach; ++dx) {
+                for (const Frame &f : frames) {
+                    if (cell(f.key.position.x) !=
+                            cell(key.position.x) + dx ||
+                        cell(f.key.position.y) != cell(key.position.y) + dy)
+                        continue;
+                    if (f.key.leafRegionId != key.leafRegionId) {
+                        ++stats.rejectedRegion;
+                        continue;
+                    }
+                    if (f.key.nearSetSignature != key.nearSetSignature) {
+                        ++stats.rejectedSignature;
+                        continue;
+                    }
+                    const double d = f.key.position.distance(key.position);
+                    if (d > thresh) {
+                        ++stats.rejectedDistance;
+                        continue;
+                    }
+                    if (d < best_dist) {
+                        best_dist = d;
+                        best = &f;
+                    }
+                }
+            }
+        }
+        if (!best)
+            return std::nullopt;
+        ++stats.hits;
+        return best->key.gridKey;
+    }
+};
+
+void
+expectSameStats(const CacheStats &a, const CacheStats &b)
+{
+    EXPECT_EQ(a.lookups, b.lookups);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.exactHits, b.exactHits);
+    EXPECT_EQ(a.insertions, b.insertions);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.rejectedRegion, b.rejectedRegion);
+    EXPECT_EQ(a.rejectedSignature, b.rejectedSignature);
+    EXPECT_EQ(a.rejectedDistance, b.rejectedDistance);
+}
+
+TEST(FrameCache, LookupMatchesBruteForceScan)
+{
+    for (const ReplacementPolicy policy :
+         {ReplacementPolicy::Lru, ReplacementPolicy::Flf,
+          ReplacementPolicy::Random}) {
+        SCOPED_TRACE(static_cast<int>(policy));
+        FrameCacheParams params;
+        params.capacityBytes = 40000; // about a dozen frames
+        params.policy = policy;
+        params.bucketEdge = 1.0;
+        FrameCache cache(params);
+        BruteForceCache model{params.bucketEdge, {}, {}};
+        Rng rng(31 + static_cast<std::uint64_t>(policy));
+
+        // Frames on a 0.5 m lattice straddling the origin; a grid key
+        // always names the same position, region and near set, as the
+        // prefetcher's keys do. Equidistant candidates are common.
+        const auto randomKey = [&] {
+            const std::int64_t ix = rng.uniformInt(-12, 11);
+            const std::int64_t iy = rng.uniformInt(-12, 11);
+            FrameCache::Key key;
+            key.gridKey = static_cast<std::uint64_t>((iy + 12) * 24 +
+                                                     (ix + 12));
+            key.position = {ix * 0.5, iy * 0.5};
+            key.leafRegionId = static_cast<std::uint32_t>(ix >= 4);
+            key.nearSetSignature = hashMix(key.gridKey) % 3 == 0 ? 7 : 5;
+            return key;
+        };
+        for (int op = 0; op < 4000; ++op) {
+            const FrameCache::Key key = randomKey();
+            if (rng.uniformInt(0, 2) == 0) {
+                const auto size =
+                    static_cast<std::uint32_t>(rng.uniformInt(1000, 4999));
+                cache.setPlayerPosition(
+                    {rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)});
+                cache.insert(key, size);
+                if (!model.find(key.gridKey)) {
+                    ++model.stats.insertions;
+                    model.frames.push_back({key, size});
+                }
+                // Mirror the cache's evictions.
+                std::erase_if(model.frames, [&](const auto &f) {
+                    if (cache.containsExact(f.key.gridKey))
+                        return false;
+                    ++model.stats.evictions;
+                    return true;
+                });
+                std::size_t bytes = 0;
+                for (const auto &f : model.frames)
+                    bytes += f.size;
+                ASSERT_EQ(cache.bytesUsed(), bytes);
+                ASSERT_EQ(cache.entryCount(), model.frames.size());
+            } else {
+                const double thresh = rng.uniform(0.2, 2.6);
+                const auto peeked = cache.peek(key, thresh);
+                const auto want = model.lookup(key, thresh);
+                const auto got = cache.lookup(key, thresh);
+                ASSERT_EQ(got, want) << "op " << op;
+                ASSERT_EQ(peeked, want) << "op " << op;
+            }
+            expectSameStats(cache.stats(), model.stats);
+        }
+        EXPECT_GT(model.stats.evictions, 100u);
+        EXPECT_GT(model.stats.hits, model.stats.exactHits + 100);
+        EXPECT_GT(model.stats.rejectedDistance, 0u);
+        EXPECT_GT(model.stats.rejectedRegion, 0u);
+        EXPECT_GT(model.stats.rejectedSignature, 0u);
+    }
 }
 
 } // namespace

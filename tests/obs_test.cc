@@ -435,8 +435,9 @@ TEST_F(TraceTest, GoldenTraceJsonRoundTrip)
         EXPECT_TRUE(ev.contains("ph"));
         EXPECT_TRUE(ev.contains("pid"));
         EXPECT_TRUE(ev.contains("tid"));
-        if (ev.at("ph").asString() != "M")
+        if (ev.at("ph").asString() != "M") {
             EXPECT_TRUE(ev.contains("ts"));
+        }
     }
 }
 

@@ -6,6 +6,9 @@
  * rates (the Figure 6 property), and depth bounds.
  */
 
+#include <algorithm>
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "core/partitioner.hh"
@@ -58,19 +61,148 @@ TEST(Partitioner, EveryPointHasExactlyOneLeaf)
     }
 }
 
+/**
+ * Test-local copy of the region index's answer rule: a uniform guess
+ * grid at the finest leaf edge; the guess if it holds the clamped
+ * point, else the first leaf in order that holds it, else the guess.
+ * Points on shared leaf edges make the rule, not just containment,
+ * observable: the frame cache keys on the leaf id it returns.
+ */
+class LinearScanIndex
+{
+  public:
+    LinearScanIndex(geom::Rect bounds, const std::vector<LeafRegion> &leaves)
+        : bounds_(bounds), leaves_(leaves)
+    {
+        double finest = std::min(bounds.width(), bounds.height());
+        for (const LeafRegion &leaf : leaves_)
+            finest = std::min(
+                finest, std::min(leaf.rect.width(), leaf.rect.height()));
+        cols_ = std::clamp(
+            static_cast<int>(std::ceil(bounds.width() / finest)), 1, 1024);
+        rows_ = std::clamp(
+            static_cast<int>(std::ceil(bounds.height() / finest)), 1, 1024);
+        guess_.assign(static_cast<std::size_t>(cols_) * rows_, 0);
+        for (const LeafRegion &leaf : leaves_) {
+            const auto x0 = static_cast<int>(
+                (leaf.rect.lo.x - bounds.lo.x) / bounds.width() * cols_);
+            const auto x1 = static_cast<int>(std::ceil(
+                (leaf.rect.hi.x - bounds.lo.x) / bounds.width() * cols_));
+            const auto y0 = static_cast<int>(
+                (leaf.rect.lo.y - bounds.lo.y) / bounds.height() * rows_);
+            const auto y1 = static_cast<int>(std::ceil(
+                (leaf.rect.hi.y - bounds.lo.y) / bounds.height() * rows_));
+            for (int y = std::max(0, y0); y < std::min(rows_, y1); ++y)
+                for (int x = std::max(0, x0); x < std::min(cols_, x1); ++x)
+                    guess_[static_cast<std::size_t>(y) * cols_ + x] =
+                        leaf.id;
+        }
+    }
+
+    std::uint32_t
+    leafAt(Vec2 p) const
+    {
+        const Vec2 q = bounds_.clamp(p);
+        const int cx = std::clamp(
+            static_cast<int>((q.x - bounds_.lo.x) / bounds_.width() * cols_),
+            0, cols_ - 1);
+        const int cy = std::clamp(
+            static_cast<int>((q.y - bounds_.lo.y) / bounds_.height() *
+                             rows_),
+            0, rows_ - 1);
+        const LeafRegion &guess =
+            leaves_[guess_[static_cast<std::size_t>(cy) * cols_ + cx]];
+        if (guess.rect.containsClosed(q))
+            return guess.id;
+        for (const LeafRegion &leaf : leaves_)
+            if (leaf.rect.containsClosed(q))
+                return leaf.id;
+        return guess.id;
+    }
+
+  private:
+    geom::Rect bounds_;
+    const std::vector<LeafRegion> &leaves_;
+    int cols_ = 0;
+    int rows_ = 0;
+    std::vector<std::uint32_t> guess_;
+};
+
 TEST(Partitioner, RegionIndexAgreesWithLinearScan)
 {
-    const auto world = makeWorld(GameId::Viking, 42);
-    const PartitionResult result = partitionViking();
-    const RegionIndex index(world.bounds(), result.leaves);
-    Rng rng(9);
-    for (int i = 0; i < 500; ++i) {
-        const Vec2 p{rng.uniform(world.bounds().lo.x,
-                                 world.bounds().hi.x),
-                     rng.uniform(world.bounds().lo.y,
-                                 world.bounds().hi.y)};
-        const LeafRegion &found = index.leafAt(p);
-        EXPECT_TRUE(found.rect.containsClosed(p));
+    for (const GameId game : {GameId::Racing, GameId::CTS, GameId::Viking}) {
+        SCOPED_TRACE(gameInfo(game).name);
+        // The session's partition of the world (reachability-restricted,
+        // session-derived seed), so the probes hit the leaf layouts the
+        // fleet runs on.
+        const auto &info = gameInfo(game);
+        const auto world = makeWorld(game, 42);
+        PartitionParams params;
+        params.seed = hashCombine(42, 0x9a97);
+        params.reachable = world::gen::makeReachability(info, world);
+        const auto leaves =
+            partitionWorld(world, device::pixel2(), params).leaves;
+        const RegionIndex index(world.bounds(), leaves);
+        const LinearScanIndex oracle(world.bounds(), leaves);
+        const auto grid = world::gen::makeGrid(info);
+
+        std::uint64_t probes = 0;
+        std::uint64_t mismatches = 0;
+        const auto probe = [&](Vec2 p) {
+            ++probes;
+            const std::uint32_t want = oracle.leafAt(p);
+            const std::uint32_t got = index.leafAt(p).id;
+            if (got != want && ++mismatches <= 5) {
+                ADD_FAILURE() << "leafAt(" << p.x << ", " << p.y
+                              << ") = " << got << ", linear scan says "
+                              << want;
+            }
+        };
+        const auto next = [](double v, int dir) {
+            return dir == 0 ? v
+                            : std::nextafter(v, dir < 0 ? -HUGE_VAL
+                                                        : HUGE_VAL);
+        };
+        for (const LeafRegion &leaf : leaves) {
+            const geom::Rect &r = leaf.rect;
+            const Vec2 corners[] = {r.lo, r.hi, {r.lo.x, r.hi.y},
+                                    {r.hi.x, r.lo.y}};
+            for (const Vec2 c : corners) {
+                // The corner and its nextafter neighbours.
+                for (int dy = -1; dy <= 1; ++dy)
+                    for (int dx = -1; dx <= 1; ++dx)
+                        probe({next(c.x, dx), next(c.y, dy)});
+                // FI grid points within two pitches: they land on
+                // shared leaf edges, where the answer order decides.
+                const world::GridPoint g = grid.snap(c);
+                for (std::int64_t iy = g.iy - 2; iy <= g.iy + 2; ++iy)
+                    for (std::int64_t ix = g.ix - 2; ix <= g.ix + 2; ++ix)
+                        if (ix >= 0 && ix < grid.cols() && iy >= 0 &&
+                            iy < grid.rows())
+                            probe(grid.position({ix, iy}));
+            }
+            // Points along every edge.
+            for (int i = 1; i < 8; ++i) {
+                const double f = i / 8.0;
+                const double x = r.lo.x + f * r.width();
+                const double y = r.lo.y + f * r.height();
+                probe({x, r.lo.y});
+                probe({x, r.hi.y});
+                probe({r.lo.x, y});
+                probe({r.hi.x, y});
+            }
+        }
+        // Random points, some outside the bounds (clamped onto them).
+        const geom::Rect &b = world.bounds();
+        const double mx = 0.1 * b.width();
+        const double my = 0.1 * b.height();
+        Rng rng(9);
+        for (int i = 0; i < 20000; ++i)
+            probe({rng.uniform(b.lo.x - mx, b.hi.x + mx),
+                   rng.uniform(b.lo.y - my, b.hi.y + my)});
+
+        EXPECT_EQ(mismatches, 0u) << "of " << probes << " probes";
+        EXPECT_GT(probes, 20000u + 50u * leaves.size());
     }
 }
 

@@ -2,8 +2,12 @@
  * @file
  * Tests for the prefetcher: cover-set geometry (lookahead along the
  * movement heading plus lateral spread), cache-aware miss filtering,
- * and the anchored near-set signatures in cache keys.
+ * and the anchored near-set signatures in cache keys (memoized per
+ * anchor cell and cutoff, checked against direct evaluation).
  */
+
+#include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -121,6 +125,104 @@ TEST_F(PrefetcherFixture, SignatureChangesAcrossTheMap)
     const FrameCache::Key a = prefetcher.keyFor(grid.snap({60, 60}));
     const FrameCache::Key b = prefetcher.keyFor(grid.snap({120, 90}));
     EXPECT_NE(a.nearSetSignature, b.nearSetSignature);
+}
+
+/** keyFor() against a direct, unmemoized evaluation of the key. */
+void
+expectDirectKey(Prefetcher &prefetcher, const world::VirtualWorld &world,
+                const world::GridMap &grid, const RegionIndex &regions,
+                double cell, GridPoint g)
+{
+    const FrameCache::Key key = prefetcher.keyFor(g);
+    const Vec2 pos = grid.position(g);
+    const LeafRegion &leaf = regions.leafAt(pos);
+    const Vec2 anchor{(std::floor(pos.x / cell) + 0.5) * cell,
+                      (std::floor(pos.y / cell) + 0.5) * cell};
+    EXPECT_EQ(key.gridKey, grid.key(g));
+    EXPECT_EQ(key.position, pos);
+    EXPECT_EQ(key.leafRegionId, leaf.id);
+    EXPECT_EQ(key.nearSetSignature,
+              world.nearSetSignature(anchor, leaf.cutoffRadius))
+        << "at (" << pos.x << ", " << pos.y << ")";
+}
+
+TEST_F(PrefetcherFixture, KeyForMatchesUnmemoizedSignature)
+{
+    Prefetcher prefetcher(world, grid, regions, {});
+    const double cell = PrefetcherParams{}.signatureCellM;
+    const auto expectDirect = [&](GridPoint g) {
+        expectDirectKey(prefetcher, world, grid, regions, cell, g);
+    };
+
+    // A route across the village in 0.4 m steps: over a hundred anchor
+    // cells, so by pigeonhole many share one of the table's slots.
+    std::vector<GridPoint> route;
+    for (int i = 0; i <= 300; ++i)
+        route.push_back(grid.snap({20.0 + 0.4 * i, 25.0 + 0.25 * i}));
+    for (const GridPoint g : route)
+        expectDirect(g);
+    // A far jump, then the route revisited backwards, after its early
+    // cells' slots were taken by later ones.
+    expectDirect(grid.snap({5.0, 120.0}));
+    for (auto it = route.rbegin(); it != route.rend(); ++it)
+        expectDirect(*it);
+
+    // Two cutoffs on one anchor cell: grid points either side of a leaf
+    // edge that cuts through a cell, queried alternately.
+    bool found = false;
+    for (const LeafRegion &leaf : regions.leaves()) {
+        const double x = leaf.rect.lo.x;
+        const double y = leaf.rect.center().y;
+        const GridPoint a = grid.snap({x - 2.0 * grid.spacing(), y});
+        const GridPoint b = grid.snap({x + 2.0 * grid.spacing(), y});
+        const Vec2 pa = grid.position(a);
+        const Vec2 pb = grid.position(b);
+        if (std::floor(pa.x / cell) != std::floor(pb.x / cell) ||
+            regions.leafAt(pa).cutoffRadius ==
+                regions.leafAt(pb).cutoffRadius)
+            continue;
+        found = true;
+        for (int i = 0; i < 3; ++i) {
+            expectDirect(a);
+            expectDirect(b);
+        }
+        break;
+    }
+    EXPECT_TRUE(found) << "no anchor cell straddles two cutoffs";
+
+    // Keys that differ in one input only, more of them than the table
+    // has slots, so some share a slot. A column and a row of anchor
+    // cells under one cutoff:
+    const geom::Rect bounds = world.bounds();
+    const RegionIndex uniform(bounds, {LeafRegion{0, bounds, 0, 20.0}});
+    Prefetcher single(world, grid, uniform, {});
+    for (double y = bounds.lo.y + 0.1; y < bounds.hi.y; y += cell)
+        expectDirectKey(single, world, grid, uniform, cell,
+                        grid.snap({bounds.center().x, y}));
+    for (double x = bounds.lo.x + 0.1; x < bounds.hi.x; x += cell)
+        expectDirectKey(single, world, grid, uniform, cell,
+                        grid.snap({x, bounds.center().y}));
+    // and one anchor cell (as wide as the world) under 256 cutoffs,
+    // one per strip-shaped leaf.
+    std::vector<LeafRegion> strips;
+    const int kStrips = 256;
+    for (int i = 0; i < kStrips; ++i) {
+        const double x0 = bounds.lo.x + bounds.width() * i / kStrips;
+        const double x1 = bounds.lo.x + bounds.width() * (i + 1) / kStrips;
+        strips.push_back(LeafRegion{static_cast<std::uint32_t>(i),
+                                    {{x0, bounds.lo.y}, {x1, bounds.hi.y}},
+                                    0,
+                                    4.0 + 0.125 * i});
+    }
+    const RegionIndex striped(bounds, strips);
+    PrefetcherParams wide;
+    wide.signatureCellM = bounds.width();
+    Prefetcher widePrefetcher(world, grid, striped, wide);
+    for (int pass = 0; pass < 2; ++pass)
+        for (const LeafRegion &strip : strips)
+            expectDirectKey(widePrefetcher, world, grid, striped,
+                            wide.signatureCellM,
+                            grid.snap(strip.rect.center()));
 }
 
 } // namespace

@@ -490,8 +490,9 @@ TEST(Terrain, AbortBeyondPreservesAcceptedHits)
         ray, 200.0, std::numeric_limits<double>::infinity());
     const auto plain = t.intersect(ray, 200.0);
     ASSERT_EQ(inf_cap.has_value(), plain.has_value());
-    if (plain)
+    if (plain) {
         EXPECT_EQ(*inf_cap, *plain);
+    }
 }
 
 /**

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 #
 # Sanitizer matrix for the parallel frame pipeline and event engine:
-# build and run the pool/codec/SSIM/fleet/chaos/engine-oracle tests under
-# ThreadSanitizer, AddressSanitizer, and UndefinedBehaviorSanitizer
+# build and run the pool/codec/SSIM/fleet/chaos/engine-oracle and the
+# frame-cache/prefetcher/partitioner tests under ThreadSanitizer, AddressSanitizer, and UndefinedBehaviorSanitizer
 # from one entry point.
 #
 # Usage: tools/check_sanitizers.sh [--only thread,address,undefined]
@@ -25,7 +25,8 @@ SANITIZERS=(thread address undefined)
 # lock-order validator's death tests actually fire here.
 TEST_BINS=(parallel_test renderer_test ssim_test codec_test obs_test
            frame_trace_test bvh_test terrain_test pano_cache_test
-           lock_order_test fleet_test chaos_test lane_oracle_test)
+           lock_order_test fleet_test chaos_test lane_oracle_test
+           frame_cache_test prefetcher_test partitioner_test)
 PREFIX=""
 
 while [ $# -gt 0 ]; do
