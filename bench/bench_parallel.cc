@@ -3,11 +3,15 @@
  * Serial-vs-pooled wall-clock baseline for the parallel frame pipeline
  * and the parallel discrete-event engine.
  *
- * Runs the two workloads the perf trajectory is tracked on — a Viking
- * adaptive-cutoff partition and a 64-frame panorama trace sweep
- * (render + encode-path SSIM between consecutive frames) — once with
- * every stage forced serial and once through the shared thread pool,
- * plus the SSIM kernel old-vs-new microcomparison, plus a sim-engine
+ * Runs the workloads the perf trajectory is tracked on — a Viking
+ * adaptive-cutoff partition, a Racing one (whose rejection sampler
+ * runs on the caller thread) and a 64-frame panorama trace sweep
+ * (render + encode-path SSIM between consecutive frames) — with every
+ * stage forced serial and through the shared thread pool, each side
+ * timed as the median of three runs so a re-record moves less with
+ * host noise; each partition also records its leaf and sampled-cutoff
+ * counts, which must match across the two sides. Plus the SSIM kernel
+ * old-vs-new microcomparison, plus a sim-engine
  * thread sweep: the bench_fleet 32x4 leg through the lane engine at
  * COTERIE_THREADS=1/2/4/8 (DESIGN.md §12), reporting events/sec and
  * wall seconds per simulated second. Every thread count must match the
@@ -22,6 +26,8 @@
  * multi-core trajectory would poison the history.
  */
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -53,24 +59,48 @@ seconds(const std::function<void()> &fn)
         .count();
 }
 
-/** Viking adaptive-cutoff partition (threads: 1 = serial, 0 = pool). */
+/** Median wall time of three runs of @p fn. */
 double
-partitionSeconds(const world::VirtualWorld &world, int threads)
+medianSeconds(const std::function<void()> &fn)
 {
-    core::PartitionParams params;
+    std::array<double, 3> runs;
+    for (double &s : runs)
+        s = seconds(fn);
+    std::sort(runs.begin(), runs.end());
+    return runs[1];
+}
+
+/** One side of a partition workload: its wall and what it produced. */
+struct PartitionRun
+{
+    double wallS = 0.0;
+    std::size_t leaves = 0;
+    std::uint64_t cutoffCalculations = 0;
+};
+
+/** Adaptive-cutoff partition (threads: 1 = serial, 0 = pool). */
+PartitionRun
+partitionRun(const world::VirtualWorld &world,
+             core::PartitionParams params, int threads)
+{
     params.threads = threads;
-    return seconds([&] {
+    PartitionRun run;
+    run.wallS = medianSeconds([&] {
         const auto result =
             core::partitionWorld(world, device::pixel2(), params);
-        if (result.leaves.empty())
-            std::abort(); // keep the optimizer honest
+        run.leaves = result.leaves.size();
+        run.cutoffCalculations = result.cutoffCalculations;
     });
+    if (run.leaves == 0)
+        std::abort(); // keep the optimizer honest
+    return run;
 }
 
 /**
  * 64-frame trace sweep: walk a straight line through the world,
  * rendering a far-BE-style panorama per step and scoring SSIM between
  * consecutive frames — the hot loop of every similarity experiment.
+ * Returns the median wall of three sweeps.
  */
 double
 traceSweepSeconds(const world::VirtualWorld &world, int threads)
@@ -83,7 +113,7 @@ traceSweepSeconds(const world::VirtualWorld &world, int threads)
     image::SsimParams ssimParams;
     ssimParams.threads = threads;
     const geom::Rect &b = world.bounds();
-    return seconds([&] {
+    return medianSeconds([&] {
         image::Image prev;
         double acc = 0.0;
         for (int i = 0; i < kFrames; ++i) {
@@ -280,11 +310,38 @@ main(int argc, char **argv)
         ok = false;
     }
 
-    const double partSerial = partitionSeconds(world, 1);
-    const double partPooled = partitionSeconds(world, 0);
-    std::printf("  viking_partition   serial %.3fs  pooled %.3fs  "
-                "speedup %.2fx\n",
-                partSerial, partPooled, partSerial / partPooled);
+    const auto racing =
+        world::gen::makeWorld(world::gen::GameId::Racing, 42);
+    core::PartitionParams racingParams;
+    racingParams.reachable = world::gen::makeReachability(
+        world::gen::gameInfo(world::gen::GameId::Racing), racing);
+    struct PartitionWorkload
+    {
+        const char *name;
+        PartitionRun serial;
+        PartitionRun pooled;
+    };
+    const PartitionWorkload partitions[] = {
+        {"viking_partition", partitionRun(world, {}, 1),
+         partitionRun(world, {}, 0)},
+        {"racing_partition", partitionRun(racing, racingParams, 1),
+         partitionRun(racing, racingParams, 0)},
+    };
+    for (const PartitionWorkload &p : partitions) {
+        std::printf("  %-18s serial %.3fs  pooled %.3fs  speedup %.2fx  "
+                    "(%zu leaves, %llu cutoffs)\n",
+                    p.name, p.serial.wallS, p.pooled.wallS,
+                    p.serial.wallS / p.pooled.wallS, p.serial.leaves,
+                    static_cast<unsigned long long>(
+                        p.serial.cutoffCalculations));
+        if (p.serial.leaves != p.pooled.leaves ||
+            p.serial.cutoffCalculations != p.pooled.cutoffCalculations) {
+            std::printf("  CHECK FAILED: %s pooled partition diverged "
+                        "from serial\n",
+                        p.name);
+            ok = false;
+        }
+    }
 
     const double sweepSerial = traceSweepSeconds(world, 1);
     const double sweepPooled = traceSweepSeconds(world, 0);
@@ -383,8 +440,15 @@ main(int argc, char **argv)
         return w;
     };
     obs::Json workloads = obs::Json::object();
-    workloads.set("viking_partition",
-                  workload(partSerial, "serial_s", partPooled, "pooled_s"));
+    for (const PartitionWorkload &p : partitions) {
+        obs::Json w = workload(p.serial.wallS, "serial_s",
+                               p.pooled.wallS, "pooled_s");
+        w.set("leaves",
+              obs::Json(static_cast<std::uint64_t>(p.serial.leaves)));
+        w.set("cutoff_calculations",
+              obs::Json(p.serial.cutoffCalculations));
+        workloads.set(p.name, std::move(w));
+    }
     workloads.set("trace_sweep_64_frames",
                   workload(sweepSerial, "serial_s", sweepPooled,
                            "pooled_s"));

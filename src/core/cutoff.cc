@@ -34,14 +34,25 @@ maxCutoffRadius(const world::VirtualWorld &world, geom::Vec2 location,
     // uncached nearBeRenderTimeMs.
     const render::LocationCostCache cost(world, location, hi_limit,
                                          profile.cost);
+    int probes = 0;
     const auto timeAtMs = [&](double cutoff) {
+        ++probes;
         return cost.renderTimeMs(0.0, cutoff);
     };
+    // One counter update per search, not per probe: the pool's tasks
+    // would contend on the shared counter a dozen times a search.
+    const auto countProbes = [&] {
+        COTERIE_COUNT_N("cost.location_cache_queries", probes);
+    };
 
-    if (timeAtMs(constraint.minRadius) >= budget)
+    if (timeAtMs(constraint.minRadius) >= budget) {
+        countProbes();
         return constraint.minRadius;
-    if (timeAtMs(hi_limit) < budget)
+    }
+    if (timeAtMs(hi_limit) < budget) {
+        countProbes();
         return hi_limit;
+    }
 
     double lo = constraint.minRadius; // satisfies the constraint
     double hi = hi_limit;             // violates the constraint
@@ -54,6 +65,7 @@ maxCutoffRadius(const world::VirtualWorld &world, geom::Vec2 location,
             hi = mid;
         ++iterations;
     }
+    countProbes();
     COTERIE_COUNT("cutoff.searches");
     COTERIE_OBSERVE("cutoff.search_iterations", iterations);
     return lo;

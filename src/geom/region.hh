@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 
 #include "geom/vec.hh"
@@ -44,6 +45,19 @@ struct Rect
     {
         return lo.x < r.hi.x && hi.x > r.lo.x && lo.y < r.hi.y &&
                hi.y > r.lo.y;
+    }
+
+    /**
+     * Squared distance from @p p to the closest point of the
+     * rectangle. Rounded subtraction, squaring and addition are
+     * monotone, so it never exceeds p.distanceSq(q) for a q inside.
+     */
+    double
+    distanceSq(Vec2 p) const
+    {
+        const double dx = std::max({lo.x - p.x, 0.0, p.x - hi.x});
+        const double dy = std::max({lo.y - p.y, 0.0, p.y - hi.y});
+        return dx * dx + dy * dy;
     }
 
     /** Clamp a point into the rectangle. */

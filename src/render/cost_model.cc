@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/metrics.hh"
+#include "support/logging.hh"
 #include "world/bvh.hh"
 
 namespace coterie::render {
@@ -92,47 +93,55 @@ renderTimeMs(const world::VirtualWorld &world, Vec2 eye, double rMin,
 LocationCostCache::LocationCostCache(const world::VirtualWorld &world,
                                      Vec2 eye, double maxRadius,
                                      const CostModelParams &params)
-    : world_(world), eye_(eye), params_(params)
+    : world_(world), eye_(eye), maxRadius_(maxRadius), params_(params)
 {
     COTERIE_COUNT("cost.location_cache_builds");
     const double maxReach = std::min(maxRadius, params.cullDistance);
     if (maxReach <= 0.0)
         return;
-    // Callback disc query, cached in BVH traversal order — replaying
-    // objects_ in this order keeps effectiveTriangles() bit-identical
-    // to the uncached free function (which sums in the same order).
-    world.forEachObjectWithin(eye, maxReach, [&](std::uint32_t id) {
-        const world::WorldObject &obj = world.object(id);
-        // queryDisc's membership metric: squared distance from the eye
-        // to the object's AABB footprint in the ground plane.
-        const geom::Aabb box = obj.bounds();
-        const double dx =
-            std::max({box.lo.x - eye.x, 0.0, eye.x - box.hi.x});
-        const double dz =
-            std::max({box.lo.z - eye.y, 0.0, eye.y - box.hi.z});
-        objects_.push_back({dx * dx + dz * dz,
-                            obj.footprint().distance(eye),
-                            static_cast<double>(obj.triangles)});
-    });
+    // Cached in BVH traversal order: replaying objects_ in this order
+    // keeps effectiveTriangles() bit-identical to the uncached free
+    // function, which sums a smaller disc's objects in the same order.
+    world.bvh().queryDiscDistSq(
+        eye, maxReach, [&](std::uint32_t id, double distSq) {
+            const world::WorldObject &obj = world.object(id);
+            const double centerDist = obj.footprint().distance(eye);
+            objects_.push_back({distSq, centerDist,
+                                obj.triangles *
+                                    lodWeight(centerDist, params)});
+        });
+    blockMinDistSq_.reserve((objects_.size() + kBlock - 1) / kBlock);
+    for (std::size_t i = 0; i < objects_.size(); i += kBlock) {
+        const std::size_t end = std::min(objects_.size(), i + kBlock);
+        double lo = objects_[i].footprintDistSq;
+        for (std::size_t j = i + 1; j < end; ++j)
+            lo = std::min(lo, objects_[j].footprintDistSq);
+        blockMinDistSq_.push_back(lo);
+    }
 }
 
 double
 LocationCostCache::effectiveTriangles(double rMin, double rMax) const
 {
-    // Every query here is a BVH disc query saved relative to the
-    // uncached effectiveTriangles() path.
-    COTERIE_COUNT("cost.location_cache_queries");
+    COTERIE_ASSERT(rMax <= maxRadius_, "probe radius ", rMax,
+                   " beyond the cached ", maxRadius_);
     const double reach = std::min(rMax, params_.cullDistance);
     double total =
         terrainEffectiveTriangles(world_, eye_, rMin, rMax, params_);
     if (reach > rMin) {
         const double r2 = reach * reach;
-        for (const CachedObject &obj : objects_) {
-            if (obj.footprintDistSq > r2)
-                continue; // outside this query's disc
-            if (obj.centerDist < rMin)
-                continue; // belongs to the inner layer
-            total += obj.triangles * lodWeight(obj.centerDist, params_);
+        for (std::size_t b = 0; b < blockMinDistSq_.size(); ++b) {
+            if (blockMinDistSq_[b] > r2)
+                continue; // the whole block lies outside this disc
+            const std::size_t end =
+                std::min(objects_.size(), (b + 1) * kBlock);
+            for (std::size_t i = b * kBlock; i < end; ++i) {
+                const CachedObject &obj = objects_[i];
+                // Outside the disc, or in the inner layer: add +0.0.
+                const bool in =
+                    obj.footprintDistSq <= r2 && obj.centerDist >= rMin;
+                total += in ? obj.term : 0.0;
+            }
         }
     }
     if (params_.saturationTriangles > 0.0)

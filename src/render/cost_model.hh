@@ -61,10 +61,16 @@ double renderTimeMs(const world::VirtualWorld &world, geom::Vec2 eye,
  * location a dozen times with different radii; the free function
  * re-runs the BVH disc query from scratch on every call. This cache
  * fetches the object set once (at the largest radius the search can
- * reach) and replays the same per-object terms, bit-identical to the
- * uncached path for any rMax <= maxRadius: membership uses the exact
- * footprint-distance test of `Bvh::queryDisc`, and summation keeps the
- * BVH traversal order.
+ * reach), with each object's LOD term evaluated once, and replays the
+ * terms bit-identical to the uncached path for any rMax <= maxRadius:
+ * - membership uses the exact footprint-distance test of
+ *   `Bvh::queryDisc`, and the cache keeps its visiting order, which a
+ *   smaller disc's query shares (the nesting property in bvh.hh);
+ * - each term is the product the free function computes;
+ * - a probe skips whole blocks of kBlock cached objects whose nearest
+ *   footprint lies outside its disc, and adds +0.0 in place of every
+ *   other object it leaves out, which leaves the non-negative running
+ *   total unchanged bit for bit.
  *
  * Thread-compatibility contract (checked by the clang thread-safety
  * build, see support/thread_annotations.hh): all state is written in
@@ -86,17 +92,23 @@ class LocationCostCache
     double renderTimeMs(double rMin, double rMax) const;
 
   private:
+    /** Cached objects per skippable block (consecutive in BVH order). */
+    static constexpr std::size_t kBlock = 16;
+
     struct CachedObject
     {
         double footprintDistSq; ///< queryDisc's AABB-footprint metric
         double centerDist;      ///< distance used by the LOD falloff
-        double triangles;
+        double term;            ///< triangles * lodWeight(centerDist)
     };
 
     const world::VirtualWorld &world_;
     geom::Vec2 eye_;
+    double maxRadius_;
     CostModelParams params_;
     std::vector<CachedObject> objects_; ///< in BVH traversal order
+    /** Smallest footprintDistSq of each kBlock-object run of objects_. */
+    std::vector<double> blockMinDistSq_;
 };
 
 } // namespace coterie::render

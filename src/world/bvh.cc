@@ -66,11 +66,13 @@ Bvh::Bvh(const std::vector<WorldObject> &objects) : objects_(objects)
     nodes_.reserve(2 * items.size());
     items_.reserve(items.size());
     build(items, 0, items.size(), 0);
-    // Leaf primitives in items_ order, so a leaf's [rightOrFirst,
-    // rightOrFirst + count) range indexes both.
+    // Leaf primitives and footprints in items_ order, so a leaf's
+    // [rightOrFirst, rightOrFirst + count) range indexes all three.
     leaf_.reserve(items_.size());
+    footprint_.reserve(items_.size());
     for (const std::uint32_t obj_id : items_) {
         const WorldObject &obj = objects_[obj_id];
+        footprint_.push_back(footprintOf(obj.bounds()));
         LeafPrim &prim = leaf_.emplace_back();
         prim.shape = obj.shape;
         if (obj.shape == Shape::Box) {

@@ -24,6 +24,7 @@
 
 #include "geom/intersect.hh"
 #include "geom/ray.hh"
+#include "geom/region.hh"
 #include "world/object.hh"
 
 namespace coterie::world {
@@ -67,9 +68,23 @@ class Bvh
      * Visit ids of objects whose AABB intersects the XZ disc
      * (cylinder), in deterministic depth-first traversal order. The
      * allocation-free path for hot callers (cost model, partitioner).
+     *
+     * That order is leaf-slot order, the build's left-first emission
+     * order, restricted to the objects that pass the test. So a
+     * smaller disc around the same center visits the larger disc's
+     * objects that pass its own test, in the same relative order
+     * (tests/bvh_test.cc, DiscQueryOrderNestsAcrossRadii).
      */
     template <typename Fn>
     void queryDisc(geom::Vec2 center, double radius, Fn &&fn) const;
+
+    /**
+     * queryDisc that also hands @p fn each object's squared footprint
+     * distance, the value its membership test compared against
+     * radius²: `fn(id, distSq)`.
+     */
+    template <typename Fn>
+    void queryDiscDistSq(geom::Vec2 center, double radius, Fn &&fn) const;
 
     /** Ids of objects whose AABB intersects the XZ disc (cylinder). */
     std::vector<std::uint32_t> queryDisc(geom::Vec2 center,
@@ -120,6 +135,13 @@ class Bvh
     };
 
   private:
+    /** A box's footprint in the ground plane: its (x, z) extent. */
+    static geom::Rect
+    footprintOf(const geom::Aabb &box)
+    {
+        return {{box.lo.x, box.lo.z}, {box.hi.x, box.hi.z}};
+    }
+
     /** Per-object build scratch: bounds + center, computed once. */
     struct BuildItem
     {
@@ -140,36 +162,38 @@ class Bvh
     std::vector<Node> nodes_;
     std::vector<std::uint32_t> items_;
     std::vector<LeafPrim> leaf_;
+    /** Each slot's object footprint, in items_ order (queryDisc's test). */
+    std::vector<geom::Rect> footprint_;
 };
 
 template <typename Fn>
 void
 Bvh::queryDisc(geom::Vec2 center, double radius, Fn &&fn) const
 {
+    queryDiscDistSq(center, radius,
+                    [&](std::uint32_t obj_id, double) { fn(obj_id); });
+}
+
+template <typename Fn>
+void
+Bvh::queryDiscDistSq(geom::Vec2 center, double radius, Fn &&fn) const
+{
     if (nodes_.empty())
         return;
     const double r2 = radius * radius;
-    // Squared distance from the disc center to a box footprint in XZ.
-    const auto footprintDistSq = [&](const geom::Aabb &box) {
-        const double dx =
-            std::max({box.lo.x - center.x, 0.0, center.x - box.hi.x});
-        const double dz =
-            std::max({box.lo.z - center.y, 0.0, center.y - box.hi.z});
-        return dx * dx + dz * dz;
-    };
     std::array<std::int32_t, 128> stack;
     int sp = 0;
     std::int32_t idx = 0;
     for (;;) {
         const Node &node = nodes_[idx];
-        if (footprintDistSq(node.box) <= r2) {
+        if (footprintOf(node.box).distanceSq(center) <= r2) {
             if (node.count > 0) {
                 for (std::int32_t i = 0; i < node.count; ++i) {
-                    const std::uint32_t obj_id =
-                        items_[static_cast<std::size_t>(node.rightOrFirst +
-                                                        i)];
-                    if (footprintDistSq(objects_[obj_id].bounds()) <= r2)
-                        fn(obj_id);
+                    const auto slot =
+                        static_cast<std::size_t>(node.rightOrFirst + i);
+                    const double d2 = footprint_[slot].distanceSq(center);
+                    if (d2 <= r2)
+                        fn(items_[slot], d2);
                 }
             } else {
                 stack[static_cast<std::size_t>(sp++)] = node.rightOrFirst;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -46,6 +47,18 @@ Track::Track(Rect bounds, std::uint64_t seed, double wobble)
     }
     totalLength_ = cumLength_.back();
     COTERIE_ASSERT(totalLength_ > 0.0, "degenerate track");
+
+    for (std::size_t i = 0; i < points_.size(); i += kChunk) {
+        const std::size_t end = std::min(points_.size(), i + kChunk);
+        Rect box{points_[i], points_[i]};
+        for (std::size_t j = i + 1; j < end; ++j) {
+            box.lo = {std::min(box.lo.x, points_[j].x),
+                      std::min(box.lo.y, points_[j].y)};
+            box.hi = {std::max(box.hi.x, points_[j].x),
+                      std::max(box.hi.y, points_[j].y)};
+        }
+        chunkBox_.push_back(box);
+    }
 }
 
 Vec2
@@ -77,8 +90,27 @@ double
 Track::distanceTo(Vec2 p) const
 {
     double best = std::numeric_limits<double>::infinity();
-    for (const Vec2 &q : points_)
-        best = std::min(best, p.distanceSq(q));
+    const auto scan = [&](std::size_t chunk) {
+        const std::size_t end =
+            std::min(points_.size(), (chunk + 1) * kChunk);
+        for (std::size_t i = chunk * kChunk; i < end; ++i)
+            best = std::min(best, p.distanceSq(points_[i]));
+    };
+    std::size_t nearest = 0;
+    double nearestDistSq = std::numeric_limits<double>::infinity();
+    for (std::size_t c = 0; c < chunkBox_.size(); ++c) {
+        const double d2 = chunkBox_[c].distanceSq(p);
+        if (d2 < nearestDistSq) {
+            nearestDistSq = d2;
+            nearest = c;
+        }
+    }
+    scan(nearest);
+    for (std::size_t c = 0; c < chunkBox_.size(); ++c) {
+        // A box no nearer than the best point holds no nearer point.
+        if (c != nearest && chunkBox_[c].distanceSq(p) < best)
+            scan(c);
+    }
     return std::sqrt(best);
 }
 

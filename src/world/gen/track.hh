@@ -35,7 +35,13 @@ class Track
     /** Unit tangent at arc length @p s. */
     geom::Vec2 tangentAt(double s) const;
 
-    /** Shortest distance from @p p to the track centerline. */
+    /**
+     * Shortest distance from @p p to the polyline's points. Scans the
+     * nearest chunk first, then only the chunks whose bounding box is
+     * nearer than the best point so far; the result equals the minimum
+     * over every point bit for bit (rounded subtraction, squaring and
+     * addition are monotone, so no point beats its chunk's box).
+     */
     double distanceTo(geom::Vec2 p) const;
 
     /** The start/finish location (arc length 0). */
@@ -45,9 +51,13 @@ class Track
     const std::vector<geom::Vec2> &samples() const { return points_; }
 
   private:
+    /** Consecutive polyline points per distanceTo chunk. */
+    static constexpr std::size_t kChunk = 32;
+
     std::vector<geom::Vec2> points_;    // dense polyline
     std::vector<double> cumLength_;     // prefix arc lengths
     double totalLength_ = 0.0;
+    std::vector<geom::Rect> chunkBox_;  // bounds of each kChunk run
 };
 
 } // namespace coterie::world::gen

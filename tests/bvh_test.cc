@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <optional>
 
@@ -127,6 +129,48 @@ TEST_P(BvhProperty, DiscQueryMatchesBruteForce)
                 expected.push_back(obj.id);
         }
         EXPECT_EQ(got, expected);
+    }
+}
+
+/** queryDisc's membership metric, recomputed from the object. */
+double
+footprintDistSq(const WorldObject &obj, Vec2 center)
+{
+    const Aabb b = obj.bounds();
+    const double dx = std::max({b.lo.x - center.x, 0.0, center.x - b.hi.x});
+    const double dz = std::max({b.lo.z - center.y, 0.0, center.y - b.hi.z});
+    return dx * dx + dz * dz;
+}
+
+/**
+ * The order property the cost model's per-location cache relies on:
+ * a smaller disc visits exactly the larger disc's objects that pass
+ * its own footprint test, in the same relative order.
+ */
+TEST_P(BvhProperty, DiscQueryOrderNestsAcrossRadii)
+{
+    const auto objects = randomObjects(120, GetParam());
+    const Bvh bvh(objects);
+    Rng rng(GetParam() ^ 0x5ca1e);
+    for (int i = 0; i < 100; ++i) {
+        const Vec2 center{rng.uniform(-70, 70), rng.uniform(-70, 70)};
+        const double big = rng.uniform(5.0, 120.0);
+        const auto outer = bvh.queryDisc(center, big);
+        std::vector<double> radii = {0.0, rng.uniform(0.0, big)};
+        // Each object's own footprint distance: the inclusion boundary.
+        for (const std::uint32_t id : outer)
+            radii.push_back(std::sqrt(footprintDistSq(objects[id], center)));
+        for (const double r : radii) {
+            if (r > big)
+                continue;
+            std::vector<std::uint32_t> expected;
+            for (const std::uint32_t id : outer) {
+                if (footprintDistSq(objects[id], center) <= r * r)
+                    expected.push_back(id);
+            }
+            EXPECT_EQ(bvh.queryDisc(center, r), expected)
+                << "r=" << r << " R=" << big;
+        }
     }
 }
 

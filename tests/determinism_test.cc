@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/session.hh"
 #include "image/codec.hh"
 #include "image/ssim.hh"
@@ -15,6 +17,92 @@
 
 namespace coterie {
 namespace {
+
+std::uint64_t
+bitsOf(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/** Order-sensitive digest over every leaf of a partition. */
+std::uint64_t
+leafDigest(const core::PartitionResult &partition)
+{
+    std::uint64_t h = 0x5eed;
+    for (const core::LeafRegion &leaf : partition.leaves) {
+        for (const double v :
+             {leaf.rect.lo.x, leaf.rect.lo.y, leaf.rect.hi.x,
+              leaf.rect.hi.y, leaf.cutoffRadius, leaf.triangleDensity})
+            h = hashCombine(h, hashMix(bitsOf(v)));
+        h = hashCombine(h, hashMix(static_cast<std::uint64_t>(leaf.depth)));
+        h = hashCombine(h, hashMix(leaf.reachable ? 1u : 0u));
+    }
+    return h;
+}
+
+std::uint64_t
+thresholdDigest(const std::vector<double> &thresholds)
+{
+    std::uint64_t h = 0x5eed;
+    for (const double v : thresholds)
+        h = hashCombine(h, hashMix(bitsOf(v)));
+    return h;
+}
+
+/**
+ * Golden pin on the offline step (partition, similarity calibration and
+ * distance thresholds) of three evaluation games. The constants were
+ * recorded from the full-scan cutoff probes, the recomputed-bounds disc
+ * query and the linear track distance; every later set-up optimisation
+ * must reproduce them bit for bit.
+ *
+ * The calibrated decay is fit to rendered SSIM, whose x86-64-v4 tile
+ * sums fuse multiply-adds (`buildTileRow`, held to a 1e-12 envelope
+ * rather than bits; DESIGN.md §10). So each game records two decays:
+ * the one that clone gives (the default build on an AVX-512 host) and
+ * the one every FMA-free SSIM kernel gives (the AVX2 and baseline
+ * clones, COTERIE_SIMD=OFF, the address and thread sanitizer builds,
+ * which drop the clones). They differ only for CTS, by 3 ulps.
+ */
+TEST(Determinism, SetupMatchesRecordedDigests)
+{
+    struct Golden
+    {
+        world::gen::GameId game;
+        std::uint64_t leaves;
+        std::uint64_t decayBitsFusedSsim;
+        std::uint64_t decayBitsUnfusedSsim;
+        std::uint64_t thresholds;
+    };
+    const Golden goldens[] = {
+        {world::gen::GameId::Racing, 7415776333162178929ULL,
+         0x3fe9524b93176381ULL, 0x3fe9524b93176381ULL,
+         12880306807234656650ULL},
+        {world::gen::GameId::CTS, 10974647482334544580ULL,
+         0x3fe9f76419b181b5ULL, 0x3fe9f76419b181b8ULL,
+         12366640473083558142ULL},
+        {world::gen::GameId::Viking, 16370477907106136044ULL,
+         0x3ff2c0718d29766dULL, 0x3ff2c0718d29766dULL,
+         8180425490317530782ULL},
+    };
+    for (const Golden &g : goldens) {
+        core::SessionParams params;
+        params.players = 4;
+        params.seed = 42;
+        const auto session = core::Session::create(g.game, params);
+        const std::uint64_t leaves = leafDigest(session->partition());
+        const std::uint64_t decay =
+            bitsOf(session->similarityParams().decay);
+        const std::uint64_t thresholds =
+            thresholdDigest(session->distThresholds());
+        EXPECT_EQ(leaves, g.leaves) << session->info().name;
+        EXPECT_TRUE(decay == g.decayBitsFusedSsim ||
+                    decay == g.decayBitsUnfusedSsim)
+            << session->info().name << " decay bits 0x" << std::hex
+            << decay;
+        EXPECT_EQ(thresholds, g.thresholds) << session->info().name;
+    }
+}
 
 TEST(Determinism, SessionsWithSameSeedMatchExactly)
 {

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "world/gen/track.hh"
 
@@ -72,6 +77,48 @@ TEST(Track, DistanceToCenterlineZeroOnTrack)
     EXPECT_LT(track.distanceTo(track.pointAt(123.0)), 1.5);
     // Center of the loop is far from the ring.
     EXPECT_GT(track.distanceTo(kBounds.center()), 50.0);
+}
+
+/**
+ * The pruned distance query against a plain minimum over every polyline
+ * point, bit for bit: a grid across the bounds and 100 m beyond them,
+ * every sample point, and every segment midpoint.
+ */
+TEST(Track, DistanceToMatchesLinearScan)
+{
+    const auto linear = [](const Track &track, Vec2 p) {
+        double best = std::numeric_limits<double>::infinity();
+        for (const Vec2 &q : track.samples())
+            best = std::min(best, p.distanceSq(q));
+        return std::sqrt(best);
+    };
+    const Rect racingSized{{-545.0, -548.0}, {545.0, 548.0}};
+    for (const auto &[bounds, seed] :
+         {std::pair{kBounds, std::uint64_t{42}},
+          std::pair{kBounds, std::uint64_t{7}},
+          std::pair{racingSized, std::uint64_t{1042}}}) {
+        const Track track(bounds, seed, 0.3);
+        std::vector<Vec2> probes;
+        constexpr double kBeyond = 100.0;
+        constexpr int kSteps = 97;
+        for (int i = 0; i <= kSteps; ++i) {
+            for (int j = 0; j <= kSteps; ++j) {
+                probes.push_back(
+                    {bounds.lo.x - kBeyond +
+                         (bounds.width() + 2 * kBeyond) * i / kSteps,
+                     bounds.lo.y - kBeyond +
+                         (bounds.height() + 2 * kBeyond) * j / kSteps});
+            }
+        }
+        const std::vector<Vec2> &pts = track.samples();
+        for (std::size_t i = 0; i < pts.size(); ++i) {
+            probes.push_back(pts[i]);
+            probes.push_back((pts[i] + pts[(i + 1) % pts.size()]) * 0.5);
+        }
+        for (const Vec2 p : probes)
+            ASSERT_EQ(track.distanceTo(p), linear(track, p))
+                << "at " << p.x << "," << p.y;
+    }
 }
 
 TEST(Track, DeterministicInSeed)

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 #
 # Sanitizer matrix for the parallel frame pipeline and event engine:
-# build and run the pool/codec/SSIM/fleet/chaos/engine-oracle and the
-# frame-cache/prefetcher/partitioner tests under ThreadSanitizer, AddressSanitizer, and UndefinedBehaviorSanitizer
+# build and run the pool/codec/SSIM/fleet/chaos/engine-oracle, the
+# frame-cache/prefetcher/partitioner and the set-up (cost-model block
+# index, track chunk index, cutoff search) tests under
+# ThreadSanitizer, AddressSanitizer, and UndefinedBehaviorSanitizer
 # from one entry point.
 #
 # Usage: tools/check_sanitizers.sh [--only thread,address,undefined]
@@ -26,7 +28,8 @@ SANITIZERS=(thread address undefined)
 TEST_BINS=(parallel_test renderer_test ssim_test codec_test obs_test
            frame_trace_test bvh_test terrain_test pano_cache_test
            lock_order_test fleet_test chaos_test lane_oracle_test
-           frame_cache_test prefetcher_test partitioner_test)
+           frame_cache_test prefetcher_test partitioner_test
+           cost_model_test track_test cutoff_test)
 PREFIX=""
 
 while [ $# -gt 0 ]; do
@@ -40,7 +43,7 @@ while [ $# -gt 0 ]; do
         shift 2
         ;;
       -h|--help)
-        grep '^#' "$0" | sed 's/^# \{0,1\}//' | head -12
+        grep '^#' "$0" | sed 's/^# \{0,1\}//' | head -14
         exit 0
         ;;
       *)
