@@ -9,7 +9,9 @@
  *  - **Sweep** sessions x players: per point it reports megaframe
  *    deliveries, actual panorama renders (cache misses),
  *    renders/frame, shared-cache hit ratio, p99 frame latency, and
- *    the wall time of the whole fleet run. Sessions play distinct
+ *    the wall time of the whole fleet run, the median of three runs
+ *    (one in `--smoke`) that must agree on every sim-time result.
+ *    Sessions play distinct
  *    trajectories over one world, so the hit ratio is the honest
  *    cross-session sharing win, not self-similarity.
  *
@@ -24,6 +26,7 @@
  * trajectory against results/BENCH_fleet.json.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -145,6 +148,39 @@ runSweepPoint(int sessions, int players, double durationS, int renderW,
     return point;
 }
 
+/** Whether two runs of one point agree on every sim-time result. */
+bool
+sameSimResults(const SweepPoint &a, const SweepPoint &b)
+{
+    return a.deliveries == b.deliveries && a.renders == b.renders &&
+           a.hitRatio == b.hitRatio &&
+           a.rendersPerFrame == b.rendersPerFrame &&
+           a.p99LatencyMs == b.p99LatencyMs && a.avgFps == b.avgFps &&
+           a.faults == b.faults && a.evictions == b.evictions &&
+           a.cacheEvictions == b.cacheEvictions && a.events == b.events;
+}
+
+/**
+ * The median-wall run of @p runs runs of one point; @p same is cleared
+ * when the runs disagree on a sim-time result.
+ */
+SweepPoint
+medianSweepPoint(int runs, bool &same, int sessions, int players,
+                 double durationS, int renderW, int renderH)
+{
+    std::vector<SweepPoint> all;
+    for (int i = 0; i < runs; ++i) {
+        all.push_back(runSweepPoint(sessions, players, durationS, renderW,
+                                    renderH));
+        same = same && sameSimResults(all.front(), all.back());
+    }
+    std::sort(all.begin(), all.end(),
+              [](const SweepPoint &a, const SweepPoint &b) {
+                  return a.wallS < b.wallS;
+              });
+    return all[all.size() / 2];
+}
+
 obs::Json
 toJson(const SweepPoint &p)
 {
@@ -255,6 +291,7 @@ main(int argc, char **argv)
     const std::vector<int> playerCounts =
         smoke ? std::vector<int>{2} : std::vector<int>{2, 4};
     const double durationS = smoke ? 5.0 : 8.0;
+    const int runs = smoke ? 1 : 3; // per sweep point; the median wall
     const int renderW = smoke ? 48 : 64;
     const int renderH = smoke ? 24 : 32;
 
@@ -266,9 +303,10 @@ main(int argc, char **argv)
     obs::Json points = obs::Json::object();
     for (const int players : playerCounts) {
         for (const int sessions : sessionCounts) {
-            const SweepPoint p = runSweepPoint(sessions, players,
-                                               durationS, renderW,
-                                               renderH);
+            bool same = true;
+            const SweepPoint p =
+                medianSweepPoint(runs, same, sessions, players, durationS,
+                                 renderW, renderH);
             std::printf("  %8d %7d | %10llu %8llu %9.3f %7.1f%% %10.2f "
                         "%8.2f %7.2f\n",
                         p.sessions, p.players,
@@ -284,6 +322,12 @@ main(int argc, char **argv)
 
             points.set(key, std::move(row));
 
+            if (!same) {
+                std::printf("  CHECK FAILED: %s runs disagree on a "
+                            "sim-time result\n",
+                            key);
+                ok = false;
+            }
             // Ungoverned fleets never evict or fault, deliveries flow,
             // and sibling trajectories over one world must share: past
             // one session the cache serves a real fraction of renders.

@@ -10,12 +10,15 @@
  * stage forced serial and through the shared thread pool, each side
  * timed as the median of three runs so a re-record moves less with
  * host noise; each partition also records its leaf and sampled-cutoff
- * counts, which must match across the two sides. Plus the SSIM kernel
+ * counts and its render-time sums per cutoff search (read from the
+ * `cutoff.radius_sums` counter, so only with telemetry compiled in),
+ * which must match across the two sides. Plus the SSIM kernel
  * old-vs-new microcomparison, plus a sim-engine
  * thread sweep: the bench_fleet 32x4 leg through the lane engine at
  * COTERIE_THREADS=1/2/4/8 (DESIGN.md §12), reporting events/sec and
- * wall seconds per simulated second. Every thread count must match the
- * 1-thread run exactly on events, deliveries and renders. The pool is
+ * wall seconds per simulated second, each point the median of three
+ * runs (one in --smoke). Every run must match the 1-thread run exactly
+ * on events, deliveries and renders. The pool is
  * sized once at process start, so each sweep point re-executes this
  * binary with COTERIE_THREADS pinned (--sim-child).
  * Everything lands in results/BENCH_parallel.json.
@@ -40,6 +43,7 @@
 #include "core/fleet.hh"
 #include "core/partitioner.hh"
 #include "image/ssim.hh"
+#include "obs/metrics.hh"
 #include "render/renderer.hh"
 #include "support/parallel.hh"
 #include "support/rng.hh"
@@ -76,6 +80,15 @@ struct PartitionRun
     double wallS = 0.0;
     std::size_t leaves = 0;
     std::uint64_t cutoffCalculations = 0;
+    /** Render-time sums of one run's cutoff searches (telemetry). */
+    std::uint64_t radiusSums = 0;
+
+    double
+    radiusSumsPerSearch() const
+    {
+        return static_cast<double>(radiusSums) /
+               static_cast<double>(cutoffCalculations);
+    }
 };
 
 /** Adaptive-cutoff partition (threads: 1 = serial, 0 = pool). */
@@ -84,10 +97,14 @@ partitionRun(const world::VirtualWorld &world,
              core::PartitionParams params, int threads)
 {
     params.threads = threads;
+    const obs::Counter &sums =
+        obs::MetricsRegistry::global().counter("cutoff.radius_sums");
     PartitionRun run;
     run.wallS = medianSeconds([&] {
+        const std::uint64_t before = sums.value();
         const auto result =
             core::partitionWorld(world, device::pixel2(), params);
+        run.radiusSums = sums.value() - before;
         run.leaves = result.leaves.size();
         run.cutoffCalculations = result.cutoffCalculations;
     });
@@ -276,6 +293,37 @@ runSimChild(const char *self, int threads, int sessions, int players,
     return run;
 }
 
+/**
+ * The median-wall run of @p runs children at @p threads. Not ok when a
+ * child fails or the runs disagree on any sim-time result.
+ */
+SimRun
+medianSimChild(const char *self, int threads, int runs, int sessions,
+               int players, double durationS, int renderW, int renderH)
+{
+    std::vector<SimRun> all;
+    for (int i = 0; i < runs; ++i) {
+        all.push_back(runSimChild(self, threads, sessions, players,
+                                  durationS, renderW, renderH));
+        const SimRun &run = all.back();
+        const SimRun &first = all.front();
+        if (!run.ok || run.events != first.events ||
+            run.deliveries != first.deliveries ||
+            run.renders != first.renders ||
+            run.horizonMs != first.horizonMs) {
+            std::printf("  CHECK FAILED: lane engine t=%d run %d failed "
+                        "or differs from run 1\n",
+                        threads, i + 1);
+            return {};
+        }
+    }
+    std::sort(all.begin(), all.end(),
+              [](const SimRun &a, const SimRun &b) {
+                  return a.wallS < b.wallS;
+              });
+    return all[all.size() / 2];
+}
+
 } // namespace
 
 int
@@ -329,13 +377,15 @@ main(int argc, char **argv)
     };
     for (const PartitionWorkload &p : partitions) {
         std::printf("  %-18s serial %.3fs  pooled %.3fs  speedup %.2fx  "
-                    "(%zu leaves, %llu cutoffs)\n",
+                    "(%zu leaves, %llu cutoffs, %.3f sums per search)\n",
                     p.name, p.serial.wallS, p.pooled.wallS,
                     p.serial.wallS / p.pooled.wallS, p.serial.leaves,
                     static_cast<unsigned long long>(
-                        p.serial.cutoffCalculations));
+                        p.serial.cutoffCalculations),
+                    p.serial.radiusSumsPerSearch());
         if (p.serial.leaves != p.pooled.leaves ||
-            p.serial.cutoffCalculations != p.pooled.cutoffCalculations) {
+            p.serial.cutoffCalculations != p.pooled.cutoffCalculations ||
+            p.serial.radiusSums != p.pooled.radiusSums) {
             std::printf("  CHECK FAILED: %s pooled partition diverged "
                         "from serial\n",
                         p.name);
@@ -369,9 +419,10 @@ main(int argc, char **argv)
                 ssimNaive / ssimFast);
 
     // Sim-engine thread sweep: the bench_fleet leg through the lane
-    // engine with the pool pinned at 1/2/4/8 threads. Results are
-    // bit-identical by the determinism contract; only the wall clock
-    // moves.
+    // engine with the pool pinned at 1/2/4/8 threads, each point the
+    // median of three runs (one in --smoke). Results are bit-identical
+    // by the determinism contract; only the wall clock moves.
+    const int simRuns = smoke ? 1 : 3;
     const int simSessions = smoke ? 8 : 32;
     const int simPlayers = smoke ? 2 : 4;
     const double simDurationS = smoke ? 5.0 : 8.0;
@@ -386,9 +437,9 @@ main(int argc, char **argv)
     simEngine.set("leg", obs::Json(std::string(simLeg)));
     SimRun oneThread;
     for (const int threads : {1, 2, 4, 8}) {
-        const SimRun laneRun = runSimChild(argv[0], threads, simSessions,
-                                           simPlayers, simDurationS, simW,
-                                           simH);
+        const SimRun laneRun =
+            medianSimChild(argv[0], threads, simRuns, simSessions,
+                           simPlayers, simDurationS, simW, simH);
         if (!laneRun.ok) {
             ok = false;
             continue;
@@ -447,6 +498,10 @@ main(int argc, char **argv)
               obs::Json(static_cast<std::uint64_t>(p.serial.leaves)));
         w.set("cutoff_calculations",
               obs::Json(p.serial.cutoffCalculations));
+#if COTERIE_TELEMETRY_ENABLED // the sums are counted through telemetry
+        w.set("radius_sums_per_search",
+              obs::Json(p.serial.radiusSumsPerSearch()));
+#endif
         workloads.set(p.name, std::move(w));
     }
     workloads.set("trace_sweep_64_frames",

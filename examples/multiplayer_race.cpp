@@ -3,11 +3,11 @@
  * Scenario example: a four-car race on Racing Mountain.
  *
  * Demonstrates the trace machinery (track-following trajectories with
- * chase proximity), trace persistence, and how Coterie's QoE holds up
- * as the grid spacing and player speed change by an order of magnitude
- * compared to the walking games.
+ * chase proximity) and how Coterie's QoE holds up as the grid spacing
+ * and player speed change by an order of magnitude compared to the
+ * walking games.
  *
- *   $ ./multiplayer_race [trace-file]
+ *   $ ./multiplayer_race
  */
 
 #include <cstdio>
@@ -19,7 +19,7 @@ using namespace coterie;
 using namespace coterie::core;
 
 int
-main(int argc, char **argv)
+main()
 {
     std::printf("Coterie multiplayer race: Racing Mountain, 4 cars\n\n");
 
@@ -38,12 +38,6 @@ main(int argc, char **argv)
                 "separation %.1f m\n",
                 session->info().playerSpeed,
                 session->info().playerSpeed * 3.6, separation);
-
-    // Persist the race for later replay (e.g. by the user-study bench).
-    if (argc > 1) {
-        if (trace::saveTrace(session->traces(), argv[1]))
-            std::printf("trace saved  : %s\n", argv[1]);
-    }
 
     // Race under Coterie and under the replicated prior art.
     const SystemResult coterie = session->runCoterieSystem();

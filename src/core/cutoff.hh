@@ -52,7 +52,10 @@ double nearBeRenderTimeMs(const world::VirtualWorld &world,
 
 /**
  * Largest cutoff radius at @p location satisfying Constraint 1 on
- * @p profile; binary search to within @p tolerance meters.
+ * @p profile; binary search to within @p tolerance meters. A radius
+ * ladder ahead of the search answers probes above its certified rung
+ * without a sum, and the result is bit-identical to summing every
+ * probe. Panics unless 0 < minRadius <= min(maxRadius, world diagonal).
  */
 double maxCutoffRadius(const world::VirtualWorld &world, geom::Vec2 location,
                        const device::PhoneProfile &profile,

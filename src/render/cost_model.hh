@@ -14,8 +14,6 @@
 
 #pragma once
 
-#include <vector>
-
 #include "world/world.hh"
 
 namespace coterie::render {
@@ -53,63 +51,6 @@ double effectiveTriangles(const world::VirtualWorld &world, geom::Vec2 eye,
 double renderTimeMs(const world::VirtualWorld &world, geom::Vec2 eye,
                     double rMin, double rMax,
                     const CostModelParams &params = {});
-
-/**
- * Memoized cost queries for one eye location.
- *
- * The cutoff binary search evaluates `renderTimeMs` at the same
- * location a dozen times with different radii; the free function
- * re-runs the BVH disc query from scratch on every call. This cache
- * fetches the object set once (at the largest radius the search can
- * reach), with each object's LOD term evaluated once, and replays the
- * terms bit-identical to the uncached path for any rMax <= maxRadius:
- * - membership uses the exact footprint-distance test of
- *   `Bvh::queryDisc`, and the cache keeps its visiting order, which a
- *   smaller disc's query shares (the nesting property in bvh.hh);
- * - each term is the product the free function computes;
- * - a probe skips whole blocks of kBlock cached objects whose nearest
- *   footprint lies outside its disc, and adds +0.0 in place of every
- *   other object it leaves out, which leaves the non-negative running
- *   total unchanged bit for bit.
- *
- * Thread-compatibility contract (checked by the clang thread-safety
- * build, see support/thread_annotations.hh): all state is written in
- * the constructor and immutable afterwards, so no member needs a
- * COTERIE_GUARDED_BY — the partitioner constructs one instance per
- * pool task and never shares it across tasks. Any future mutable
- * memoization added here must bring its own annotated Mutex.
- */
-class LocationCostCache
-{
-  public:
-    LocationCostCache(const world::VirtualWorld &world, geom::Vec2 eye,
-                      double maxRadius, const CostModelParams &params = {});
-
-    /** Same value as the free `effectiveTriangles` (rMax <= maxRadius). */
-    double effectiveTriangles(double rMin, double rMax) const;
-
-    /** Same value as the free `renderTimeMs` (rMax <= maxRadius). */
-    double renderTimeMs(double rMin, double rMax) const;
-
-  private:
-    /** Cached objects per skippable block (consecutive in BVH order). */
-    static constexpr std::size_t kBlock = 16;
-
-    struct CachedObject
-    {
-        double footprintDistSq; ///< queryDisc's AABB-footprint metric
-        double centerDist;      ///< distance used by the LOD falloff
-        double term;            ///< triangles * lodWeight(centerDist)
-    };
-
-    const world::VirtualWorld &world_;
-    geom::Vec2 eye_;
-    double maxRadius_;
-    CostModelParams params_;
-    std::vector<CachedObject> objects_; ///< in BVH traversal order
-    /** Smallest footprintDistSq of each kBlock-object run of objects_. */
-    std::vector<double> blockMinDistSq_;
-};
 
 } // namespace coterie::render
 

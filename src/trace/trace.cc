@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "support/logging.hh"
 
@@ -87,72 +86,6 @@ TraceCursor::speedAt(double timeMs) const
     if (dt_s <= 0.0)
         return 0.0;
     return before.position.distance(after.position) / dt_s;
-}
-
-bool
-saveTrace(const SessionTrace &trace, const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::fprintf(f, "coterie-trace 1\n%s %f %d\n", trace.game.c_str(),
-                 trace.tickMs, trace.playerCount());
-    for (const PlayerTrace &p : trace.players) {
-        std::fprintf(f, "player %d %zu\n", p.playerId, p.points.size());
-        for (const TracePoint &tp : p.points)
-            std::fprintf(f, "%f %f %f %f\n", tp.timeMs, tp.position.x,
-                         tp.position.y, tp.yaw);
-    }
-    std::fclose(f);
-    return true;
-}
-
-SessionTrace
-loadTrace(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        COTERIE_FATAL("cannot open trace file: ", path);
-    SessionTrace trace;
-    char magic[64];
-    int version = 0;
-    if (std::fscanf(f, "%63s %d", magic, &version) != 2 ||
-        std::string(magic) != "coterie-trace" || version != 1) {
-        std::fclose(f);
-        COTERIE_FATAL("bad trace header in ", path);
-    }
-    char game[128];
-    int players = 0;
-    if (std::fscanf(f, "%127s %lf %d", game, &trace.tickMs, &players) != 3) {
-        std::fclose(f);
-        COTERIE_FATAL("bad trace session line in ", path);
-    }
-    trace.game = game;
-    for (int i = 0; i < players; ++i) {
-        char kw[32];
-        int pid = 0;
-        std::size_t n = 0;
-        if (std::fscanf(f, "%31s %d %zu", kw, &pid, &n) != 3 ||
-            std::string(kw) != "player") {
-            std::fclose(f);
-            COTERIE_FATAL("bad player header in ", path);
-        }
-        PlayerTrace p;
-        p.playerId = pid;
-        p.points.reserve(n);
-        for (std::size_t k = 0; k < n; ++k) {
-            TracePoint tp;
-            if (std::fscanf(f, "%lf %lf %lf %lf", &tp.timeMs,
-                            &tp.position.x, &tp.position.y, &tp.yaw) != 4) {
-                std::fclose(f);
-                COTERIE_FATAL("truncated trace in ", path);
-            }
-            p.points.push_back(tp);
-        }
-        trace.players.push_back(std::move(p));
-    }
-    std::fclose(f);
-    return trace;
 }
 
 double

@@ -78,10 +78,6 @@ class TraceCursor
     double tickMs_;
 };
 
-/** Save/load a session trace as a plain text file. */
-bool saveTrace(const SessionTrace &trace, const std::string &path);
-SessionTrace loadTrace(const std::string &path);
-
 /**
  * Mean pairwise distance between players over time — the paper's
  * "multiplayer movement proximity" notion.

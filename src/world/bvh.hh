@@ -78,14 +78,6 @@ class Bvh
     template <typename Fn>
     void queryDisc(geom::Vec2 center, double radius, Fn &&fn) const;
 
-    /**
-     * queryDisc that also hands @p fn each object's squared footprint
-     * distance, the value its membership test compared against
-     * radius²: `fn(id, distSq)`.
-     */
-    template <typename Fn>
-    void queryDiscDistSq(geom::Vec2 center, double radius, Fn &&fn) const;
-
     /** Ids of objects whose AABB intersects the XZ disc (cylinder). */
     std::vector<std::uint32_t> queryDisc(geom::Vec2 center,
                                          double radius) const;
@@ -170,14 +162,6 @@ template <typename Fn>
 void
 Bvh::queryDisc(geom::Vec2 center, double radius, Fn &&fn) const
 {
-    queryDiscDistSq(center, radius,
-                    [&](std::uint32_t obj_id, double) { fn(obj_id); });
-}
-
-template <typename Fn>
-void
-Bvh::queryDiscDistSq(geom::Vec2 center, double radius, Fn &&fn) const
-{
     if (nodes_.empty())
         return;
     const double r2 = radius * radius;
@@ -191,9 +175,8 @@ Bvh::queryDiscDistSq(geom::Vec2 center, double radius, Fn &&fn) const
                 for (std::int32_t i = 0; i < node.count; ++i) {
                     const auto slot =
                         static_cast<std::size_t>(node.rightOrFirst + i);
-                    const double d2 = footprint_[slot].distanceSq(center);
-                    if (d2 <= r2)
-                        fn(items_[slot], d2);
+                    if (footprint_[slot].distanceSq(center) <= r2)
+                        fn(items_[slot]);
                 }
             } else {
                 stack[static_cast<std::size_t>(sp++)] = node.rightOrFirst;

@@ -7,12 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <vector>
-
 #include "render/cost_model.hh"
-#include "support/rng.hh"
 #include "world/gen/generators.hh"
 
 namespace coterie::render {
@@ -123,67 +118,6 @@ TEST(CostModel, TerrainReachClampedByWorldBounds)
     const double big_mid = effectiveTriangles(
         big, big.bounds().center(), 0.0, 600.0, params);
     EXPECT_GT(big_mid, small_mid);
-}
-
-/**
- * The per-location cache against the free function, bit for bit: eyes
- * across each world (its corners included), radii at both ends of the
- * cutoff search, random radii, and each cached object's own footprint
- * distance (the inclusion boundary, where a block or object skipped in
- * error would show), with and without an inner radius.
- */
-TEST(CostModel, LocationCostCacheMatchesFreeFunction)
-{
-    constexpr double kMaxRadius = 180.0;
-    const CostModelParams params;
-    for (GameId id :
-         {GameId::Racing, GameId::CTS, GameId::Viking, GameId::Pool}) {
-        const auto world = makeWorld(id, 42);
-        const geom::Rect &b = world.bounds();
-        std::vector<Vec2> eyes = {b.lo, b.hi, Vec2{b.lo.x, b.hi.y},
-                                  Vec2{b.hi.x, b.lo.y}, b.center()};
-        Rng rng(0xc057 + static_cast<std::uint64_t>(id));
-        while (eyes.size() < 64)
-            eyes.push_back({rng.uniform(b.lo.x, b.hi.x),
-                            rng.uniform(b.lo.y, b.hi.y)});
-        for (std::size_t e = 0; e < eyes.size(); ++e) {
-            const Vec2 eye = eyes[e];
-            const LocationCostCache cache(world, eye, kMaxRadius, params);
-            std::vector<double> radii = {0.5, kMaxRadius};
-            for (int i = 0; i < 8; ++i)
-                radii.push_back(rng.uniform(0.0, kMaxRadius));
-            // Boundary radii of the objects in the cache's disc; every
-            // eighth eye takes all of them, the others a stride.
-            std::vector<std::uint32_t> ids;
-            world.forEachObjectWithin(eye, kMaxRadius, [&](std::uint32_t o) {
-                ids.push_back(o);
-            });
-            const std::size_t stride = e % 8 == 0 ? 1 : 37;
-            for (std::size_t i = 0; i < ids.size(); i += stride) {
-                const geom::Aabb box = world.object(ids[i]).bounds();
-                const double dx =
-                    std::max({box.lo.x - eye.x, 0.0, eye.x - box.hi.x});
-                const double dz =
-                    std::max({box.lo.z - eye.y, 0.0, eye.y - box.hi.z});
-                const double r = std::sqrt(dx * dx + dz * dz);
-                radii.push_back(r);
-                radii.push_back(std::nextafter(r, 0.0));
-                radii.push_back(std::min(
-                    std::nextafter(r, kMaxRadius), kMaxRadius));
-            }
-            for (const double r : radii) {
-                for (const double rMin : {0.0, 0.37 * r}) {
-                    ASSERT_EQ(cache.effectiveTriangles(rMin, r),
-                              effectiveTriangles(world, eye, rMin, r,
-                                                 params))
-                        << world.name() << " eye " << eye.x << ","
-                        << eye.y << " r=" << r << " rMin=" << rMin;
-                }
-                ASSERT_EQ(cache.renderTimeMs(0.0, r),
-                          renderTimeMs(world, eye, 0.0, r, params));
-            }
-        }
-    }
 }
 
 TEST(CostModel, MobileWholeSceneInPaperRegime)

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "core/cutoff.hh"
+#include "support/rng.hh"
 #include "world/gen/track.hh"
 #include "world/gen/generators.hh"
 
@@ -130,6 +135,114 @@ TEST(Cutoff, TighterBudgetShrinksRadius)
               maxCutoffRadius(world, eye, profile, generous));
 }
 
+/**
+ * The binary search with every probe summed by nearBeRenderTimeMs: the
+ * same probe sequence, tolerance and return value as maxCutoffRadius,
+ * without its radius ladder.
+ */
+double
+fullSearch(const world::VirtualWorld &world, Vec2 eye,
+           const device::PhoneProfile &profile,
+           const CutoffConstraint &constraint, double tolerance)
+{
+    const double budget = constraint.nearBudgetMs();
+    const double hi_limit =
+        std::min(constraint.maxRadius, std::hypot(world.bounds().width(),
+                                                  world.bounds().height()));
+    const auto timeAtMs = [&](double cutoff) {
+        return nearBeRenderTimeMs(world, eye, cutoff, profile);
+    };
+    if (timeAtMs(constraint.minRadius) >= budget)
+        return constraint.minRadius;
+    if (timeAtMs(hi_limit) < budget)
+        return hi_limit;
+    double lo = constraint.minRadius;
+    double hi = hi_limit;
+    while (hi - lo > tolerance) {
+        const double mid = 0.5 * (lo + hi);
+        if (timeAtMs(mid) < budget)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/**
+ * maxCutoffRadius against the full search, bit for bit, on every game:
+ * eyes over each world and up to 5 m beyond it, a grid of constraints,
+ * and budgets placed on the ladder's rungs, at and around the certifying
+ * margin's edges (budget = T(rung) / (1 + x)).
+ */
+TEST(Cutoff, LadderMatchesFullSearch)
+{
+    constexpr int kEyesPerGame = 36;
+    const auto &profile = device::pixel2();
+    const double kTolerances[] = {0.1, 0.25, 1.0};
+    const double kMaxRadii[] = {40.0, 180.0, 1000.0};
+    for (const world::gen::GameInfo &info : world::gen::allGames()) {
+        const auto world = makeWorld(info.id, 42);
+        const geom::Rect &b = world.bounds();
+        const double diag = std::hypot(b.width(), b.height());
+        Rng rng(0x1add + static_cast<std::uint64_t>(info.id));
+        for (int e = 0; e < kEyesPerGame; ++e) {
+            const Vec2 eye{rng.uniform(b.lo.x - 5.0, b.hi.x + 5.0),
+                           rng.uniform(b.lo.y - 5.0, b.hi.y + 5.0)};
+            const auto same = [&](const CutoffConstraint &c,
+                                  double tolerance)
+                -> ::testing::AssertionResult {
+                const double got =
+                    maxCutoffRadius(world, eye, profile, c, tolerance);
+                const double want =
+                    fullSearch(world, eye, profile, c, tolerance);
+                if (got == want)
+                    return ::testing::AssertionSuccess();
+                return ::testing::AssertionFailure()
+                       << world.name() << " eye " << eye.x << "," << eye.y
+                       << " budget " << c.nearBudgetMs() << " maxRadius "
+                       << c.maxRadius << " tolerance " << tolerance
+                       << ": ladder " << got << ", full search " << want;
+            };
+            for (const double util : {0.3, 0.65, 0.9, 1.0}) {
+                for (const double maxRadius : kMaxRadii) {
+                    for (const double rtFi : {2.0, 4.0, 9.0}) {
+                        for (const double tolerance : kTolerances) {
+                            CutoffConstraint c;
+                            c.utilizationTarget = util;
+                            c.maxRadius = maxRadius;
+                            c.rtFiMs = rtFi;
+                            ASSERT_TRUE(same(c, tolerance));
+                        }
+                    }
+                }
+            }
+            // With rtFiMs 0 and utilization 1 the budget is exactly
+            // frameBudgetMs.
+            const double tolerance = kTolerances[e % 3];
+            for (const double maxRadius : kMaxRadii) {
+                const double ceiling = std::min(maxRadius, diag);
+                std::vector<double> rungs;
+                for (double r = 0.5; r < ceiling; r *= 2.0)
+                    rungs.push_back(r);
+                rungs.push_back(ceiling);
+                for (const double r : rungs) {
+                    const double t =
+                        nearBeRenderTimeMs(world, eye, r, profile);
+                    for (const double x :
+                         {-1e-6, -1e-9, 0.0, 1e-9, 5e-7, 1e-6, 2e-6}) {
+                        CutoffConstraint c;
+                        c.rtFiMs = 0.0;
+                        c.utilizationTarget = 1.0;
+                        c.maxRadius = maxRadius;
+                        c.frameBudgetMs = t / (1.0 + x);
+                        ASSERT_TRUE(same(c, tolerance));
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(CutoffDeath, ImpossibleBudgetPanics)
 {
     const auto world = makeWorld(GameId::Pool, 42);
@@ -138,6 +251,16 @@ TEST(CutoffDeath, ImpossibleBudgetPanics)
     EXPECT_DEATH(maxCutoffRadius(world, world.bounds().center(),
                                  device::pixel2(), constraint),
                  "budget");
+}
+
+TEST(CutoffDeath, CeilingBelowFloorPanics)
+{
+    const auto world = makeWorld(GameId::Pool, 42);
+    CutoffConstraint constraint;
+    constraint.maxRadius = 0.3; // below the 0.5 m floor
+    EXPECT_DEATH(maxCutoffRadius(world, world.bounds().center(),
+                                 device::pixel2(), constraint),
+                 "0\\.5.*0\\.3");
 }
 
 } // namespace

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/partitioner.hh"
-#include "render/cost_model.hh"
 #include "render/renderer.hh"
 #include "support/parallel.hh"
 #include "world/gen/generators.hh"
@@ -195,20 +194,6 @@ TEST(ParallelPipeline, PartitionLeavesIdenticalSerialVsPool)
         EXPECT_EQ(la.cutoffRadius, lb.cutoffRadius); // bit-identical
         EXPECT_EQ(la.triangleDensity, lb.triangleDensity);
         EXPECT_EQ(la.reachable, lb.reachable);
-    }
-}
-
-TEST(ParallelPipeline, CutoffCostCacheMatchesFreeFunctionBitExact)
-{
-    const auto world =
-        world::gen::makeWorld(world::gen::GameId::Pool, 42);
-    const geom::Vec2 eye = world.bounds().center();
-    const render::CostModelParams params;
-    const render::LocationCostCache cache(world, eye, 200.0, params);
-    for (double r : {0.5, 1.0, 3.7, 12.0, 48.5, 120.0, 200.0}) {
-        EXPECT_EQ(cache.renderTimeMs(0.0, r),
-                  render::renderTimeMs(world, eye, 0.0, r, params))
-            << "radius " << r;
     }
 }
 

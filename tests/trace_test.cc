@@ -1,12 +1,10 @@
 /**
  * @file
- * Tests for trace containers and IO: grid-path extraction, path length,
- * save/load round trip, and the multiplayer separation metric.
+ * Tests for trace containers: grid-path extraction, path length and the
+ * multiplayer separation metric.
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
 
 #include "trace/trace.hh"
 
@@ -55,42 +53,6 @@ TEST(SessionTrace, DurationIsMaxOverPlayers)
     session.players.push_back(lineTrace(0, {0, 0}, {1, 0}, 10));
     session.players.push_back(lineTrace(1, {0, 0}, {1, 0}, 20));
     EXPECT_NEAR(session.durationMs(), 19 * 16.67, 1e-6);
-}
-
-TEST(SessionTrace, SaveLoadRoundTrip)
-{
-    SessionTrace session;
-    session.game = "TestGame";
-    session.tickMs = 16.67;
-    session.players.push_back(lineTrace(0, {1, 2}, {0.5, 0.25}, 7));
-    session.players.push_back(lineTrace(1, {3, 4}, {0.1, -0.2}, 5));
-
-    const std::string path = testing::TempDir() + "/coterie_trace.txt";
-    ASSERT_TRUE(saveTrace(session, path));
-    const SessionTrace loaded = loadTrace(path);
-    std::remove(path.c_str());
-
-    EXPECT_EQ(loaded.game, session.game);
-    EXPECT_NEAR(loaded.tickMs, session.tickMs, 1e-9);
-    ASSERT_EQ(loaded.playerCount(), 2);
-    for (int p = 0; p < 2; ++p) {
-        const auto &a = session.players[p];
-        const auto &b = loaded.players[p];
-        ASSERT_EQ(a.points.size(), b.points.size());
-        EXPECT_EQ(a.playerId, b.playerId);
-        for (std::size_t i = 0; i < a.points.size(); ++i) {
-            EXPECT_NEAR(a.points[i].position.x, b.points[i].position.x,
-                        1e-5);
-            EXPECT_NEAR(a.points[i].position.y, b.points[i].position.y,
-                        1e-5);
-            EXPECT_NEAR(a.points[i].yaw, b.points[i].yaw, 1e-5);
-        }
-    }
-}
-
-TEST(SessionTraceDeath, LoadMissingFileFatal)
-{
-    EXPECT_DEATH(loadTrace("/nonexistent/coterie.trace"), "cannot open");
 }
 
 TEST(MeanPlayerSeparation, ParallelLinesKeepDistance)

@@ -13,7 +13,8 @@
 //
 // Every numeric leaf is flattened to a '/'-joined path and compared.
 // Direction is inferred from the metric name: timings (`*_ms`, `*_s`,
-// `*_ns`) and work counts (`*_per_ray`) regress when they grow, rates
+// `*_ns`) and work counts (`*_per_ray`, `*_per_search`) regress when
+// they grow, rates
 // and ratios (`*speedup*`, `*_per_s`, `*hit_ratio*`, `*fps*`) regress
 // when they shrink; metrics with no recognizable direction are
 // reported but never gate. In directory mode, `BENCH_*.json` files
@@ -99,6 +100,9 @@ directionOf(const std::string &path)
     const std::size_t slash = path.rfind('/');
     const std::string leaf =
         slash == std::string::npos ? path : path.substr(slash + 1);
+    // Work counts first: "_per_search" would otherwise read as a rate.
+    if (endsWith(leaf, "_per_ray") || endsWith(leaf, "_per_search"))
+        return Direction::LowerBetter;
     if (leaf.find("speedup") != std::string::npos ||
         leaf.find("_per_s") != std::string::npos ||
         leaf.find("hit_ratio") != std::string::npos ||
@@ -107,8 +111,7 @@ directionOf(const std::string &path)
     if (endsWith(leaf, "_ms") || endsWith(leaf, "_s") ||
         endsWith(leaf, "_ns") || endsWith(leaf, "_us") ||
         leaf.find("_ms_") != std::string::npos ||
-        endsWith(leaf, "_bytes") || endsWith(leaf, "_kb") ||
-        endsWith(leaf, "_per_ray"))
+        endsWith(leaf, "_bytes") || endsWith(leaf, "_kb"))
         return Direction::LowerBetter;
     return Direction::Unknown;
 }

@@ -2,8 +2,8 @@
 #
 # Sanitizer matrix for the parallel frame pipeline and event engine:
 # build and run the pool/codec/SSIM/fleet/chaos/engine-oracle, the
-# frame-cache/prefetcher/partitioner and the set-up (cost-model block
-# index, track chunk index, cutoff search) tests under
+# frame-cache/prefetcher/partitioner and the set-up (cost model, track
+# chunk index, cutoff search and its radius ladder) tests under
 # ThreadSanitizer, AddressSanitizer, and UndefinedBehaviorSanitizer
 # from one entry point.
 #
